@@ -40,6 +40,15 @@ if [ "${1:-}" != "fast" ]; then
     step cargo run --quiet --release --bin deltapath -- flamegraph --all --check
 fi
 
+# Benchmark self-test: builds the end-to-end pipeline benchmark and runs
+# every workload's bundled program through it once, untimed. It decodes
+# every logged event and checks each decoded context against the
+# shadow-stack oracle, so it covers the decoder's piece and stack caches on
+# real event streams.
+if [ "${1:-}" != "fast" ]; then
+    step python3 perfbench/run.py --self-test
+fi
+
 # Encoder hot-path smoke: replay identical hook streams through the
 # map-based, the compiled (table-driven) and the batched (branchless
 # kernel) encoders; the run fails if the compiled encoder is slower than

@@ -1,6 +1,9 @@
 //! Encoded calling-context values: the ID plus the runtime stack.
 
 use std::fmt;
+use std::hash::{Hash, Hasher};
+use std::ops::Deref;
+use std::sync::Arc;
 
 use deltapath_ir::{MethodId, SiteId};
 
@@ -39,18 +42,126 @@ pub struct Frame {
     pub saved_id: u64,
 }
 
+/// An immutable, shared encoding stack: the frames bottom first, plus a
+/// content digest computed once at construction.
+///
+/// Successive captures usually see the same stack (paper Section 8), so a
+/// capture holds a reference to the stack instead of a copy: cloning a
+/// `FrameStack` is a reference-count increment, hashing it writes only
+/// the digest, and equality settles on the digest, then on pointer
+/// identity, and only then on the frames themselves.
+///
+/// The digest is keyless and deterministic, like the projection hash the
+/// sharded collector routes by: the stacks it sees are the program's own
+/// captures, not attacker-chosen keys, and a collision costs only a frame
+/// comparison. Hash maps keyed by stacks keep `std`'s hasher.
+#[derive(Clone)]
+pub struct FrameStack {
+    frames: Arc<[Frame]>,
+    digest: u64,
+}
+
+impl FrameStack {
+    /// The keyless 64-bit content digest (equal frames, equal digest).
+    pub fn digest(&self) -> u64 {
+        self.digest
+    }
+
+    /// Whether `this` and `other` share one allocation.
+    pub fn ptr_eq(this: &Self, other: &Self) -> bool {
+        Arc::ptr_eq(&this.frames, &other.frames)
+    }
+}
+
+/// Folds `word` into `h` with a 64×64→128-bit multiply whose halves are
+/// xored back together, so every input bit reaches every output bit.
+#[inline]
+fn mix(h: u64, word: u64) -> u64 {
+    let m = u128::from(h ^ word).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    (m as u64) ^ ((m >> 64) as u64)
+}
+
+/// The content digest of `frames`: every field of every frame, then the
+/// depth.
+fn digest(frames: &[Frame]) -> u64 {
+    let h = frames.iter().fold(0x243F_6A88_85A3_08D3, |h, f| {
+        let tag = match f.tag {
+            FrameTag::Anchor => 0,
+            FrameTag::Recursion => 1,
+            FrameTag::Ucp => 2,
+        };
+        let site = f.site.map_or(0, |s| s.index() as u64 + 1);
+        let h = mix(h, tag | (f.node.index() as u64) << 2);
+        mix(mix(h, site), f.saved_id)
+    });
+    mix(h, frames.len() as u64)
+}
+
+/// The empty stack.
+impl Default for FrameStack {
+    fn default() -> Self {
+        Vec::new().into()
+    }
+}
+
+impl From<&[Frame]> for FrameStack {
+    fn from(frames: &[Frame]) -> Self {
+        Self {
+            digest: digest(frames),
+            frames: frames.into(),
+        }
+    }
+}
+
+impl From<Vec<Frame>> for FrameStack {
+    fn from(frames: Vec<Frame>) -> Self {
+        frames.as_slice().into()
+    }
+}
+
+impl Deref for FrameStack {
+    type Target = [Frame];
+
+    fn deref(&self) -> &[Frame] {
+        &self.frames
+    }
+}
+
+impl PartialEq for FrameStack {
+    fn eq(&self, other: &Self) -> bool {
+        self.digest == other.digest && (Self::ptr_eq(self, other) || self.frames == other.frames)
+    }
+}
+
+impl Eq for FrameStack {}
+
+impl Hash for FrameStack {
+    fn hash<H: Hasher>(&self, h: &mut H) {
+        h.write_u64(self.digest);
+    }
+}
+
+impl fmt::Debug for FrameStack {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.frames.iter()).finish()
+    }
+}
+
 /// A complete encoded calling context: the stack, the current ID, and the
 /// method at which it was captured.
 ///
 /// Two contexts are equal exactly when their encodings are equal; DeltaPath
 /// guarantees (and the test suite verifies) that distinct calling contexts
 /// produce distinct `EncodedContext` values, so this type is directly usable
-/// as a hash-map key for context-sensitive profiling.
+/// as a hash-map key for context-sensitive profiling. The stack is a shared
+/// [`FrameStack`], so cloning and hashing a context cost O(1), and so does
+/// comparing two contexts unless their stacks are separate allocations
+/// with equal digests.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct EncodedContext {
     /// The encoding stack, bottom first. The bottom frame is the bootstrap
     /// frame for the thread's entry method.
-    pub frames: Vec<Frame>,
+    pub frames: FrameStack,
     /// The current encoding ID (the piece since the top frame).
     pub id: u64,
     /// The method at which the context was captured.
@@ -105,7 +216,7 @@ mod tests {
 
     fn ctx() -> EncodedContext {
         EncodedContext {
-            frames: vec![
+            frames: FrameStack::from(vec![
                 Frame {
                     tag: FrameTag::Anchor,
                     node: MethodId::from_index(0),
@@ -124,7 +235,7 @@ mod tests {
                     site: Some(SiteId::from_index(6)),
                     saved_id: 2,
                 },
-            ],
+            ]),
             id: 9,
             at: MethodId::from_index(8),
         }
@@ -154,5 +265,56 @@ mod tests {
         let mut other = ctx();
         other.id = 10;
         assert_ne!(ctx(), other);
+    }
+
+    #[test]
+    fn equal_frames_in_separate_allocations_are_equal_stacks() {
+        use std::hash::BuildHasher;
+        let (a, b) = (ctx().frames, ctx().frames);
+        assert!(
+            !FrameStack::ptr_eq(&a, &b),
+            "two constructions, two allocations"
+        );
+        assert_eq!(a, b);
+        assert_eq!(a.digest(), b.digest());
+        let state = std::collections::hash_map::RandomState::new();
+        assert_eq!(state.hash_one(&a), state.hash_one(&b));
+        let shared = a.clone();
+        assert!(FrameStack::ptr_eq(&a, &shared));
+        assert_eq!(a, shared);
+    }
+
+    #[test]
+    fn stacks_differing_only_in_a_lower_frame_are_unequal() {
+        let base = ctx().frames;
+        let mut frames = base.to_vec();
+        frames[0].saved_id = 1;
+        let lower = FrameStack::from(frames);
+        assert_eq!(base.last(), lower.last(), "top frames agree");
+        assert_ne!(base, lower);
+        assert_ne!(base.digest(), lower.digest());
+        let mut frames = base.to_vec();
+        frames[1].site = None;
+        assert_ne!(base, FrameStack::from(frames));
+    }
+
+    #[test]
+    fn digest_is_deterministic_and_keyless() {
+        let frames = ctx().frames.to_vec();
+        let from_vec = FrameStack::from(frames.clone());
+        let from_slice = FrameStack::from(frames.as_slice());
+        assert_eq!(from_vec.digest(), from_slice.digest());
+        // Pinned: the digest must not depend on per-process hasher keys.
+        assert_eq!(from_vec.digest(), 0x9833_27ad_8e73_56fd);
+        assert_ne!(FrameStack::from(Vec::new()).digest(), from_vec.digest());
+    }
+
+    #[test]
+    fn debug_prints_the_frame_list() {
+        let frames = ctx().frames.to_vec();
+        assert_eq!(
+            format!("{:?}", FrameStack::from(frames.clone())),
+            format!("{frames:?}")
+        );
     }
 }

@@ -30,7 +30,7 @@ use deltapath_callgraph::{reachable_from, NodeIx};
 use deltapath_ir::MethodId;
 use deltapath_telemetry::{names, Telemetry};
 
-use crate::context::{EncodedContext, FrameTag};
+use crate::context::{EncodedContext, Frame, FrameStack, FrameTag};
 use crate::error::DecodeError;
 use crate::plan::EncodingPlan;
 
@@ -41,13 +41,14 @@ pub struct DecodeOptions {
     /// exceeding it yields [`DecodeError::DepthExceeded`].
     pub search_state_limit: usize,
     /// Maximum number of decoded pieces memoized across calls, keyed by
-    /// `(piece root, piece end, id)`. Repeated hot contexts — the common
-    /// case when draining a sharded collector — then decode in O(frames)
-    /// instead of re-running the per-piece walk. `0` disables the cache.
-    /// Once full the cache stops admitting new pieces rather than
-    /// evicting (piece popularity is heavily skewed, so the first
-    /// `piece_cache_capacity` distinct pieces are the ones worth
-    /// keeping).
+    /// `(piece root, piece end, id)`, and separately the maximum number of
+    /// stacks whose decoded path below the top frame is memoized. Repeated
+    /// hot contexts — the common case when draining a sharded collector
+    /// or an event log — then decode one piece instead of re-running the
+    /// per-piece walk. `0` disables both caches. Once full a cache stops
+    /// admitting new entries rather than evicting (popularity is heavily
+    /// skewed, so the first `piece_cache_capacity` distinct entries are
+    /// the ones worth keeping).
     pub piece_cache_capacity: usize,
 }
 
@@ -65,19 +66,43 @@ impl Default for DecodeOptions {
 /// complete input of one piece decode, shared out of the cache by `Rc`.
 type PieceCache = HashMap<(NodeIx, NodeIx, u128), Rc<Vec<NodeIx>>>;
 
+/// The decoded path below the top frame, keyed by the whole stack — a
+/// pure function of the stack and the plan, shared out by `Rc`.
+type StackCache = HashMap<FrameStack, Rc<[MethodId]>>;
+
+/// Hit and miss tallies of one cache.
+#[derive(Debug, Default)]
+struct CacheStats {
+    hits: Cell<u64>,
+    misses: Cell<u64>,
+}
+
+impl CacheStats {
+    fn count(&self, hit: bool) {
+        let cell = if hit { &self.hits } else { &self.misses };
+        cell.set(cell.get() + 1);
+    }
+
+    fn get(&self) -> (u64, u64) {
+        (self.hits.get(), self.misses.get())
+    }
+}
+
 /// A decoder over one [`EncodingPlan`].
 ///
 /// Obtain via [`EncodingPlan::decoder`]. The decoder caches per-root
-/// reachability sets for UCP-piece searches, so reuse one decoder when
-/// decoding many contexts.
+/// reachability sets for UCP-piece searches, decoded pieces, and the
+/// decoded path below the top frame of each stack it has seen, so reuse
+/// one decoder when decoding many contexts.
 #[derive(Debug)]
 pub struct Decoder<'a> {
     plan: &'a EncodingPlan,
     options: DecodeOptions,
     reach_cache: RefCell<HashMap<NodeIx, Rc<Vec<bool>>>>,
     piece_cache: RefCell<PieceCache>,
-    cache_hits: Cell<u64>,
-    cache_misses: Cell<u64>,
+    piece_stats: CacheStats,
+    stack_cache: RefCell<StackCache>,
+    stack_stats: CacheStats,
 }
 
 impl<'a> Decoder<'a> {
@@ -88,25 +113,38 @@ impl<'a> Decoder<'a> {
             options,
             reach_cache: RefCell::new(HashMap::new()),
             piece_cache: RefCell::new(HashMap::new()),
-            cache_hits: Cell::new(0),
-            cache_misses: Cell::new(0),
+            piece_stats: CacheStats::default(),
+            stack_cache: RefCell::new(HashMap::new()),
+            stack_stats: CacheStats::default(),
         }
     }
 
     /// `(hits, misses)` of the piece cache since construction.
     pub fn cache_stats(&self) -> (u64, u64) {
-        (self.cache_hits.get(), self.cache_misses.get())
+        self.piece_stats.get()
     }
 
-    /// Emits the piece-cache counters
+    /// `(hits, misses)` of the stack cache (the memoized path below the
+    /// top frame) since construction.
+    pub fn stack_cache_stats(&self) -> (u64, u64) {
+        self.stack_stats.get()
+    }
+
+    /// Emits the piece-cache and stack-cache counters
     /// ([`names::DECODER_PIECE_CACHE_HITS`] /
-    /// [`names::DECODER_PIECE_CACHE_MISSES`]) into `sink`.
+    /// [`names::DECODER_PIECE_CACHE_MISSES`] /
+    /// [`names::DECODER_STACK_CACHE_HITS`] /
+    /// [`names::DECODER_STACK_CACHE_MISSES`]) into `sink`.
     pub fn report_telemetry(&self, sink: &dyn Telemetry) {
         if !sink.enabled() {
             return;
         }
-        sink.counter_add(names::DECODER_PIECE_CACHE_HITS, self.cache_hits.get());
-        sink.counter_add(names::DECODER_PIECE_CACHE_MISSES, self.cache_misses.get());
+        let (hits, misses) = self.piece_stats.get();
+        sink.counter_add(names::DECODER_PIECE_CACHE_HITS, hits);
+        sink.counter_add(names::DECODER_PIECE_CACHE_MISSES, misses);
+        let (hits, misses) = self.stack_stats.get();
+        sink.counter_add(names::DECODER_STACK_CACHE_HITS, hits);
+        sink.counter_add(names::DECODER_STACK_CACHE_MISSES, misses);
     }
 
     /// Decodes `ctx` into the full method sequence, outermost first.
@@ -121,46 +159,91 @@ impl<'a> Decoder<'a> {
     /// See [`DecodeError`]; corrupted or hand-built inconsistent contexts
     /// are rejected, never mis-decoded.
     pub fn decode(&self, ctx: &EncodedContext) -> Result<Vec<MethodId>, DecodeError> {
+        let top = ctx.frames.last().ok_or(DecodeError::EmptyStack)?;
+        let end = self.node_of(ctx.at)?;
+        let start = self.node_of(top.node)?;
+        let piece = self.decode_piece(start, end, u128::from(ctx.id))?;
+        let below = self.below_top(&ctx.frames)?;
+        let skip = overlap(&ctx.frames, ctx.frames.len() - 1);
         let graph = self.plan.graph();
-        if ctx.frames.is_empty() {
-            return Err(DecodeError::EmptyStack);
-        }
-        let mut result: Vec<NodeIx> = Vec::new();
-        let mut cur_end = self.node_of(ctx.at)?;
-        let mut cur_id = u128::from(ctx.id);
+        let mut path = Vec::with_capacity(below.len() + piece.len() - skip);
+        path.extend_from_slice(&below);
+        path.extend(piece[skip..].iter().map(|&n| graph.method_of(n)));
+        Ok(path)
+    }
 
-        for (i, frame) in ctx.frames.iter().enumerate().rev() {
-            let start = self.node_of(frame.node)?;
-            let piece = self.decode_piece(start, cur_end, cur_id)?;
-            let is_bottom = i == 0;
-            match frame.tag {
-                FrameTag::Anchor => {
-                    if is_bottom {
-                        splice_front(&mut result, &piece);
-                    } else {
-                        // The anchor node is also the end of the piece below.
-                        splice_front(&mut result, &piece[1..]);
-                        cur_end = start;
-                        cur_id = u128::from(frame.saved_id);
-                    }
-                }
-                FrameTag::Recursion | FrameTag::Ucp => {
-                    if is_bottom {
-                        return Err(DecodeError::BadBottomFrame);
-                    }
-                    let site = frame
-                        .site
-                        .ok_or(DecodeError::UnattributedUcp { node: frame.node })?;
-                    let instr = self.plan.site(site).ok_or(DecodeError::UnknownSite(site))?;
-                    splice_front(&mut result, &piece);
-                    cur_end = self.node_of(instr.caller)?;
-                    cur_id = u128::from(frame.saved_id)
-                        .checked_sub(u128::from(instr.av))
-                        .ok_or(DecodeError::CorruptFrame { site })?;
-                }
+    /// The decoded path below the top frame of `frames`, memoized per
+    /// stack: it depends only on the stack and the immutable plan, never
+    /// on the context's ID or capture method. Errors are not memoized.
+    fn below_top(&self, frames: &FrameStack) -> Result<Rc<[MethodId]>, DecodeError> {
+        let capacity = self.options.piece_cache_capacity;
+        if capacity > 0 {
+            if let Some(below) = self.stack_cache.borrow().get(frames) {
+                self.stack_stats.count(true);
+                return Ok(below.clone());
             }
         }
-        Ok(result.into_iter().map(|n| graph.method_of(n)).collect())
+        self.stack_stats.count(false);
+        let below: Rc<[MethodId]> = self.decode_below_top(frames)?.into();
+        let mut cache = self.stack_cache.borrow_mut();
+        if cache.len() < capacity {
+            cache.insert(frames.clone(), below.clone());
+        }
+        Ok(below)
+    }
+
+    /// Decodes the pieces below the top frame, outermost first: each
+    /// frame tells where the piece below it ends and with which ID.
+    fn decode_below_top(&self, frames: &[Frame]) -> Result<Vec<MethodId>, DecodeError> {
+        let mut pieces = Vec::new();
+        let mut i = frames.len() - 1;
+        let mut below = self.piece_below(frames, i)?;
+        while let Some((end, id)) = below {
+            i -= 1;
+            let start = self.node_of(frames[i].node)?;
+            let piece = self.decode_piece(start, end, id)?;
+            below = self.piece_below(frames, i)?;
+            pieces.push((piece, overlap(frames, i)));
+        }
+        let graph = self.plan.graph();
+        let len = pieces.iter().map(|(piece, skip)| piece.len() - skip).sum();
+        let mut path = Vec::with_capacity(len);
+        for (piece, skip) in pieces.iter().rev() {
+            path.extend(piece[*skip..].iter().map(|&n| graph.method_of(n)));
+        }
+        Ok(path)
+    }
+
+    /// The `(end node, id)` of the piece below `frames[i]`, or `None` when
+    /// `frames[i]` is the bootstrap frame.
+    fn piece_below(
+        &self,
+        frames: &[Frame],
+        i: usize,
+    ) -> Result<Option<(NodeIx, u128)>, DecodeError> {
+        let frame = &frames[i];
+        match frame.tag {
+            FrameTag::Anchor if i == 0 => Ok(None),
+            // The anchor node is also the end of the piece below.
+            FrameTag::Anchor => Ok(Some((
+                self.node_of(frame.node)?,
+                u128::from(frame.saved_id),
+            ))),
+            FrameTag::Recursion | FrameTag::Ucp => {
+                if i == 0 {
+                    return Err(DecodeError::BadBottomFrame);
+                }
+                let site = frame
+                    .site
+                    .ok_or(DecodeError::UnattributedUcp { node: frame.node })?;
+                let instr = self.plan.site(site).ok_or(DecodeError::UnknownSite(site))?;
+                let end = self.node_of(instr.caller)?;
+                let id = u128::from(frame.saved_id)
+                    .checked_sub(u128::from(instr.av))
+                    .ok_or(DecodeError::CorruptFrame { site })?;
+                Ok(Some((end, id)))
+            }
+        }
     }
 
     fn node_of(&self, method: MethodId) -> Result<NodeIx, DecodeError> {
@@ -183,11 +266,11 @@ impl<'a> Decoder<'a> {
         let key = (start, end, id);
         if self.options.piece_cache_capacity > 0 {
             if let Some(piece) = self.piece_cache.borrow().get(&key) {
-                self.cache_hits.set(self.cache_hits.get() + 1);
+                self.piece_stats.count(true);
                 return Ok(piece.clone());
             }
         }
-        self.cache_misses.set(self.cache_misses.get() + 1);
+        self.piece_stats.count(false);
         let piece = Rc::new(if self.plan.encoding().is_anchor[start.index()] {
             self.decode_anchor_piece(start, end, id)?
         } else {
@@ -393,12 +476,11 @@ impl<'a> Decoder<'a> {
     }
 }
 
-/// Prepends `piece` to `result`.
-fn splice_front(result: &mut Vec<NodeIx>, piece: &[NodeIx]) {
-    let mut new = Vec::with_capacity(piece.len() + result.len());
-    new.extend_from_slice(piece);
-    new.append(result);
-    *result = new;
+/// How many leading nodes of the piece above `frames[i]` the piece below
+/// already ends with: an anchor frame above the bottom starts its piece at
+/// the node where the piece below ends.
+fn overlap(frames: &[Frame], i: usize) -> usize {
+    usize::from(i > 0 && frames[i].tag == FrameTag::Anchor)
 }
 
 #[cfg(test)]
@@ -496,7 +578,8 @@ mod tests {
                 node: p.entry(),
                 site: None,
                 saved_id: 0,
-            }],
+            }]
+            .into(),
             id: 10_000, // way outside every sub-range
             at: leaf,
         };
@@ -506,12 +589,103 @@ mod tests {
         ));
     }
 
+    /// main -> rec -> {leaf, leaf}: `rec` is a recursion header, hence an
+    /// anchor, so the two leaf contexts share the stack `[main, rec]`.
+    fn anchored_program() -> (Program, SiteId, Vec<SiteId>) {
+        let mut b = ProgramBuilder::new("a");
+        let c = b.add_class("C", None);
+        b.method(c, "leaf", MethodKind::Static).finish();
+        let mut leaf_sites = Vec::new();
+        b.method(c, "rec", MethodKind::Static)
+            .body(|f| {
+                leaf_sites.push(f.call(c, "leaf"));
+                leaf_sites.push(f.call(c, "leaf"));
+                f.if_mod(
+                    3,
+                    0,
+                    |_| {},
+                    |f| {
+                        f.call_arg(
+                            deltapath_ir::ClassId::from_index(0),
+                            "rec",
+                            deltapath_ir::ArgExpr::ParamPlus(1),
+                        );
+                    },
+                );
+            })
+            .finish();
+        let mut rec_site = None;
+        let main = b
+            .method(c, "main", MethodKind::Static)
+            .body(|f| {
+                rec_site = Some(f.call(c, "rec"));
+            })
+            .finish();
+        b.entry(main);
+        (b.finish().unwrap(), rec_site.unwrap(), leaf_sites)
+    }
+
+    #[test]
+    fn stack_cache_serves_the_path_below_the_top_frame() {
+        let (p, rec_site, leaf_sites) = anchored_program();
+        let plan = EncodingPlan::analyze(&p, &PlanConfig::default()).unwrap();
+        let (main, rec, leaf) = (p.entry(), method(&p, "rec"), method(&p, "leaf"));
+        let contexts: Vec<EncodedContext> = leaf_sites
+            .iter()
+            .map(|&site| {
+                let mut st = DeltaState::start(main);
+                st.on_call(&plan, rec_site);
+                st.on_entry(&plan, rec, Some(rec_site));
+                st.on_call(&plan, site);
+                st.on_entry(&plan, leaf, Some(site));
+                st.snapshot(leaf)
+            })
+            .collect();
+        assert_eq!(
+            contexts[0].depth(),
+            2,
+            "entering rec pushes an anchor frame"
+        );
+        assert_eq!(contexts[0].frames, contexts[1].frames);
+        assert_ne!(contexts[0].id, contexts[1].id);
+
+        let cached = plan.decoder();
+        let uncached = Decoder::new(
+            &plan,
+            DecodeOptions {
+                piece_cache_capacity: 0,
+                ..DecodeOptions::default()
+            },
+        );
+        for ctx in &contexts {
+            assert_eq!(cached.decode(ctx).unwrap(), vec![main, rec, leaf]);
+            assert_eq!(uncached.decode(ctx).unwrap(), vec![main, rec, leaf]);
+        }
+        assert_eq!(cached.stack_cache_stats(), (1, 1));
+        // Capacity 0 disables both caches.
+        assert_eq!(uncached.stack_cache_stats(), (0, 2));
+        assert_eq!(uncached.cache_stats().0, 0);
+
+        // Errors are never memoized: a corrupt lower frame fails on every
+        // decode, and never hits.
+        let mut frames = contexts[0].frames.to_vec();
+        frames[1].saved_id = 10_000;
+        let corrupt = EncodedContext {
+            frames: frames.into(),
+            ..contexts[0].clone()
+        };
+        for _ in 0..2 {
+            assert!(cached.decode(&corrupt).is_err());
+        }
+        assert_eq!(cached.stack_cache_stats(), (1, 3));
+    }
+
     #[test]
     fn empty_stack_is_rejected() {
         let (p, _) = diamondish();
         let plan = EncodingPlan::analyze(&p, &PlanConfig::default()).unwrap();
         let ctx = EncodedContext {
-            frames: vec![],
+            frames: Vec::new().into(),
             id: 0,
             at: p.entry(),
         };
@@ -531,7 +705,8 @@ mod tests {
                 node: p.entry(),
                 site: None,
                 saved_id: 0,
-            }],
+            }]
+            .into(),
             id: 0,
             at: MethodId::from_index(999),
         };
@@ -551,7 +726,8 @@ mod tests {
                 node: p.entry(),
                 site: Some(sites[0]),
                 saved_id: 0,
-            }],
+            }]
+            .into(),
             id: 0,
             at: p.entry(),
         };
@@ -668,7 +844,8 @@ mod search_tests {
                     site: Some(main_x_site),
                     saved_id: 0,
                 },
-            ],
+            ]
+            .into(),
             id: 0,
             at: method(&p, "g"),
         };
@@ -716,7 +893,8 @@ mod search_tests {
                     site: Some(main_x_site),
                     saved_id: 0,
                 },
-            ],
+            ]
+            .into(),
             id: av_xa,
             at: method(&p, "a"),
         };

@@ -32,7 +32,7 @@
 
 use deltapath_ir::{MethodId, SiteId};
 
-use crate::context::{EncodedContext, Frame, FrameTag};
+use crate::context::{EncodedContext, Frame, FrameStack, FrameTag};
 use crate::plan::{render_instructions, EncodingPlan, EntryInstr, SiteInstr};
 use crate::sid::Sid;
 use crate::state::{ResolvedEntry, ResolvedSite};
@@ -576,8 +576,9 @@ impl HookWord {
 /// Raw operation tallies of a [`BatchState`] — the batch engine's flat
 /// counter block, incremented by mask arithmetic (never by a branch) on
 /// the straight-line path. `deltapath-runtime` maps the shared subset into
-/// its `OpCounts`; the extras (`backedge_probes`, `stack_hwm`) feed the
-/// `encoder.backedge.*` / `encoder.batched.*` telemetry.
+/// its `OpCounts`; the extras (`backedge_probes`, `stack_hwm`, the
+/// snapshot tallies) feed the `encoder.backedge.*` / `encoder.batched.*`
+/// telemetry.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct BatchCounts {
     /// `ID += av` operations.
@@ -599,6 +600,12 @@ pub struct BatchCounts {
     /// Deepest the encoding stack has grown (lifetime high-water mark,
     /// not reset by [`BatchState::restart`]).
     pub stack_hwm: u64,
+    /// Snapshots that reused the cached [`FrameStack`] of an unchanged
+    /// stack (a reference-count increment).
+    pub snapshots_shared: u64,
+    /// Snapshots that built a fresh [`FrameStack`] after a push, a pop or
+    /// a restart.
+    pub snapshots_built: u64,
 }
 
 /// One open call's caller-saved record: what the matching return must
@@ -633,6 +640,9 @@ pub struct BatchState {
     id: u64,
     /// The encoding stack, bootstrap frame included.
     frames: Vec<Frame>,
+    /// The last snapshot of `frames`, shared by every capture until the
+    /// next push, pop or restart invalidates it.
+    shared: Option<FrameStack>,
     /// Pending-expectation validity: 0 or 1.
     pend_valid: u64,
     /// Pending site index (meaningful only when `pend_valid == 1`).
@@ -661,6 +671,7 @@ impl BatchState {
                 site: None,
                 saved_id: 0,
             }],
+            shared: None,
             pend_valid: 0,
             pend_site: 0,
             pend_expected: 0,
@@ -683,6 +694,7 @@ impl BatchState {
             site: None,
             saved_id: 0,
         });
+        self.shared = None;
         self.pend_valid = 0;
         self.pend_site = 0;
         self.pend_expected = 0;
@@ -706,10 +718,22 @@ impl BatchState {
         &self.counts
     }
 
-    /// Captures the current calling context as an encoded value.
-    pub fn snapshot(&self, at: MethodId) -> EncodedContext {
+    /// Captures the current calling context as an encoded value. Captures
+    /// under an unchanged stack share one [`FrameStack`]: only the first
+    /// after a push, pop or restart copies the frames.
+    pub fn snapshot(&mut self, at: MethodId) -> EncodedContext {
+        let frames = match &self.shared {
+            Some(stack) => {
+                self.counts.snapshots_shared += 1;
+                stack.clone()
+            }
+            None => {
+                self.counts.snapshots_built += 1;
+                self.shared.insert(self.frames.as_slice().into()).clone()
+            }
+        };
         EncodedContext {
-            frames: self.frames.clone(),
+            frames,
             id: self.id,
             at,
         }
@@ -762,7 +786,7 @@ impl CompiledPlan {
             let raw = w.0;
             let tag = raw >> HookWord::TAG_SHIFT;
             if tag == HOOK_OBSERVE {
-                if let Some(first) = states.first() {
+                if let Some(first) = states.first_mut() {
                     out.push(first.snapshot(MethodId::from_index(
                         (raw & HookWord::OPERAND_MASK) as usize,
                     )));
@@ -939,6 +963,7 @@ impl CompiledPlan {
             }
         };
         state.frames.push(frame);
+        state.shared = None;
         state.id = 0;
         state.counts.pushes += 1;
         state.counts.stack_hwm = state.counts.stack_hwm.max(state.frames.len() as u64);
@@ -954,6 +979,7 @@ impl CompiledPlan {
                 .frames
                 .pop()
                 .expect("encoding stack underflow: unbalanced entry/exit hooks");
+            state.shared = None;
             state.id = frame.saved_id;
             state.counts.pops += 1;
         }

@@ -14,7 +14,7 @@
 
 use deltapath_ir::MethodId;
 
-use crate::context::{EncodedContext, Frame};
+use crate::context::{EncodedContext, Frame, FrameStack};
 
 /// One delta-compressed log entry.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -44,7 +44,7 @@ pub struct RelativeEntry {
 ///     saved_id: 0,
 /// };
 /// let ctx = |frames: Vec<Frame>, id: u64| EncodedContext {
-///     frames,
+///     frames: frames.into(),
 ///     id,
 ///     at: MethodId::from_index(9),
 /// };
@@ -63,7 +63,7 @@ pub struct RelativeEntry {
 pub struct RelativeLog {
     entries: Vec<RelativeEntry>,
     /// The stack of the most recent entry (the delta base).
-    base: Vec<Frame>,
+    base: FrameStack,
     /// Total frames across all pushed contexts, before compression.
     raw_frames: usize,
 }
@@ -79,7 +79,7 @@ impl RelativeLog {
         let shared = self
             .base
             .iter()
-            .zip(&ctx.frames)
+            .zip(ctx.frames.iter())
             .take_while(|(a, b)| a == b)
             .count();
         self.entries.push(RelativeEntry {
@@ -138,7 +138,7 @@ impl RelativeLog {
             stack.truncate(entry.shared_frames);
             stack.extend_from_slice(&entry.new_frames);
             EncodedContext {
-                frames: stack.clone(),
+                frames: stack.as_slice().into(),
                 id: entry.id,
                 at: entry.at,
             }
@@ -170,7 +170,7 @@ mod tests {
 
     fn ctx(frames: Vec<Frame>, id: u64) -> EncodedContext {
         EncodedContext {
-            frames,
+            frames: frames.into(),
             id,
             at: MethodId::from_index(99),
         }

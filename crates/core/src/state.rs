@@ -384,10 +384,14 @@ impl DeltaState {
         }
     }
 
-    /// Captures the current calling context as an encoded value.
+    /// Captures the current calling context as an encoded value. The
+    /// reference path: every capture builds a fresh
+    /// [`FrameStack`](crate::FrameStack), where
+    /// [`BatchState::snapshot`](crate::BatchState::snapshot) shares one
+    /// between pushes and pops.
     pub fn snapshot(&self, at: MethodId) -> EncodedContext {
         EncodedContext {
-            frames: self.stack.clone(),
+            frames: self.stack.as_slice().into(),
             id: self.id,
             at,
         }

@@ -234,6 +234,8 @@ impl ContextEncoder for BatchedDeltaEncoder<'_> {
         sink.counter_add(names::ENCODER_BATCHED_FLUSHES, self.flushes);
         sink.counter_add(names::ENCODER_BATCHED_HOOKS, self.hooks);
         sink.gauge_max(names::ENCODER_BATCHED_CAPACITY, self.capacity as u64);
+        sink.counter_add(names::ENCODER_BATCHED_SNAPSHOTS_SHARED, c.snapshots_shared);
+        sink.counter_add(names::ENCODER_BATCHED_SNAPSHOTS_BUILT, c.snapshots_built);
         sink.gauge_max(
             names::ENCODER_BACKEDGE_PAIRS,
             self.compiled.back_edge_pair_count() as u64,
@@ -334,13 +336,24 @@ mod tests {
         for _ in 0..4 {
             e.on_call(site);
             e.on_entry(leaf, Some(site));
+            e.observe(leaf);
             e.on_exit(leaf, ());
             e.on_return(site, ());
         }
         e.flush();
         e.report_telemetry(&recorder);
         let report = recorder.report("t");
-        assert_eq!(report.counter(names::ENCODER_BATCHED_HOOKS), Some(16));
+        assert_eq!(report.counter(names::ENCODER_BATCHED_HOOKS), Some(20));
+        // No entry pushes a frame, so every observe after the first
+        // shares its stack.
+        assert_eq!(
+            report.counter(names::ENCODER_BATCHED_SNAPSHOTS_BUILT),
+            Some(1)
+        );
+        assert_eq!(
+            report.counter(names::ENCODER_BATCHED_SNAPSHOTS_SHARED),
+            Some(3)
+        );
         assert!(report.counter(names::ENCODER_BATCHED_FLUSHES).unwrap() > 0);
         assert!(recorder.histogram(names::ENCODER_BATCHED_BATCH_LEN).count() > 0);
         assert_eq!(

@@ -291,7 +291,7 @@ mod tests {
             saved_id: 0,
         };
         Capture::Delta(EncodedContext {
-            frames: vec![frame; depth],
+            frames: vec![frame; depth].into(),
             id,
             at: MethodId::from_index(1),
         })

@@ -120,19 +120,16 @@ impl Hasher for FastHasher {
 /// Writes a cheap projection of `capture` into `h`. Equal captures
 /// produce equal projections (a pure function of the value), which is all
 /// that routing and the memo's bucket choice need — full [`PartialEq`]
-/// settles collisions. Deliberately skips the frame vector, whose
-/// per-frame hashing would dominate the hot path.
+/// settles collisions. An encoded stack contributes its content digest,
+/// computed once when the stack was built, so every frame counts towards
+/// the projection at O(1) cost per capture.
 fn hash_projection(capture: &Capture, h: &mut impl Hasher) {
     match capture {
         Capture::Delta(ctx) => {
             h.write_u8(0);
             h.write_u64(ctx.id);
             h.write_usize(ctx.at.index());
-            h.write_usize(ctx.frames.len());
-            if let Some(top) = ctx.frames.last() {
-                h.write_usize(top.node.index());
-                h.write_u64(top.saved_id);
-            }
+            h.write_u64(ctx.frames.digest());
         }
         Capture::Pcc(v) => {
             h.write_u8(1);
@@ -156,7 +153,8 @@ fn hash_projection(capture: &Capture, h: &mut impl Hasher) {
             h.write_u8(4);
             h.write_u64(*trunk_v);
             h.write_u64(ctx.id);
-            h.write_usize(ctx.frames.len());
+            h.write_usize(ctx.at.index());
+            h.write_u64(ctx.frames.digest());
         }
         Capture::None => h.write_u8(5),
     }
@@ -491,7 +489,7 @@ mod tests {
             saved_id: 0,
         };
         Capture::Delta(EncodedContext {
-            frames: vec![frame; depth],
+            frames: vec![frame; depth].into(),
             id,
             at: MethodId::from_index(1),
         })
@@ -560,5 +558,27 @@ mod tests {
         let b = delta_capture(7, 3);
         assert_eq!(sharded.inner.shard_of(&a), sharded.inner.shard_of(&b));
         assert_eq!(route_hash(&a), route_hash(&b));
+    }
+
+    #[test]
+    fn route_hash_covers_every_frame() {
+        let Capture::Delta(base) = delta_capture(7, 4) else {
+            unreachable!()
+        };
+        // Equal captures from separate allocations route alike.
+        let copy = Capture::Delta(EncodedContext {
+            frames: base.frames.to_vec().into(),
+            ..base.clone()
+        });
+        assert_eq!(route_hash(&Capture::Delta(base.clone())), route_hash(&copy));
+        // A capture differing only in a lower frame's saved ID (same ID,
+        // method, depth and top frame) routes differently.
+        let mut frames = base.frames.to_vec();
+        frames[1].saved_id = 5;
+        let lower = Capture::Delta(EncodedContext {
+            frames: frames.into(),
+            ..base.clone()
+        });
+        assert_ne!(route_hash(&Capture::Delta(base)), route_hash(&lower));
     }
 }

@@ -196,6 +196,13 @@ pub const DECODER_PIECE_CACHE_HITS: &str = "decoder.piece_cache.hits";
 /// Anchor-piece decode-cache misses (counter).
 pub const DECODER_PIECE_CACHE_MISSES: &str = "decoder.piece_cache.misses";
 
+/// Decodes that reused the memoized path below the top frame of an
+/// already decoded stack (counter).
+pub const DECODER_STACK_CACHE_HITS: &str = "decoder.stack_cache.hits";
+
+/// Decodes that walked the pieces below the top frame (counter).
+pub const DECODER_STACK_CACHE_MISSES: &str = "decoder.stack_cache.misses";
+
 // ---- span.* — span profiler self-reporting ----
 
 /// Per-thread lanes a `SpanProfiler` registered (gauge).
@@ -239,6 +246,14 @@ pub const ENCODER_BATCHED_BATCH_LEN: &str = "encoder.batched.batch_len";
 
 /// Configured batch capacity in hook words (gauge).
 pub const ENCODER_BATCHED_CAPACITY: &str = "encoder.batched.capacity";
+
+/// Captures that shared the cached snapshot of an unchanged encoding
+/// stack (counter).
+pub const ENCODER_BATCHED_SNAPSHOTS_SHARED: &str = "encoder.batched.snapshots_shared";
+
+/// Captures that built a fresh snapshot after a push, a pop or a thread
+/// start (counter).
+pub const ENCODER_BATCHED_SNAPSHOTS_BUILT: &str = "encoder.batched.snapshots_built";
 
 /// Recursion back-edge pairs in the compiled two-level lookup table
 /// (gauge).
@@ -310,6 +325,8 @@ pub const ALL: &[&str] = &[
     COLLECTOR_STATS_MAX_ID,
     DECODER_PIECE_CACHE_HITS,
     DECODER_PIECE_CACHE_MISSES,
+    DECODER_STACK_CACHE_HITS,
+    DECODER_STACK_CACHE_MISSES,
     SPAN_LANES,
     SPAN_DROPPED,
     SPAN_UNBALANCED,
@@ -320,6 +337,8 @@ pub const ALL: &[&str] = &[
     ENCODER_BATCHED_HOOKS,
     ENCODER_BATCHED_BATCH_LEN,
     ENCODER_BATCHED_CAPACITY,
+    ENCODER_BATCHED_SNAPSHOTS_SHARED,
+    ENCODER_BATCHED_SNAPSHOTS_BUILT,
     ENCODER_BACKEDGE_PAIRS,
     ENCODER_BACKEDGE_SITES,
     ENCODER_BACKEDGE_PROBES,
@@ -375,6 +394,8 @@ mod tests {
             ENCODER_BATCHED_HOOKS,
             ENCODER_BATCHED_BATCH_LEN,
             ENCODER_BATCHED_CAPACITY,
+            ENCODER_BATCHED_SNAPSHOTS_SHARED,
+            ENCODER_BATCHED_SNAPSHOTS_BUILT,
             ENCODER_BACKEDGE_PAIRS,
             ENCODER_BACKEDGE_SITES,
             ENCODER_BACKEDGE_PROBES,

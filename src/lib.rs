@@ -106,8 +106,8 @@ pub use deltapath_callgraph::{
 pub use deltapath_core::{
     parse_plan, render_plan, render_plan_string, BatchCounts, BatchState, CompiledPlan,
     DecodeError, DecodeOptions, Decoder, DeltaState, EncodeError, EncodedContext, EncodingPlan,
-    EncodingWidth, Frame, FrameTag, HookWord, ImportedPlan, PlanConfig, PlanParseError, Sid,
-    PLAN_SCHEMA,
+    EncodingWidth, Frame, FrameStack, FrameTag, HookWord, ImportedPlan, PlanConfig, PlanParseError,
+    Sid, PLAN_SCHEMA,
 };
 pub use deltapath_ir::{
     skeleton_program, ArgExpr, ClassId, MethodId, MethodKind, Program, ProgramBuilder, Receiver,

@@ -27,9 +27,10 @@ use common::CaptureLog;
 use deltapath::workloads::rng::SplitMix64;
 use deltapath::workloads::synthetic::{generate, SyntheticConfig};
 use deltapath::{
-    BatchState, BatchedDeltaEncoder, CollectMode, CompiledDeltaEncoder, ContextEncoder,
-    DeltaEncoder, EncodedContext, EncodingPlan, EncodingWidth, PlanConfig, Program, ScopeFilter,
-    Vm, VmConfig,
+    ArgExpr, BatchCounts, BatchState, BatchedDeltaEncoder, Capture, ClassId, CollectMode,
+    CompiledDeltaEncoder, ContextEncoder, DeltaEncoder, EncodedContext, EncodingPlan,
+    EncodingWidth, FrameStack, MethodKind, PlanConfig, Program, ProgramBuilder, ScopeFilter, Vm,
+    VmConfig,
 };
 use deltapath_bench::hooks::{harvest, HookBuffer};
 
@@ -248,13 +249,20 @@ fn fanout_lanes_replicate_single_lane() {
         let mut states: Vec<BatchState> = (0..3).map(|_| BatchState::start(buffer.entry)).collect();
         let mut out = Vec::new();
         compiled.apply_batch_fanout(&mut states, &buffer.words, &mut out);
-        // Observes snapshot lane 0 only — lanes are replicas by design.
+        // Observes snapshot lane 0 only — lanes are replicas by design,
+        // so only lane 0 tallies snapshots.
         assert_eq!(out, ref_out, "{}: lane-0 captures", program.name());
+        let unobserved = BatchCounts {
+            snapshots_shared: 0,
+            snapshots_built: 0,
+            ..ref_counts
+        };
         for (lane, state) in states.iter().enumerate() {
             let tag = format!("{}/lane{lane}", program.name());
+            let expected = if lane == 0 { ref_counts } else { unobserved };
             assert_eq!(state.id(), ref_id, "{tag}: final ID diverged");
             assert_eq!(state.depth(), ref_depth, "{tag}: depth diverged");
-            assert_eq!(*state.counts(), ref_counts, "{tag}: counts diverged");
+            assert_eq!(*state.counts(), expected, "{tag}: counts diverged");
         }
     }
 }
@@ -284,4 +292,75 @@ fn truncated_streams_flush_on_demand() {
         assert_eq!(enc.state().depth(), scalar.depth(), "cut {cut}: depth");
         assert_eq!(*enc.state().counts(), *scalar.counts(), "cut {cut}: counts");
     }
+}
+
+#[test]
+fn unchanged_stacks_share_one_snapshot() {
+    // main -> rec -> rec...: the recursion header `rec` is an anchor, so
+    // entering it from main pushes a frame and leaving it pops one.
+    let mut b = ProgramBuilder::new("shared_snapshots");
+    let c = b.add_class("C", None);
+    b.method(c, "rec", MethodKind::Static)
+        .body(|f| {
+            f.if_mod(
+                3,
+                0,
+                |_| {},
+                |f| {
+                    f.call_arg(ClassId::from_index(0), "rec", ArgExpr::ParamPlus(1));
+                },
+            );
+        })
+        .finish();
+    let main = b
+        .method(c, "main", MethodKind::Static)
+        .body(|f| {
+            f.call(c, "rec");
+        })
+        .finish();
+    b.entry(main);
+    let program = b.finish().expect("program");
+    let plan = EncodingPlan::analyze(&program, &PlanConfig::default()).expect("plan");
+    let rec = program
+        .declared_method(
+            program.class_by_name("C").unwrap(),
+            program.symbols().lookup("rec").unwrap(),
+        )
+        .unwrap();
+    assert!(plan.entry(rec).unwrap().is_anchor, "rec is an anchor");
+    let site = program
+        .sites()
+        .iter()
+        .find(|s| s.caller() == main)
+        .unwrap()
+        .id();
+    let compiled = plan.compile();
+    let mut enc = BatchedDeltaEncoder::new(&compiled);
+    let stack = |enc: &mut BatchedDeltaEncoder, at| match enc.observe(at) {
+        Capture::Delta(ctx) => ctx.frames,
+        other => panic!("delta capture expected, got {other:?}"),
+    };
+    enc.thread_start(main);
+    let first = stack(&mut enc, main);
+    let second = stack(&mut enc, main);
+    assert!(
+        FrameStack::ptr_eq(&first, &second),
+        "no push or pop between two observes: one allocation"
+    );
+
+    enc.on_call(site);
+    enc.on_entry(rec, Some(site));
+    let inner = stack(&mut enc, rec);
+    assert_eq!(inner.len(), first.len() + 1, "entering rec pushed a frame");
+    enc.on_exit(rec, ());
+    enc.on_return(site, ());
+    let after = stack(&mut enc, main);
+    assert!(
+        !FrameStack::ptr_eq(&first, &after),
+        "a push and pop between two observes: a fresh allocation"
+    );
+    assert_eq!(first, after, "with equal contents");
+
+    let counts = enc.state().counts();
+    assert_eq!((counts.snapshots_built, counts.snapshots_shared), (3, 1));
 }

@@ -83,17 +83,27 @@ fn stack_corruption_is_rejected_or_changes_the_result() {
     let decoder = plan.decoder();
     let deep: Vec<&EncodedContext> = contexts.iter().filter(|c| c.depth() >= 2).collect();
     assert!(!deep.is_empty(), "need multi-frame contexts to corrupt");
+    // Each corrupted stack is decoded on the decoder that has already
+    // memoized the pristine one, so a stale memo entry would show.
     for ctx in deep.iter().take(50) {
         let original = decoder.decode(ctx).expect("pristine context decodes");
         // Truncate the stack.
-        let mut truncated = (*ctx).clone();
-        truncated.frames.pop();
+        let mut frames = ctx.frames.to_vec();
+        frames.pop();
+        let truncated = EncodedContext {
+            frames: frames.into(),
+            ..(*ctx).clone()
+        };
         if let Ok(decoded) = decoder.decode(&truncated) {
             assert_ne!(decoded, original);
         }
         // Swap in a bogus saved id.
-        let mut bogus = (*ctx).clone();
-        bogus.frames.last_mut().unwrap().saved_id = u64::MAX / 3;
+        let mut frames = ctx.frames.to_vec();
+        frames.last_mut().unwrap().saved_id = u64::MAX / 3;
+        let bogus = EncodedContext {
+            frames: frames.into(),
+            ..(*ctx).clone()
+        };
         if let Ok(decoded) = decoder.decode(&bogus) {
             assert_ne!(decoded, original);
         }
@@ -105,9 +115,17 @@ fn foreign_frames_are_rejected() {
     let (_p, plan, contexts) = collected_contexts();
     let decoder = plan.decoder();
     let ctx = &contexts[0];
+    decoder.decode(ctx).expect("pristine context decodes");
+    let pushed = |frame: Frame| {
+        let mut frames = ctx.frames.to_vec();
+        frames.push(frame);
+        EncodedContext {
+            frames: frames.into(),
+            ..ctx.clone()
+        }
+    };
     // A frame naming a method that does not exist.
-    let mut foreign = ctx.clone();
-    foreign.frames.push(Frame {
+    let foreign = pushed(Frame {
         tag: FrameTag::Anchor,
         node: MethodId::from_index(999_999),
         site: None,
@@ -115,8 +133,7 @@ fn foreign_frames_are_rejected() {
     });
     assert!(decoder.decode(&foreign).is_err());
     // A UCP frame naming a site that does not exist.
-    let mut bad_site = ctx.clone();
-    bad_site.frames.push(Frame {
+    let bad_site = pushed(Frame {
         tag: FrameTag::Ucp,
         node: ctx.at,
         site: Some(SiteId::from_index(999_999)),

@@ -164,7 +164,7 @@ fn delta_capture(id: u64, depth: usize) -> Capture {
         saved_id: 0,
     };
     Capture::Delta(EncodedContext {
-        frames: vec![frame; depth],
+        frames: vec![frame; depth].into(),
         id,
         at: MethodId::from_index(1),
     })
@@ -237,9 +237,10 @@ proptest! {
         ..ProptestConfig::default()
     })]
 
-    /// The memoized piece cache is transparent: decoding every captured
-    /// context through a caching decoder — twice, so the second pass runs
-    /// hot — yields exactly the contexts an uncached decoder produces.
+    /// The memoized piece and stack caches are transparent: decoding every
+    /// captured context through a caching decoder — twice, so the second
+    /// pass runs hot — yields exactly the contexts an uncached decoder
+    /// produces, and capacity 0 disables both caches.
     #[test]
     fn decode_cache_hits_equal_uncached_decode(config in closed_world_configs()) {
         let program = generate(&config);
@@ -274,6 +275,14 @@ proptest! {
         if misses > 0 {
             prop_assert!(hits > 0);
         }
+        // Capacity 0 disables the stack cache too: every decode walks
+        // every piece below the top frame.
+        let events = log.events.len() as u64;
+        prop_assert_eq!(uncached.stack_cache_stats(), (0, 2 * events));
+        // The second pass finds every stack the first pass decoded.
+        let (stack_hits, stack_misses) = cached.stack_cache_stats();
+        prop_assert_eq!(stack_hits + stack_misses, 2 * events);
+        prop_assert!(stack_hits >= events);
     }
 }
 

@@ -10,9 +10,9 @@ use std::sync::Arc;
 use deltapath::telemetry::{names, Json, Lane, LaneSnapshot, SpanEvent, SpanTree, TRACE_SCHEMA};
 use deltapath::workloads::synthetic::{generate, SyntheticConfig};
 use deltapath::{
-    audit_plan_with, BatchedDeltaEncoder, CollectMode, CompiledDeltaEncoder, EncodingPlan,
-    FoldedStacks, HookSampler, NullCollector, PlanConfig, ScopedSpan, ShardedCollector,
-    SpanProfiler, SpanSnapshot, Telemetry, Vm, VmConfig,
+    audit_plan_with, BatchedDeltaEncoder, Capture, CollectMode, CompiledDeltaEncoder, EncodingPlan,
+    EventLog, FoldedStacks, HookSampler, PlanConfig, ScopedSpan, ShardedCollector, SpanProfiler,
+    SpanSnapshot, Telemetry, Vm, VmConfig,
 };
 
 /// Thread counts to stress: `DELTAPATH_STRESS_THREADS=a,b,c` or the
@@ -295,18 +295,25 @@ fn instrumented_run_records_only_registered_names() {
 
     // A second run under the batched encoder, so its `encoder.batched.*` /
     // `encoder.backedge.*` end-of-run metrics flow through the same
-    // registry check.
+    // registry check, and a decode of its events for `decoder.*`.
     let mut batched = BatchedDeltaEncoder::new(&compiled)
         .with_capacity(8)
         .with_batch_telemetry(profiler.recorder());
     let mut vm = Vm::new(
         &program,
         VmConfig::default()
-            .with_collect(CollectMode::Entries)
+            .with_collect(CollectMode::ObservesOnly)
             .with_telemetry(profiler.clone()),
     );
-    vm.run(&mut batched, &mut NullCollector)
-        .expect("batched run");
+    let mut log = EventLog::default();
+    vm.run(&mut batched, &mut log).expect("batched run");
+    let decoder = plan.decoder();
+    for (_, _, capture) in &log.events {
+        if let Capture::Delta(ctx) = capture {
+            decoder.decode(ctx).expect("logged event decodes");
+        }
+    }
+    decoder.report_telemetry(sink);
 
     let report = profiler.report(program.name());
     let mut checked = 0usize;
@@ -342,7 +349,12 @@ fn instrumented_run_records_only_registered_names() {
         names::ENCODER_BATCHED_HOOKS,
         names::ENCODER_BATCHED_BATCH_LEN,
         names::ENCODER_BATCHED_CAPACITY,
+        names::ENCODER_BATCHED_SNAPSHOTS_SHARED,
+        names::ENCODER_BATCHED_SNAPSHOTS_BUILT,
         names::ENCODER_BACKEDGE_PAIRS,
+        names::DECODER_PIECE_CACHE_HITS,
+        names::DECODER_STACK_CACHE_HITS,
+        names::DECODER_STACK_CACHE_MISSES,
     ] {
         let present = report.counters.iter().any(|(n, _)| n == expected)
             || report.gauges.iter().any(|(n, _)| n == expected)
