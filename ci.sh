@@ -21,6 +21,14 @@ if [ "${1:-}" != "fast" ]; then
 fi
 step cargo test -q --workspace
 
+# Encoder differential suites in release: the debug run above keeps the
+# batch kernel's `debug_assert!` overflow checks live, but perfbench and
+# `deltapath run` execute release builds, where those checks are compiled
+# out and arithmetic wraps. The encoders must agree there too.
+if [ "${1:-}" != "fast" ]; then
+    step cargo test --release -q --test batched_encoder --test compiled_plan --test differential
+fi
+
 # Static plan audit: every bundled workload's encoding plan must lint
 # clean — no DP0xx diagnostics at any severity (codes in DESIGN.md,
 # "Static analysis").

@@ -1,5 +1,6 @@
 //! Encoder hot-path throughput: the map-based [`DeltaEncoder`], the
-//! table-driven [`CompiledDeltaEncoder`], and the batched kernel
+//! table-driven [`CompiledDeltaEncoder`], the hook-at-a-time
+//! [`BatchedDeltaEncoder`], and the batched kernel
 //! ([`CompiledPlan::apply_batch`]) hook for hook.
 //!
 //! ```text
@@ -12,13 +13,16 @@
 //! replayed — LIFO token stacks standing in for the interpreter's native
 //! stack — into every encoder, first once for *verification* (captures,
 //! abstract op counts and UCP detections must be identical) and then in
-//! timed best-of-N passes. For the batched rows the stream is additionally
-//! lowered once into a flat [`HookBuffer`] of packed hook words (the
-//! analog of class-load-time injection) and consumed by the branchless
-//! batch kernel in chunks of 64 / 256 / 1024 words, whole-stream, and as
-//! a 4-lane interleaved fan-out. This isolates pure hook dispatch cost:
-//! the interpreter, the collector and event materialization are all off
-//! the clock. The harvest/replay/measure machinery is shared with the
+//! timed best-of-N passes. The `deltapath`, `compiled` and `batched-enc`
+//! rows time the three runtime encoders through that same replay. For the
+//! kernel rows (`batched@N`, `batched`, `batched-x4`) the stream is
+//! additionally lowered once, off the clock, into a flat [`HookBuffer`] of
+//! packed hook words (the analog of class-load-time injection) and
+//! consumed by the branchless batch kernel in chunks of 64 / 256 / 1024
+//! words, whole-stream, and as a 4-lane interleaved fan-out. This
+//! isolates pure hook dispatch cost: the interpreter, the collector and
+//! event materialization are all off the clock. The
+//! harvest/replay/measure machinery is shared with the
 //! `telemetry_overhead` binary via [`deltapath_bench::hooks`].
 //!
 //! One `deltapath.perf.v1` record per (workload, encoder row) lands in
@@ -186,8 +190,8 @@ fn main() -> ExitCode {
             "{}: compiled and map-based encoders diverged",
             w.name
         );
-        // Batched, three ways: the raw kernel over the lowered buffer in
-        // deliberately awkward chunks, and the buffering encoder driven
+        // Batched, two ways: the raw kernel over the lowered buffer in
+        // deliberately awkward chunks, and the runtime encoder driven
         // hook-at-a-time through the same replay harness as the scalar
         // encoders. All must match the scalar results exactly.
         for chunk in [1usize, 97, 0] {
@@ -217,7 +221,6 @@ fn main() -> ExitCode {
         let mut bat_enc = BatchedDeltaEncoder::new(&compiled);
         let mut bat_caps = Vec::new();
         replay(entry, &hooks, &mut bat_enc, &mut bat_caps);
-        bat_enc.flush();
         let bat_seen = verify(bat_caps, bat_enc.counts(), bat_enc.ucp_detections());
         assert!(
             bat_seen == tab_seen,
@@ -230,6 +233,9 @@ fn main() -> ExitCode {
         let (map_rate, _) = measure(entry, &hooks, repeat, passes, || DeltaEncoder::new(&plan));
         let (tab_rate, tab_ns) = measure(entry, &hooks, repeat, passes, || {
             CompiledDeltaEncoder::new(&compiled)
+        });
+        let (enc_rate, enc_ns) = measure(entry, &hooks, repeat, passes, || {
+            BatchedDeltaEncoder::new(&compiled)
         });
         let ratio = tab_rate / map_rate;
         if w.specjvm {
@@ -246,6 +252,7 @@ fn main() -> ExitCode {
                 replayed,
             ),
             (tab_enc.name().to_owned(), tab_rate, tab_ns, replayed),
+            ("batched-enc".to_owned(), enc_rate, enc_ns, replayed),
         ];
         let mut best_batched = 0f64;
         for &chunk in BATCH_SWEEP {
@@ -276,11 +283,12 @@ fn main() -> ExitCode {
             best_batched_specjvm.push((w.name.clone(), batched_ratio));
         }
         eprintln!(
-            "{:22} {harvested:>8} hooks ({} replayed): map {:>6.1} ns/hook, compiled {:>6.1} ns/hook ({ratio:.2}x), batched {:>6.1} ns/hook ({batched_ratio:.2}x vs compiled), x{FANOUT_LANES} {:>6.1} ns/hook",
+            "{:22} {harvested:>8} hooks ({} replayed): map {:>6.1} ns/hook, compiled {:>6.1} ns/hook ({ratio:.2}x), batched-enc {:>6.1} ns/hook, batched {:>6.1} ns/hook ({batched_ratio:.2}x vs compiled), x{FANOUT_LANES} {:>6.1} ns/hook",
             w.name,
             hooks.len(),
             1e9 / map_rate,
             1e9 / tab_rate,
+            1e9 / enc_rate,
             1e9 / best_batched,
             1e9 / fan_rate,
         );

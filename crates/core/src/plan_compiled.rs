@@ -495,7 +495,10 @@ impl CompiledPlan {
 // loop, applying the fused `SiteWord`/`EntryWord` action words with mask
 // arithmetic — the CPT/check/track decisions are bit-selects, not
 // branches. Only the genuinely rare events (a frame push at an entry, a
-// pop at an exit, an observe) leave the straight-line path.
+// pop at an exit, an observe) leave the straight-line path. The same
+// per-word updates are public as per-hook methods (`batch_call`,
+// `batch_return`, `batch_entry`, `batch_exit`), so an encoder driven one
+// hook at a time runs the identical state machine without lowering.
 
 /// Hook tag of a call-site dispatch (`on_call`).
 const HOOK_CALL: u64 = 0;
@@ -818,22 +821,28 @@ impl CompiledPlan {
         let tag = raw >> HookWord::TAG_SHIFT;
         let operand = (raw & HookWord::OPERAND_MASK) as usize;
         match tag {
-            HOOK_CALL => self.batch_call(state, operand),
-            HOOK_RETURN => Self::batch_return(state),
-            HOOK_ENTRY => self.batch_entry(
+            HOOK_CALL => self.call_word(state, operand),
+            HOOK_RETURN => self.batch_return(state),
+            HOOK_ENTRY => self.entry_word(
                 state,
                 operand,
                 ((raw >> HookWord::VIA_SHIFT) & HookWord::VIA_MASK) as usize,
             ),
-            HOOK_EXIT => Self::batch_exit(state),
+            HOOK_EXIT => self.batch_exit(state),
             _ => debug_assert!(false, "unknown hook tag {tag}"),
         }
+    }
+
+    /// Applies an `on_call` hook at `site` to `state`.
+    #[inline(always)]
+    pub fn batch_call(&self, state: &mut BatchState, site: SiteId) {
+        self.call_word(state, site.index());
     }
 
     /// Call word: masked `ID += av`, masked pending install, unconditional
     /// caller-record push. No branches.
     #[inline(always)]
-    fn batch_call(&self, state: &mut BatchState, site: usize) {
+    fn call_word(&self, state: &mut BatchState, site: usize) {
         let w = self.sites.get(site).copied().unwrap_or(SiteWord::ABSENT);
         let encoded = (w.word >> 33) & 1; // SITE_ENCODED
         let save = (w.word >> 35) & 1; // SITE_SAVE_PENDING
@@ -858,10 +867,15 @@ impl CompiledPlan {
         state.pend_id = select(m, state.id, state.pend_id);
     }
 
-    /// Return word: masked `ID -= av`, masked pending restore. No branches
-    /// beyond the record pop.
+    /// Applies the `on_return` hook matching the innermost open call (the
+    /// return word): masked `ID -= av`, masked pending restore. No
+    /// branches beyond the record pop.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no call is open on `state`.
     #[inline(always)]
-    fn batch_return(state: &mut BatchState) {
+    pub fn batch_return(&self, state: &mut BatchState) {
         let rec = state.calls.pop().expect("balanced hook stream prefix");
         debug_assert!(
             state.id >= rec.add,
@@ -876,11 +890,18 @@ impl CompiledPlan {
         state.pend_id = select(m, rec.saved_id, state.pend_id);
     }
 
+    /// Applies an `on_entry` hook of `method` to `state`, dispatched via
+    /// `via` (`None` when control arrived from uninstrumented code).
+    #[inline(always)]
+    pub fn batch_entry(&self, state: &mut BatchState, method: MethodId, via: Option<SiteId>) {
+        self.entry_word(state, method.index(), via.map_or(0, |s| s.index() + 1));
+    }
+
     /// Entry word: the UCP / back-edge / anchor decision computed as mask
     /// bits; only an entry that actually pushes a frame (rare) leaves the
     /// straight-line path.
     #[inline(always)]
-    fn batch_entry(&self, state: &mut BatchState, method: usize, via_plus_1: usize) {
+    fn entry_word(&self, state: &mut BatchState, method: usize, via_plus_1: usize) {
         let e = self
             .entries
             .get(method)
@@ -969,10 +990,15 @@ impl CompiledPlan {
         state.counts.stack_hwm = state.counts.stack_hwm.max(state.frames.len() as u64);
     }
 
-    /// Exit word: pop the matching entry's outcome; restore the saved ID
-    /// when the entry pushed (rare, predictable branch).
+    /// Applies the `on_exit` hook matching the innermost open entry (the
+    /// exit word): pop the entry's outcome; restore the saved ID when the
+    /// entry pushed (rare, predictable branch).
+    ///
+    /// # Panics
+    ///
+    /// Panics if no entry is open on `state`.
     #[inline(always)]
-    fn batch_exit(state: &mut BatchState) {
+    pub fn batch_exit(&self, state: &mut BatchState) {
         let outcome = state.outcomes.pop().expect("balanced hook stream prefix");
         if outcome != 0 {
             let frame = state

@@ -3,122 +3,34 @@
 //! [`BatchedDeltaEncoder`] is operationally identical to
 //! [`CompiledDeltaEncoder`](crate::CompiledDeltaEncoder) — same captures,
 //! same op counts, same UCP detections, pinned by the `batched_encoder`
-//! differential suite — but instead of resolving and applying each hook as
-//! it arrives, it packs hooks into [`HookWord`]s in a buffer and pushes
-//! whole *slices* through the branchless batch kernel
-//! ([`CompiledPlan::apply_batch`]) when the buffer fills. The per-hook
-//! cost on the buffering side is one packed store; the kernel side applies
-//! the fused action words with mask arithmetic in a tight loop.
-//!
-//! Flush points keep the observable state exact where it matters:
-//!
-//! * `observe` flushes before snapshotting, so every capture reflects all
-//!   preceding hooks;
-//! * a return that closes the outermost open call flushes, so the state
-//!   (and the op counts) are exact at every top-level statement boundary —
-//!   in particular at the end of a VM run, where telemetry is reported;
-//! * `thread_start` flushes the previous thread's tail before resetting.
-//!
-//! Replay harnesses that truncate hook streams mid-call should call
-//! [`BatchedDeltaEncoder::flush`] before reading counts or state.
+//! differential suite — but runs the batch kernel's branchless state
+//! machine instead of the scalar one: each hook is applied to a
+//! [`BatchState`] the moment it arrives, through the per-hook methods
+//! ([`CompiledPlan::batch_call`] and friends) that
+//! [`CompiledPlan::apply_batch`] loops over for pre-lowered
+//! [`HookWord`](deltapath_core::HookWord) streams. Nothing is buffered, so
+//! [`BatchedDeltaEncoder::state`] is exact after every hook.
 
-use std::sync::Arc;
-
-use deltapath_core::{BatchState, CompiledPlan, EncodedContext, HookWord};
+use deltapath_core::{BatchState, CompiledPlan};
 use deltapath_ir::{MethodId, SiteId};
-use deltapath_telemetry::{names, Log2Histogram, Recorder, Telemetry};
+use deltapath_telemetry::{names, Telemetry};
 
 use crate::encoder::{report_op_counts, Capture, ContextEncoder, OpCounts};
 
-/// Default buffer capacity in hook words. Large enough that the kernel's
-/// per-batch setup amortizes away, small enough that a batch stays in L1
-/// (the `encoder_hotpath` sweep measures 64/256/1024).
-pub const DEFAULT_BATCH_CAPACITY: usize = 256;
-
-/// DeltaPath over buffered hook words and the batch kernel (see the
-/// module docs).
+/// DeltaPath over the batch kernel's state machine, one hook at a time
+/// (see the module docs).
 #[derive(Debug)]
 pub struct BatchedDeltaEncoder<'p> {
     compiled: &'p CompiledPlan,
     state: BatchState,
-    buf: Vec<HookWord>,
-    capacity: usize,
-    /// Captures produced by observe words during a flush; drained by
-    /// `observe` immediately, so the vec never holds more than one.
-    captures: Vec<EncodedContext>,
-    /// Open (un-returned) `on_call` hooks; a return closing the outermost
-    /// call flushes the buffer.
-    call_depth: usize,
-    flushes: u64,
-    hooks: u64,
-    batch_len_hist: Option<Arc<Log2Histogram>>,
 }
 
 impl<'p> BatchedDeltaEncoder<'p> {
-    /// Creates an encoder over `compiled` with the default buffer
-    /// capacity.
+    /// Creates an encoder over `compiled`.
     pub fn new(compiled: &'p CompiledPlan) -> Self {
         Self {
             compiled,
             state: BatchState::start(compiled.entry_method()),
-            buf: Vec::with_capacity(DEFAULT_BATCH_CAPACITY),
-            capacity: DEFAULT_BATCH_CAPACITY,
-            captures: Vec::new(),
-            call_depth: 0,
-            flushes: 0,
-            hooks: 0,
-            batch_len_hist: None,
-        }
-    }
-
-    /// Sets the buffer capacity in hook words (clamped to ≥ 1; 1 degrades
-    /// to hook-at-a-time kernel calls — still exact, pinned by the
-    /// chunking property test).
-    pub fn with_capacity(mut self, capacity: usize) -> Self {
-        self.capacity = capacity.max(1);
-        self.buf
-            .reserve(self.capacity.saturating_sub(self.buf.capacity()));
-        self
-    }
-
-    /// Pre-resolves the `encoder.batched.batch_len` histogram from
-    /// `recorder` and stamps the capacity gauge, so every flush records
-    /// its batch length (one histogram record per *flush*, not per hook —
-    /// off the hot path by construction).
-    pub fn with_batch_telemetry(mut self, recorder: &Recorder) -> Self {
-        recorder
-            .gauge(names::ENCODER_BATCHED_CAPACITY)
-            .observe(self.capacity as u64);
-        self.batch_len_hist = Some(recorder.histogram(names::ENCODER_BATCHED_BATCH_LEN));
-        self
-    }
-
-    /// The configured buffer capacity in hook words.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Pushes the buffered hook words through the batch kernel. A no-op on
-    /// an empty buffer.
-    pub fn flush(&mut self) {
-        if self.buf.is_empty() {
-            return;
-        }
-        self.flushes += 1;
-        self.hooks += self.buf.len() as u64;
-        if let Some(hist) = &self.batch_len_hist {
-            hist.record(self.buf.len() as u64);
-        }
-        self.compiled
-            .apply_batch(&mut self.state, &self.buf, &mut self.captures);
-        self.buf.clear();
-    }
-
-    #[inline(always)]
-    fn push(&mut self, word: HookWord) {
-        self.buf.push(word);
-        if self.buf.len() >= self.capacity {
-            self.flush();
         }
     }
 
@@ -127,8 +39,7 @@ impl<'p> BatchedDeltaEncoder<'p> {
         self.compiled
     }
 
-    /// The current batch-engine state (exact after a
-    /// [`flush`](Self::flush)).
+    /// The current batch-engine state, exact after every hook.
     pub fn state(&self) -> &BatchState {
         &self.state
     }
@@ -144,9 +55,11 @@ impl<'p> BatchedDeltaEncoder<'p> {
         self.state.counts().ucp_detections
     }
 
-    /// Buffer flushes performed so far.
+    /// Always 0: the encoder buffers nothing, so it never flushes. Kept
+    /// only until the pipeline benchmark's next change drops its
+    /// `encoder.flushes` report, which calls this.
     pub fn flushes(&self) -> u64 {
-        self.flushes
+        0
     }
 }
 
@@ -155,45 +68,31 @@ impl ContextEncoder for BatchedDeltaEncoder<'_> {
     type EntryToken = ();
 
     fn thread_start(&mut self, entry: MethodId) {
-        self.flush();
         self.state.restart(entry);
-        self.call_depth = 0;
     }
 
     #[inline]
     fn on_call(&mut self, site: SiteId) {
-        self.call_depth += 1;
-        self.push(HookWord::call(site));
+        self.compiled.batch_call(&mut self.state, site);
     }
 
     #[inline]
     fn on_return(&mut self, _site: SiteId, _token: ()) {
-        self.push(HookWord::ret());
-        self.call_depth = self.call_depth.saturating_sub(1);
-        if self.call_depth == 0 {
-            self.flush();
-        }
+        self.compiled.batch_return(&mut self.state);
     }
 
     #[inline]
     fn on_entry(&mut self, method: MethodId, via_site: Option<SiteId>) {
-        self.push(HookWord::entry(method, via_site));
+        self.compiled.batch_entry(&mut self.state, method, via_site);
     }
 
     #[inline]
-    fn on_exit(&mut self, method: MethodId, _token: ()) {
-        self.push(HookWord::exit(method));
+    fn on_exit(&mut self, _method: MethodId, _token: ()) {
+        self.compiled.batch_exit(&mut self.state);
     }
 
     fn observe(&mut self, at: MethodId) -> Capture {
-        self.push(HookWord::observe(at));
-        self.flush();
-        let ctx = self
-            .captures
-            .pop()
-            .expect("the observe word just flushed produces a capture");
-        debug_assert!(self.captures.is_empty(), "at most one buffered observe");
-        Capture::Delta(ctx)
+        Capture::Delta(self.state.snapshot(at))
     }
 
     fn counts(&self) -> OpCounts {
@@ -231,9 +130,6 @@ impl ContextEncoder for BatchedDeltaEncoder<'_> {
             &format!("encoder.{name}.table_bytes"),
             self.compiled.table_bytes() as u64,
         );
-        sink.counter_add(names::ENCODER_BATCHED_FLUSHES, self.flushes);
-        sink.counter_add(names::ENCODER_BATCHED_HOOKS, self.hooks);
-        sink.gauge_max(names::ENCODER_BATCHED_CAPACITY, self.capacity as u64);
         sink.counter_add(names::ENCODER_BATCHED_SNAPSHOTS_SHARED, c.snapshots_shared);
         sink.counter_add(names::ENCODER_BATCHED_SNAPSHOTS_BUILT, c.snapshots_built);
         sink.gauge_max(
@@ -254,6 +150,7 @@ mod tests {
     use crate::compiled::CompiledDeltaEncoder;
     use deltapath_core::{EncodingPlan, PlanConfig};
     use deltapath_ir::{MethodKind, Program, ProgramBuilder};
+    use deltapath_telemetry::Recorder;
 
     fn program() -> Program {
         let mut b = ProgramBuilder::new("batched-enc");
@@ -276,7 +173,7 @@ mod tests {
         let plan = EncodingPlan::analyze(&p, &PlanConfig::default()).unwrap();
         let compiled = plan.compile();
         let mut scalar = CompiledDeltaEncoder::new(&compiled);
-        let mut batched = BatchedDeltaEncoder::new(&compiled).with_capacity(3);
+        let mut batched = BatchedDeltaEncoder::new(&compiled);
         let main = p.entry();
         let leaf = p
             .declared_method(
@@ -298,11 +195,10 @@ mod tests {
             scalar.on_return(site, ts);
             batched.on_return(site, ());
         }
-        batched.flush();
         assert_eq!(scalar.counts(), batched.counts());
         assert_eq!(scalar.state().id(), batched.state().id());
         assert_eq!(scalar.ucp_detections(), batched.ucp_detections());
-        assert!(batched.flushes() > 0);
+        assert_eq!(batched.flushes(), 0);
     }
 
     #[test]
@@ -321,9 +217,7 @@ mod tests {
         let plan = EncodingPlan::analyze(&p, &PlanConfig::default()).unwrap();
         let compiled = plan.compile();
         let recorder = Recorder::new();
-        let mut e = BatchedDeltaEncoder::new(&compiled)
-            .with_capacity(4)
-            .with_batch_telemetry(&recorder);
+        let mut e = BatchedDeltaEncoder::new(&compiled);
         e.thread_start(p.entry());
         let main = p.entry();
         let site = p.sites().iter().find(|s| s.caller() == main).unwrap().id();
@@ -340,10 +234,8 @@ mod tests {
             e.on_exit(leaf, ());
             e.on_return(site, ());
         }
-        e.flush();
         e.report_telemetry(&recorder);
         let report = recorder.report("t");
-        assert_eq!(report.counter(names::ENCODER_BATCHED_HOOKS), Some(20));
         // No entry pushes a frame, so every observe after the first
         // shares its stack.
         assert_eq!(
@@ -353,13 +245,6 @@ mod tests {
         assert_eq!(
             report.counter(names::ENCODER_BATCHED_SNAPSHOTS_SHARED),
             Some(3)
-        );
-        assert!(report.counter(names::ENCODER_BATCHED_FLUSHES).unwrap() > 0);
-        assert!(recorder.histogram(names::ENCODER_BATCHED_BATCH_LEN).count() > 0);
-        assert_eq!(
-            recorder.gauge(names::ENCODER_BATCHED_CAPACITY).get(),
-            4,
-            "capacity stamped as gauge"
         );
         for (name, _) in &report.counters {
             assert!(

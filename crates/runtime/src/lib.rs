@@ -16,10 +16,11 @@
 //!   [`CompiledPlan`](deltapath_core::CompiledPlan)'s dense dispatch
 //!   tables: one array load per hook, no hashing (the deployment-shaped
 //!   hot path; the map-based encoder is the reference oracle);
-//! * [`BatchedDeltaEncoder`] — the same technique again, but buffering
-//!   hooks as packed [`HookWord`](deltapath_core::HookWord)s and pushing
-//!   slices through the branchless batch kernel
-//!   ([`CompiledPlan::apply_batch`](deltapath_core::CompiledPlan::apply_batch));
+//! * [`BatchedDeltaEncoder`] — the same technique again, applying each
+//!   hook as it arrives through the branchless batch kernel's per-hook
+//!   updates (the ones
+//!   [`CompiledPlan::apply_batch`](deltapath_core::CompiledPlan::apply_batch)
+//!   loops over);
 //! * [`StackWalkEncoder`] — stack walking (precise but expensive; also the
 //!   ground truth for precision experiments);
 //! * PCC, Breadcrumbs-lite and the calling-context tree live in
@@ -80,7 +81,7 @@ mod profile;
 mod shard;
 mod vm;
 
-pub use batch::{BatchedDeltaEncoder, DEFAULT_BATCH_CAPACITY};
+pub use batch::BatchedDeltaEncoder;
 pub use collect::{Collector, ContextStats, EventLog, NullCollector, RelativeCollector};
 pub use compiled::{CompiledDeltaEncoder, HookSampler};
 pub use encoder::{report_op_counts, Capture, ContextEncoder, CostModel, OpCounts};

@@ -234,19 +234,6 @@ pub const PROFILE_HOOK_PERIOD: &str = "profile.hook_period";
 // the names below are the batch engine's *fixed* machinery metrics,
 // independent of the CPT mode the encoder runs under.
 
-/// Buffer flushes the batched encoder pushed through the batch kernel
-/// (counter).
-pub const ENCODER_BATCHED_FLUSHES: &str = "encoder.batched.flushes";
-
-/// Hook words the batched encoder consumed (counter).
-pub const ENCODER_BATCHED_HOOKS: &str = "encoder.batched.hooks";
-
-/// Distribution of flushed batch lengths (histogram).
-pub const ENCODER_BATCHED_BATCH_LEN: &str = "encoder.batched.batch_len";
-
-/// Configured batch capacity in hook words (gauge).
-pub const ENCODER_BATCHED_CAPACITY: &str = "encoder.batched.capacity";
-
 /// Captures that shared the cached snapshot of an unchanged encoding
 /// stack (counter).
 pub const ENCODER_BATCHED_SNAPSHOTS_SHARED: &str = "encoder.batched.snapshots_shared";
@@ -333,10 +320,6 @@ pub const ALL: &[&str] = &[
     PROFILE_HOOK_NS,
     PROFILE_HOOK_SAMPLES,
     PROFILE_HOOK_PERIOD,
-    ENCODER_BATCHED_FLUSHES,
-    ENCODER_BATCHED_HOOKS,
-    ENCODER_BATCHED_BATCH_LEN,
-    ENCODER_BATCHED_CAPACITY,
     ENCODER_BATCHED_SNAPSHOTS_SHARED,
     ENCODER_BATCHED_SNAPSHOTS_BUILT,
     ENCODER_BACKEDGE_PAIRS,
@@ -390,10 +373,6 @@ mod tests {
         // constants (not left to the `encoder.*` format family alone), so
         // external tooling can key on them.
         for name in [
-            ENCODER_BATCHED_FLUSHES,
-            ENCODER_BATCHED_HOOKS,
-            ENCODER_BATCHED_BATCH_LEN,
-            ENCODER_BATCHED_CAPACITY,
             ENCODER_BATCHED_SNAPSHOTS_SHARED,
             ENCODER_BATCHED_SNAPSHOTS_BUILT,
             ENCODER_BACKEDGE_PAIRS,

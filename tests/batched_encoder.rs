@@ -1,4 +1,4 @@
-//! Batched-encoder differential suite: the buffering
+//! Batched-encoder differential suite: the hook-at-a-time
 //! [`BatchedDeltaEncoder`] and the underlying branchless batch kernel
 //! ([`CompiledPlan::apply_batch`]) replayed against the scalar
 //! [`CompiledDeltaEncoder`] across workloads × scopes × CPT modes ×
@@ -8,8 +8,8 @@
 //!
 //! * every capture, byte for byte, in execution order (entries and
 //!   observes);
-//! * the abstract operation counts — buffering must not add, skip, or
-//!   reorder a single encoding operation;
+//! * the abstract operation counts — the branchless state machine must
+//!   not add, skip, or reorder a single encoding operation;
 //! * hazardous-UCP detections, which exercise the fused
 //!   `save_pending` / `do_check` bits under dynamic loading;
 //! * the plan fingerprint: lowering and batch replay are read-only.
@@ -19,7 +19,8 @@
 //! stream — size-1 chunks, the whole stream in one call, or arbitrary
 //! random splits — produces the identical final state, and the
 //! interleaved fan-out variant keeps every lane identical to a
-//! single-lane replay.
+//! single-lane replay. A per-hook test pins that the runtime encoder's
+//! state equals the kernel's after every single hook.
 
 mod common;
 
@@ -32,7 +33,7 @@ use deltapath::{
     EncodingWidth, FrameStack, MethodKind, PlanConfig, Program, ProgramBuilder, ScopeFilter, Vm,
     VmConfig,
 };
-use deltapath_bench::hooks::{harvest, HookBuffer};
+use deltapath_bench::hooks::{harvest, Hook, HookBuffer};
 
 /// Workload shapes, mirroring the compiled-plan suite: two open worlds
 /// with dynamic subclass loading and cross-scope calls (UCP recoveries on
@@ -119,9 +120,7 @@ fn batched_encoder_matches_compiled_everywhere() {
                 "{tag}: workload must collect events"
             );
 
-            // A tiny capacity forces many mid-run flushes, so chunk
-            // boundaries land inside open call/entry spans.
-            let mut bat_enc = BatchedDeltaEncoder::new(&compiled).with_capacity(3);
+            let mut bat_enc = BatchedDeltaEncoder::new(&compiled);
             let bat_log = run_log(&program, &mut bat_enc);
             assert_eq!(tab_log.records, bat_log.records, "{tag}: captures diverged");
             assert_eq!(
@@ -134,7 +133,6 @@ fn batched_encoder_matches_compiled_everywhere() {
                 bat_enc.ucp_detections(),
                 "{tag}: UCP detections diverged"
             );
-            assert!(bat_enc.flushes() > 0, "{tag}: capacity 3 must flush");
 
             // Batch replay is read-only on the plan and its image.
             assert_eq!(plan.fingerprint(), fingerprint_before, "{tag}");
@@ -160,7 +158,7 @@ fn map_based_encoder_agrees_with_batched() {
         let compiled = plan.compile();
         let mut map_enc = DeltaEncoder::new(&plan);
         let map_log = run_log(&program, &mut map_enc);
-        let mut bat_enc = BatchedDeltaEncoder::new(&compiled).with_capacity(2);
+        let mut bat_enc = BatchedDeltaEncoder::new(&compiled);
         let bat_log = run_log(&program, &mut bat_enc);
         assert_eq!(map_log.records, bat_log.records, "{}", program.name());
         assert_eq!(map_enc.counts(), bat_enc.counts(), "{}", program.name());
@@ -268,29 +266,54 @@ fn fanout_lanes_replicate_single_lane() {
 }
 
 #[test]
-fn truncated_streams_flush_on_demand() {
-    // A mid-run snapshot: replay a prefix ending inside open calls, then
-    // flush explicitly. The buffered encoder must match the scalar encoder
-    // driven over the same prefix.
-    let program = programs().remove(0);
-    let config = PlanConfig::default().with_scope(ScopeFilter::ApplicationOnly);
-    let plan = EncodingPlan::analyze(&program, &config).expect("plan");
-    let compiled = plan.compile();
-    let mut hooks = harvest(&program).expect("harvest");
-    for cut in [7usize, 100, 1777] {
-        hooks.truncate(cut.min(hooks.len()));
-        let buffer = HookBuffer::lower(program.entry(), &hooks);
-        let mut scalar = BatchState::start(buffer.entry);
-        let mut scalar_out = Vec::new();
-        compiled.apply_batch(&mut scalar, &buffer.words, &mut scalar_out);
+fn state_is_exact_after_every_hook() {
+    // The runtime encoder buffers nothing, so every cut point of a stream
+    // is exact: after each hook its state must equal a kernel state
+    // advanced by the same words, one `apply_batch` call per word.
+    for program in programs() {
+        for scope in [ScopeFilter::ApplicationOnly, ScopeFilter::All] {
+            let config = PlanConfig::default().with_scope(scope);
+            let plan = EncodingPlan::analyze(&program, &config).expect("plan");
+            let compiled = plan.compile();
+            let hooks = harvest(&program).expect("harvest");
+            let buffer = HookBuffer::lower(program.entry(), &hooks);
+            let tag = format!("{}/{scope:?}", program.name());
 
-        let mut enc = BatchedDeltaEncoder::new(&compiled).with_capacity(5);
-        let mut out = Vec::new();
-        deltapath_bench::hooks::replay(program.entry(), &hooks, &mut enc, &mut out);
-        enc.flush();
-        assert_eq!(enc.state().id(), scalar.id(), "cut {cut}: final ID");
-        assert_eq!(enc.state().depth(), scalar.depth(), "cut {cut}: depth");
-        assert_eq!(*enc.state().counts(), *scalar.counts(), "cut {cut}: counts");
+            let mut enc = BatchedDeltaEncoder::new(&compiled);
+            enc.thread_start(buffer.entry);
+            let mut kernel = BatchState::start(buffer.entry);
+            let mut kernel_out = Vec::new();
+            let mut open_calls = Vec::new();
+            for (i, (&hook, word)) in hooks.iter().zip(buffer.words.chunks(1)).enumerate() {
+                compiled.apply_batch(&mut kernel, word, &mut kernel_out);
+                match hook {
+                    Hook::Call(site) => {
+                        open_calls.push(site);
+                        enc.on_call(site);
+                    }
+                    Hook::Return => {
+                        let site = open_calls.pop().expect("balanced stream");
+                        enc.on_return(site, ());
+                    }
+                    Hook::Entry(method, via) => enc.on_entry(method, via),
+                    Hook::Exit(method) => enc.on_exit(method, ()),
+                    Hook::Observe(at) => {
+                        let Capture::Delta(ctx) = enc.observe(at) else {
+                            panic!("{tag}: delta capture expected at hook {i}");
+                        };
+                        assert_eq!(Some(&ctx), kernel_out.last(), "{tag}: capture {i}");
+                    }
+                }
+                let state = enc.state();
+                assert_eq!(state.id(), kernel.id(), "{tag}: ID after hook {i}");
+                assert_eq!(state.depth(), kernel.depth(), "{tag}: depth after hook {i}");
+                assert_eq!(
+                    *state.counts(),
+                    *kernel.counts(),
+                    "{tag}: counts after hook {i}"
+                );
+            }
+        }
     }
 }
 

@@ -296,9 +296,7 @@ fn instrumented_run_records_only_registered_names() {
     // A second run under the batched encoder, so its `encoder.batched.*` /
     // `encoder.backedge.*` end-of-run metrics flow through the same
     // registry check, and a decode of its events for `decoder.*`.
-    let mut batched = BatchedDeltaEncoder::new(&compiled)
-        .with_capacity(8)
-        .with_batch_telemetry(profiler.recorder());
+    let mut batched = BatchedDeltaEncoder::new(&compiled);
     let mut vm = Vm::new(
         &program,
         VmConfig::default()
@@ -345,10 +343,6 @@ fn instrumented_run_records_only_registered_names() {
         names::COLLECTOR_SHARD_MERGE,
         names::PROFILE_HOOK_SAMPLES,
         names::SPAN_LANES,
-        names::ENCODER_BATCHED_FLUSHES,
-        names::ENCODER_BATCHED_HOOKS,
-        names::ENCODER_BATCHED_BATCH_LEN,
-        names::ENCODER_BATCHED_CAPACITY,
         names::ENCODER_BATCHED_SNAPSHOTS_SHARED,
         names::ENCODER_BATCHED_SNAPSHOTS_BUILT,
         names::ENCODER_BACKEDGE_PAIRS,
