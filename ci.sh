@@ -22,7 +22,7 @@ fi
 step cargo test -q --workspace
 
 # Encoder differential suites in release: the debug run above keeps the
-# batch kernel's `debug_assert!` overflow checks live, but perfbench and
+# batched encoder's `debug_assert!` overflow checks live, but perfbench and
 # `deltapath run` execute release builds, where those checks are compiled
 # out and arithmetic wraps. The encoders must agree there too.
 if [ "${1:-}" != "fast" ]; then
@@ -42,7 +42,7 @@ fi
 # shadow-stack oracle (exact equality on closed-world programs,
 # conservation plus per-stack lower bounds across dynamic loading) and the
 # span exports must stay well-formed. The full sweep replays every suite
-# benchmark four times (walk oracle, map-based, compiled, span-profiled),
+# benchmark four times (walk oracle, map-based, batched, span-profiled),
 # so it only runs in the full gate.
 if [ "${1:-}" != "fast" ]; then
     step cargo run --quiet --release --bin deltapath -- flamegraph --all --check
@@ -58,12 +58,11 @@ if [ "${1:-}" != "fast" ]; then
 fi
 
 # Encoder hot-path smoke: replay identical hook streams through the
-# map-based, the compiled (table-driven) and the batched (branchless
-# kernel) encoders; the run fails if the compiled encoder is slower than
-# map-based or the batched encoder slower than compiled, and fails hard
-# on any batch-vs-scalar divergence — captures, op counts and UCP
-# detections are pinned equal before any throughput number is believed
-# (full numbers: `encoder_hotpath --out results`).
+# map-based reference and the batched encoder; the run fails if the
+# batched encoder is slower than map-based, and fails hard on any
+# batched-vs-map divergence — captures, op counts and UCP detections are
+# pinned equal before any throughput number is believed (full numbers:
+# `encoder_hotpath --out results`).
 # The criterion benches must at least still compile (they only *run*
 # with the non-default `bench` feature restored from a networked
 # checkout, hence --no-run stays feature-less here).
@@ -73,8 +72,8 @@ if [ "${1:-}" != "fast" ]; then
     step cargo bench --no-run --workspace
 fi
 
-# Telemetry overhead budget: sampled hook-latency recording must cost the
-# compiled encoder less than 5% throughput vs no telemetry at all (full
+# Telemetry overhead budget: sampled call-hook latency recording must cost
+# the batched encoder less than 5% throughput vs no telemetry at all (full
 # numbers: `telemetry_overhead --out results`).
 if [ "${1:-}" != "fast" ]; then
     step cargo run --quiet --release -p deltapath-bench --bin telemetry_overhead -- \

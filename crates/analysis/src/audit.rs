@@ -1455,35 +1455,20 @@ pub(crate) fn compiled_global_unit(
             plan.entry_method()
         )));
     }
+    // The image stores the pair set only as the two-level lookup table
+    // the entry hook probes, so this checks exactly what the hooks consult.
     let want: BTreeSet<_> = plan.back_edge_call_pairs().collect();
-    let got: BTreeSet<_> = compiled.back_edge_call_pairs().collect();
-    for &(site, method) in want.difference(&got) {
-        diags.push(divergence(format!(
-            "back-edge call ({site}, {method}) was lost in lowering: the table-driven \
-             encoder would miss the recursion push"
-        )));
-    }
-    for &(site, method) in got.difference(&want) {
-        diags.push(divergence(format!(
-            "back-edge call ({site}, {method}) was invented by the tables: the \
-             table-driven encoder would push a spurious recursion frame"
-        )));
-    }
-    // The two-level lookup table is a second, independent projection of
-    // the same pair set (the batch kernel probes it, never the pair
-    // list), so validate it against the plan directly: a stale or
-    // corrupted table is caught even when the pair list is intact.
-    let table: BTreeSet<_> = compiled.back_edge_table_pairs().collect();
+    let table: BTreeSet<_> = compiled.back_edge_call_pairs().collect();
     for &(site, method) in want.difference(&table) {
         diags.push(divergence(format!(
             "back-edge call ({site}, {method}) is missing from the lookup table: the \
-             batch kernel would miss the recursion push"
+             batched encoder would miss the recursion push"
         )));
     }
     for &(site, method) in table.difference(&want) {
         diags.push(divergence(format!(
             "back-edge call ({site}, {method}) appears in the lookup table only: the \
-             batch kernel would push a spurious recursion frame"
+             batched encoder would push a spurious recursion frame"
         )));
     }
     diags

@@ -89,7 +89,7 @@ pub enum LintCode {
     /// map-based plan they were lowered from: a site/entry instruction is
     /// missing, phantom, or re-expands differently, a back-edge pair was
     /// lost or invented, or the CPT/entry-method header drifted. The
-    /// table-driven encoder would diverge from the reference oracle —
+    /// batched encoder would diverge from the map-based reference —
     /// typically a stale image kept across a plan rebuild (dynamic class
     /// loading).
     CompiledPlanDivergence,

@@ -1,7 +1,6 @@
-//! Encoder hot-path throughput: the map-based [`DeltaEncoder`], the
-//! table-driven [`CompiledDeltaEncoder`], the hook-at-a-time
-//! [`BatchedDeltaEncoder`], and the batched kernel
-//! ([`CompiledPlan::apply_batch`]) hook for hook.
+//! Encoder hot-path throughput: the map-based reference [`DeltaEncoder`]
+//! and the deployment path, the hook-at-a-time [`BatchedDeltaEncoder`],
+//! hook for hook.
 //!
 //! ```text
 //! encoder_hotpath [--out DIR] [--repeat N] [--smoke]
@@ -11,15 +10,9 @@
 //! the exact instrumentation hook stream (call / return / entry / exit /
 //! observe, with call-site and method operands). The stream is then
 //! replayed — LIFO token stacks standing in for the interpreter's native
-//! stack — into every encoder, first once for *verification* (captures,
+//! stack — into both encoders, first once for *verification* (captures,
 //! abstract op counts and UCP detections must be identical) and then in
-//! timed best-of-N passes. The `deltapath`, `compiled` and `batched-enc`
-//! rows time the three runtime encoders through that same replay. For the
-//! kernel rows (`batched@N`, `batched`, `batched-x4`) the stream is
-//! additionally lowered once, off the clock, into a flat [`HookBuffer`] of
-//! packed hook words (the analog of class-load-time injection) and
-//! consumed by the branchless batch kernel in chunks of 64 / 256 / 1024
-//! words, whole-stream, and as a 4-lane interleaved fan-out. This
+//! timed best-of-N passes, as the `deltapath` and `batched-enc` rows. This
 //! isolates pure hook dispatch cost: the interpreter, the collector and
 //! event materialization are all off the clock. The
 //! harvest/replay/measure machinery is shared with the
@@ -32,35 +25,28 @@
 //!   nanoseconds of the best pass;
 //! * `normalized_speed` — hook throughput relative to the map-based
 //!   encoder on the same workload (map-based rows are 1.0);
-//! * `calls_per_sec_per_core` — absolute hook throughput on one core
-//!   (the `batched-x4` row aggregates its four simulated client lanes,
-//!   which all run on the one measured core);
+//! * `calls_per_sec_per_core` — absolute hook throughput on one core;
 //! * `unique_contexts` / `max_depth` — from the verification replay.
 //!
 //! `--smoke` is the CI gate: tiny repeat counts, and the run fails unless
-//! the compiled encoder is at least as fast as the map-based one (with a
-//! small slack for timer noise) — and fails *hard* on any batch-vs-scalar
+//! the batched encoder is at least as fast as the map-based one (with a
+//! small slack for timer noise) — and fails *hard* on any batched-vs-map
 //! divergence, which is checked before any throughput number is believed.
 
 use std::collections::HashSet;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use deltapath_bench::hooks::{
-    harvest, max_entry_depth, measure, measure_batched, measure_batched_fanout, replay,
-    replay_batched, HookBuffer,
-};
+use deltapath_bench::hooks::{harvest, max_entry_depth, measure, replay};
 use deltapath_bench::perf::{PerfRecord, PerfSuite};
 use deltapath_callgraph::ScopeFilter;
-use deltapath_core::{BatchState, EncodingPlan, PlanConfig};
+use deltapath_core::{EncodingPlan, PlanConfig};
 use deltapath_ir::Program;
-use deltapath_runtime::{
-    BatchedDeltaEncoder, Capture, CompiledDeltaEncoder, ContextEncoder, DeltaEncoder, OpCounts,
-};
+use deltapath_runtime::{BatchedDeltaEncoder, Capture, ContextEncoder, DeltaEncoder, OpCounts};
 use deltapath_workloads::specjvm;
 use deltapath_workloads::synthetic::{generate, SyntheticConfig};
 
-/// What one verification replay saw; all encoders must agree on all of it.
+/// What one verification replay saw; both encoders must agree on all of it.
 #[derive(PartialEq)]
 struct Verified {
     captures: Vec<Capture>,
@@ -146,31 +132,22 @@ fn main() -> ExitCode {
     /// Replayed stream length cap: enough for steady-state measurement,
     /// small enough that harvesting and verification stay quick.
     const STREAM_CAP: usize = 400_000;
-    /// Client-side buffer capacities swept by the batched rows.
-    const BATCH_SWEEP: &[usize] = &[64, 256, 1024];
-    /// Simulated client lanes of the interleaved fan-out row.
-    const FANOUT_LANES: usize = 4;
 
     let mut perf = PerfSuite::new("encoder_hotpath");
     let mut worst_specjvm = f64::INFINITY;
     let mut worst_overall = f64::INFINITY;
-    let mut worst_batched = f64::INFINITY;
-    let mut worst_batched_specjvm = f64::INFINITY;
-    let mut best_batched_specjvm: Vec<(String, f64)> = Vec::new();
     for w in workloads(smoke) {
         let plan_config = PlanConfig::default().with_scope(w.scope);
         let plan = EncodingPlan::analyze(&w.program, &plan_config).expect("plan");
         let compiled = plan.compile();
         let entry = w.program.entry();
 
-        // Harvest the hook stream once (the VM is deterministic), and
-        // lower it once into the batch engine's packed-word buffer.
+        // Harvest the hook stream once (the VM is deterministic).
         let mut hooks = harvest(&w.program).expect("harvest run");
         let harvested = hooks.len();
         hooks.truncate(STREAM_CAP);
-        let buffer = HookBuffer::lower(entry, &hooks);
 
-        // Verify: every encoder must agree capture for capture before any
+        // Verify: both encoders must agree capture for capture before any
         // throughput number is believed.
         let verify = |captures: Vec<Capture>, counts: OpCounts, ucp: u64| Verified {
             captures,
@@ -181,123 +158,45 @@ fn main() -> ExitCode {
         let mut map_caps = Vec::new();
         replay(entry, &hooks, &mut map_enc, &mut map_caps);
         let map_seen = verify(map_caps, map_enc.counts(), map_enc.ucp_detections());
-        let mut tab_enc = CompiledDeltaEncoder::new(&compiled);
-        let mut tab_caps = Vec::new();
-        replay(entry, &hooks, &mut tab_enc, &mut tab_caps);
-        let tab_seen = verify(tab_caps, tab_enc.counts(), tab_enc.ucp_detections());
-        assert!(
-            map_seen == tab_seen,
-            "{}: compiled and map-based encoders diverged",
-            w.name
-        );
-        // Batched, two ways: the raw kernel over the lowered buffer in
-        // deliberately awkward chunks, and the runtime encoder driven
-        // hook-at-a-time through the same replay harness as the scalar
-        // encoders. All must match the scalar results exactly.
-        for chunk in [1usize, 97, 0] {
-            let mut state = BatchState::start(entry);
-            let mut ctxs = Vec::new();
-            replay_batched(&compiled, &buffer, chunk, &mut state, &mut ctxs);
-            let c = state.counts();
-            let kernel_seen = verify(
-                ctxs.into_iter().map(Capture::Delta).collect(),
-                OpCounts {
-                    adds: c.adds,
-                    subs: c.subs,
-                    pending_saves: c.pending_saves,
-                    sid_checks: c.sid_checks,
-                    pushes: c.pushes,
-                    pops: c.pops,
-                    ..OpCounts::default()
-                },
-                c.ucp_detections,
-            );
-            assert!(
-                kernel_seen == tab_seen,
-                "{}: batch kernel (chunk {chunk}) diverged from the scalar compiled encoder",
-                w.name
-            );
-        }
         let mut bat_enc = BatchedDeltaEncoder::new(&compiled);
         let mut bat_caps = Vec::new();
         replay(entry, &hooks, &mut bat_enc, &mut bat_caps);
         let bat_seen = verify(bat_caps, bat_enc.counts(), bat_enc.ucp_detections());
         assert!(
-            bat_seen == tab_seen,
-            "{}: batched encoder diverged from the scalar compiled encoder",
+            bat_seen == map_seen,
+            "{}: batched and map-based encoders diverged",
             w.name
         );
         let unique: HashSet<&Capture> = map_seen.captures.iter().collect();
         let max_depth = max_entry_depth(&hooks);
 
-        let (map_rate, _) = measure(entry, &hooks, repeat, passes, || DeltaEncoder::new(&plan));
-        let (tab_rate, tab_ns) = measure(entry, &hooks, repeat, passes, || {
-            CompiledDeltaEncoder::new(&compiled)
-        });
+        let (map_rate, map_ns) =
+            measure(entry, &hooks, repeat, passes, || DeltaEncoder::new(&plan));
         let (enc_rate, enc_ns) = measure(entry, &hooks, repeat, passes, || {
             BatchedDeltaEncoder::new(&compiled)
         });
-        let ratio = tab_rate / map_rate;
+        let ratio = enc_rate / map_rate;
         if w.specjvm {
             worst_specjvm = worst_specjvm.min(ratio);
         }
         worst_overall = worst_overall.min(ratio);
-
-        let replayed = (hooks.len() * repeat) as u64;
-        let mut rows: Vec<(String, f64, u64, u64)> = vec![
-            (
-                map_enc.name().to_owned(),
-                map_rate,
-                (replayed as f64 / map_rate * 1e9) as u64,
-                replayed,
-            ),
-            (tab_enc.name().to_owned(), tab_rate, tab_ns, replayed),
-            ("batched-enc".to_owned(), enc_rate, enc_ns, replayed),
-        ];
-        let mut best_batched = 0f64;
-        for &chunk in BATCH_SWEEP {
-            let (rate, ns) = measure_batched(&compiled, &buffer, chunk, repeat, passes);
-            best_batched = best_batched.max(rate);
-            rows.push((format!("batched@{chunk}"), rate, ns, replayed));
-        }
-        let (full_rate, full_ns) = measure_batched(&compiled, &buffer, 0, repeat, passes);
-        best_batched = best_batched.max(full_rate);
-        rows.push(("batched".to_owned(), full_rate, full_ns, replayed));
-        let (fan_rate, fan_ns) =
-            measure_batched_fanout(&compiled, &buffer, FANOUT_LANES, 0, repeat, passes);
-        rows.push((
-            format!("batched-x{FANOUT_LANES}"),
-            fan_rate,
-            fan_ns,
-            replayed * FANOUT_LANES as u64,
-        ));
-
-        // The per-core target counts every hook retired on the measured
-        // core, so the interleaved fan-out row (4 client lanes, 1 core)
-        // competes on equal terms with the single-stream rows.
-        best_batched = best_batched.max(fan_rate);
-        let batched_ratio = best_batched / tab_rate;
-        worst_batched = worst_batched.min(batched_ratio);
-        if w.specjvm {
-            worst_batched_specjvm = worst_batched_specjvm.min(batched_ratio);
-            best_batched_specjvm.push((w.name.clone(), batched_ratio));
-        }
         eprintln!(
-            "{:22} {harvested:>8} hooks ({} replayed): map {:>6.1} ns/hook, compiled {:>6.1} ns/hook ({ratio:.2}x), batched-enc {:>6.1} ns/hook, batched {:>6.1} ns/hook ({batched_ratio:.2}x vs compiled), x{FANOUT_LANES} {:>6.1} ns/hook",
+            "{:22} {harvested:>8} hooks ({} replayed): map {:>6.1} ns/hook, batched-enc {:>6.1} ns/hook ({ratio:.2}x)",
             w.name,
             hooks.len(),
             1e9 / map_rate,
-            1e9 / tab_rate,
             1e9 / enc_rate,
-            1e9 / best_batched,
-            1e9 / fan_rate,
         );
 
-        for (encoder, rate, best_ns, calls) in rows {
+        let replayed = (hooks.len() * repeat) as u64;
+        for (encoder, rate, best_ns) in [
+            (map_enc.name(), map_rate, map_ns),
+            ("batched-enc", enc_rate, enc_ns),
+        ] {
             perf.records.push(PerfRecord {
                 benchmark: w.name.clone(),
-                encoder,
-                calls,
+                encoder: encoder.to_owned(),
+                calls: replayed,
                 base_cost: best_ns,
                 overhead: 0,
                 normalized_speed: rate / map_rate,
@@ -310,35 +209,14 @@ fn main() -> ExitCode {
 
     if smoke && worst_overall < 0.95 {
         eprintln!(
-            "error: compiled encoder slower than map-based ({worst_overall:.2}x < 0.95x) in smoke mode"
-        );
-        return ExitCode::FAILURE;
-    }
-    if smoke && worst_batched < 0.95 {
-        eprintln!(
-            "error: batched encoder slower than scalar compiled ({worst_batched:.2}x < 0.95x) in smoke mode"
+            "error: batched encoder slower than map-based ({worst_overall:.2}x < 0.95x) in smoke mode"
         );
         return ExitCode::FAILURE;
     }
     if !smoke && worst_specjvm.is_finite() && worst_specjvm < 1.5 {
         eprintln!(
-            "warning: worst SPECjvm-like compiled/map ratio was {worst_specjvm:.2}x (< 1.5x target)"
+            "warning: worst SPECjvm-like batched/map ratio was {worst_specjvm:.2}x (< 1.5x target)"
         );
-    }
-    if !smoke && best_batched_specjvm.len() > 1 {
-        // ROADMAP item 5 / ISSUE 9 target: ≥1.5x hooks/sec for the batched
-        // kernel vs the scalar compiled encoder on at least half the
-        // SPECjvm-like suite.
-        let hit = best_batched_specjvm
-            .iter()
-            .filter(|(_, r)| *r >= 1.5)
-            .count();
-        if hit * 2 < best_batched_specjvm.len() {
-            eprintln!(
-                "warning: batched/compiled hit 1.5x on only {hit}/{} SPECjvm-like workloads",
-                best_batched_specjvm.len()
-            );
-        }
     }
 
     if let Err(e) = std::fs::create_dir_all(&out_dir) {

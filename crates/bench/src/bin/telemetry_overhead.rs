@@ -1,4 +1,4 @@
-//! Telemetry overhead on the compiled-encoder hot path: sampled hook
+//! Telemetry overhead on the batched-encoder hot path: sampled hook
 //! latency recording vs no telemetry at all.
 //!
 //! ```text
@@ -6,13 +6,14 @@
 //! ```
 //!
 //! The span profiler never touches encoder hooks directly — only a
-//! [`HookSampler`] does, and only on 1-in-N hooks (one countdown
-//! decrement on the other N-1). This binary pins that cost: each workload's
+//! [`HookSampler`] wrapper does, and only on 1-in-N call hooks (one
+//! countdown decrement on the other N-1 calls; returns, entries and exits
+//! pass straight through). This binary pins that cost: each workload's
 //! harvested hook stream (shared machinery with `encoder_hotpath`, see
-//! [`deltapath_bench::hooks`]) is replayed through a plain
-//! [`CompiledDeltaEncoder`] — the `NullTelemetry` configuration, since an
-//! un-sampled encoder records nothing — and through the same encoder with
-//! a `HookSampler` attached at the default period (1024, overridable with
+//! [`deltapath_bench::hooks`]) is replayed through a bare
+//! [`BatchedDeltaEncoder`] — the `NullTelemetry` configuration, since an
+//! unwrapped encoder records nothing — and through the same encoder
+//! wrapped in a `HookSampler` at a period of 1024 (overridable with
 //! `--period`).
 //!
 //! One `deltapath.perf.v1` record per (workload, configuration) lands in
@@ -39,12 +40,12 @@ use deltapath_bench::perf::{PerfRecord, PerfSuite};
 use deltapath_callgraph::ScopeFilter;
 use deltapath_core::{EncodingPlan, PlanConfig};
 use deltapath_ir::Program;
-use deltapath_runtime::{CompiledDeltaEncoder, HookSampler};
+use deltapath_runtime::{BatchedDeltaEncoder, HookSampler};
 use deltapath_telemetry::Recorder;
 use deltapath_workloads::specjvm;
 use deltapath_workloads::synthetic::{generate, SyntheticConfig};
 
-/// Default 1-in-N hook sampling period; matches the CLI's default.
+/// Default 1-in-N call-hook sampling period.
 const DEFAULT_PERIOD: u32 = 1024;
 
 /// One benchmarked workload: a program plus the plan scope it runs under.
@@ -129,14 +130,13 @@ fn main() -> ExitCode {
         let (mut sampled_rate, mut sampled_ns) = (0.0f64, u64::MAX);
         for _ in 0..rounds {
             let (rate, ns) = measure(entry, &hooks, repeat, passes, || {
-                CompiledDeltaEncoder::new(&compiled)
+                BatchedDeltaEncoder::new(&compiled)
             });
             if ns < null_ns {
                 (null_rate, null_ns) = (rate, ns);
             }
             let (rate, ns) = measure(entry, &hooks, repeat, passes, || {
-                CompiledDeltaEncoder::new(&compiled)
-                    .with_hook_sampler(HookSampler::new(&recorder, period))
+                HookSampler::new(BatchedDeltaEncoder::new(&compiled), &recorder, period)
             });
             if ns < sampled_ns {
                 (sampled_rate, sampled_ns) = (rate, ns);
@@ -154,8 +154,8 @@ fn main() -> ExitCode {
 
         let replayed = (hooks.len() * repeat) as u64;
         for (config, speed, best_ns) in [
-            ("compiled+none", 1.0, null_ns),
-            ("compiled+sampled", ratio, sampled_ns),
+            ("batched+none", 1.0, null_ns),
+            ("batched+sampled", ratio, sampled_ns),
         ] {
             perf.records.push(PerfRecord {
                 benchmark: w.name.clone(),

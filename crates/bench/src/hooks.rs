@@ -11,7 +11,6 @@
 use std::hint::black_box;
 use std::time::Instant;
 
-use deltapath_core::{BatchState, CompiledPlan, EncodedContext, HookWord};
 use deltapath_ir::{MethodId, Program, SiteId};
 use deltapath_runtime::{
     Capture, CollectMode, ContextEncoder, NullCollector, OpCounts, Vm, VmConfig, VmError,
@@ -149,141 +148,6 @@ pub fn measure<E: ContextEncoder>(
         best_ns = best_ns.min(start.elapsed().as_nanos() as u64);
     }
     let replayed = (hooks.len() * repeat) as u64;
-    (replayed as f64 * 1e9 / best_ns as f64, best_ns)
-}
-
-/// A harvested hook stream lowered into the batch engine's flat SoA wire
-/// format: one packed [`HookWord`] per hook, plus the replay entry method.
-///
-/// Lowering happens once per harvest — the analog of bytecode injection at
-/// class-load time — and the buffer is reusable across replays
-/// ([`HookBuffer::relower`] recycles the allocation).
-pub struct HookBuffer {
-    /// The thread entry method every replay restarts at.
-    pub entry: MethodId,
-    /// The lowered words, in execution order.
-    pub words: Vec<HookWord>,
-}
-
-impl HookBuffer {
-    /// Lowers `hooks` into a fresh buffer replaying from `entry`.
-    pub fn lower(entry: MethodId, hooks: &[Hook]) -> Self {
-        let mut buffer = Self {
-            entry,
-            words: Vec::new(),
-        };
-        buffer.relower(hooks);
-        buffer
-    }
-
-    /// Re-lowers `hooks` into this buffer, reusing its allocation.
-    pub fn relower(&mut self, hooks: &[Hook]) {
-        self.words.clear();
-        self.words.extend(hooks.iter().map(|&h| match h {
-            Hook::Call(site) => HookWord::call(site),
-            Hook::Return => HookWord::ret(),
-            Hook::Entry(method, via) => HookWord::entry(method, via),
-            Hook::Exit(method) => HookWord::exit(method),
-            Hook::Observe(at) => HookWord::observe(at),
-        }));
-    }
-}
-
-/// Replays a lowered buffer through the batch kernel in chunks of `chunk`
-/// words (`0` = the whole stream in one call), restarting `state` first
-/// and appending every observe capture to `out`. Chunking is exact: any
-/// split of the stream produces the identical final state (pinned by the
-/// chunking property test in `tests/batched_encoder.rs`).
-pub fn replay_batched(
-    compiled: &CompiledPlan,
-    buffer: &HookBuffer,
-    chunk: usize,
-    state: &mut BatchState,
-    out: &mut Vec<EncodedContext>,
-) {
-    state.restart(buffer.entry);
-    if chunk == 0 {
-        compiled.apply_batch(state, &buffer.words, out);
-    } else {
-        for c in buffer.words.chunks(chunk) {
-            compiled.apply_batch(state, c, out);
-        }
-    }
-}
-
-/// Batched hook throughput (hooks/sec) of `repeat` kernel replays of a
-/// lowered buffer, best of `passes` passes, plus the best pass's elapsed
-/// nanoseconds. `chunk` models the client-side buffer capacity (`0` =
-/// whole stream). The lowering itself is off the clock — it happens once
-/// at harvest, the way real injection happens once at class load.
-pub fn measure_batched(
-    compiled: &CompiledPlan,
-    buffer: &HookBuffer,
-    chunk: usize,
-    repeat: usize,
-    passes: usize,
-) -> (f64, u64) {
-    let mut best_ns = u64::MAX;
-    let mut out = Vec::new();
-    for _ in 0..passes {
-        let mut state = BatchState::start(buffer.entry);
-        out.clear();
-        replay_batched(compiled, buffer, chunk, &mut state, &mut out);
-        let start = Instant::now();
-        for _ in 0..repeat {
-            out.clear();
-            replay_batched(compiled, buffer, chunk, &mut state, &mut out);
-            black_box(&out);
-        }
-        best_ns = best_ns.min(start.elapsed().as_nanos() as u64);
-    }
-    let replayed = (buffer.words.len() * repeat) as u64;
-    (replayed as f64 * 1e9 / best_ns as f64, best_ns)
-}
-
-/// Interleaved batched throughput: `lanes` independent streams (one per
-/// simulated client) advanced in lockstep on one core via
-/// [`CompiledPlan::apply_batch_fanout`]. The reported rate counts hooks
-/// across *all* lanes — the aggregate per-core ingest rate of a
-/// multi-client collector.
-pub fn measure_batched_fanout(
-    compiled: &CompiledPlan,
-    buffer: &HookBuffer,
-    lanes: usize,
-    chunk: usize,
-    repeat: usize,
-    passes: usize,
-) -> (f64, u64) {
-    let lanes = lanes.max(1);
-    let mut best_ns = u64::MAX;
-    let mut out = Vec::new();
-    let mut states: Vec<BatchState> = (0..lanes)
-        .map(|_| BatchState::start(buffer.entry))
-        .collect();
-    let replay_all = |states: &mut [BatchState], out: &mut Vec<EncodedContext>| {
-        for state in states.iter_mut() {
-            state.restart(buffer.entry);
-        }
-        if chunk == 0 {
-            compiled.apply_batch_fanout(states, &buffer.words, out);
-        } else {
-            for c in buffer.words.chunks(chunk) {
-                compiled.apply_batch_fanout(states, c, out);
-            }
-        }
-    };
-    for _ in 0..passes {
-        out.clear();
-        replay_all(&mut states, &mut out);
-        let start = Instant::now();
-        for _ in 0..repeat {
-            out.clear();
-            replay_all(&mut states, &mut out);
-            black_box(&out);
-        }
-        best_ns = best_ns.min(start.elapsed().as_nanos() as u64);
-    }
-    let replayed = (buffer.words.len() * lanes * repeat) as u64;
     (replayed as f64 * 1e9 / best_ns as f64, best_ns)
 }
 

@@ -25,11 +25,10 @@
 //!   every call site and method entry/exit (consumed by
 //!   `deltapath-runtime`);
 //! * [`CompiledPlan`] — the plan lowered into dense dispatch tables for
-//!   the table-driven encoder hot path (one array load per hook, zero
-//!   hashing), including the batched hook kernel ([`HookWord`],
-//!   [`BatchState`], [`CompiledPlan::apply_batch`]) that applies packed
-//!   hook words with branchless mask arithmetic;
-//! * [`DeltaState`] — the per-thread runtime state machine (ID, stack,
+//!   the deployment hot path (one array load per hook, zero hashing),
+//!   with per-hook methods that apply them to a [`BatchState`] with
+//!   branchless mask arithmetic;
+//! * [`DeltaState`] — the per-thread reference state machine (ID, stack,
 //!   pending expectation) that the instrumentation hooks drive;
 //! * [`Decoder`] — precise decoding of encoded contexts, piece by piece;
 //! * [`verify`] — exhaustive context enumeration and uniqueness checking
@@ -90,7 +89,7 @@ pub use decode::{DecodeOptions, Decoder};
 pub use error::{DecodeError, EncodeError};
 pub use pcce::PcceEncoding;
 pub use plan::{EncodingPlan, EntryInstr, PlanConfig, SiteInstr, TableDigests};
-pub use plan_compiled::{BatchCounts, BatchState, CompiledPlan, EntryWord, HookWord, SiteWord};
+pub use plan_compiled::{BatchCounts, BatchState, CompiledPlan};
 pub use plan_io::{
     parse_plan, render_plan, render_plan_string, ImportedPlan, PlanParseError, PLAN_SCHEMA,
 };

@@ -763,7 +763,7 @@ impl EncodingPlan {
         Decoder::new(self, DecodeOptions::default())
     }
 
-    /// Lowers the plan into dense dispatch tables for the table-driven
+    /// Lowers the plan into dense dispatch tables for the batched
     /// encoder hot path (see [`CompiledPlan`]). The tables are a pure
     /// projection of this plan; after any plan change (e.g. re-analysis on
     /// dynamic class loading) the compiled image must be rebuilt.

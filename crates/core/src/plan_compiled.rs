@@ -1,4 +1,5 @@
-//! Dense dispatch tables lowered from an [`EncodingPlan`].
+//! Dense dispatch tables lowered from an [`EncodingPlan`], and the
+//! branchless per-hook state machine that runs over them.
 //!
 //! The plan proper stores its per-site and per-entry instructions in hash
 //! maps — the right shape for analysis, auditing and decoding, but not for
@@ -10,16 +11,25 @@
 //! [`MethodId::index`], so every encoder hook performs exactly one
 //! bounds-checked array load and zero hashing.
 //!
-//! Each call site lowers to a [`SiteWord`]: the 64-bit addition value plus
-//! a packed action word holding the expected SID and the
+//! Each call site lowers to a site word: the 64-bit addition value plus a
+//! packed action word holding the expected SID and the
 //! present/encoded/tracked flags, with the plan-wide call-path-tracking
 //! switch pre-ANDed in (`SAVE_PENDING = cpt && tracked`), so the hot path
 //! tests single bits instead of re-deriving config conjunctions. Each
-//! instrumented method lowers to an [`EntryWord`] the same way
+//! instrumented method lowers to an entry word the same way
 //! (`DO_CHECK = cpt && check_sid`). Absent entries are the all-zero word —
 //! the `PRESENT` bit doubles as the "instrumented at all" test — which
 //! lets lookups be unconditional loads with a zero default instead of an
-//! `Option` dance.
+//! `Option` dance. Recursion back edges lower into a two-level lookup
+//! table (per-site offsets over a flat callee array), the only stored form
+//! of the plan's back-edge pair set.
+//!
+//! The four per-hook methods ([`CompiledPlan::batch_call`],
+//! [`CompiledPlan::batch_return`], [`CompiledPlan::batch_entry`],
+//! [`CompiledPlan::batch_exit`]) apply those words to a [`BatchState`]
+//! with mask arithmetic: the CPT/check/track decisions are bit-selects,
+//! not branches, and only the genuinely rare events (a frame push at an
+//! entry, a pop at an exit) leave the straight-line path.
 //!
 //! The compiled image is a pure projection of the plan it was lowered
 //! from: it can always be re-derived, carries a copy of nothing mutable,
@@ -35,7 +45,6 @@ use deltapath_ir::{MethodId, SiteId};
 use crate::context::{EncodedContext, Frame, FrameStack, FrameTag};
 use crate::plan::{render_instructions, EncodingPlan, EntryInstr, SiteInstr};
 use crate::sid::Sid;
-use crate::state::{ResolvedEntry, ResolvedSite};
 
 /// Bit layout shared by both word kinds: the low 32 bits hold a raw SID.
 const SID_MASK: u64 = 0xFFFF_FFFF;
@@ -64,120 +73,64 @@ const ENTRY_DO_CHECK: u64 = 1 << 35;
 /// One call site's fused action word: the addition value alongside a
 /// packed word of flags and the expected SID.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct SiteWord {
+struct SiteWord {
     av: u64,
     word: u64,
 }
 
 impl SiteWord {
     /// The word of an uninstrumented site: no flags, no arithmetic.
-    pub const ABSENT: SiteWord = SiteWord { av: 0, word: 0 };
+    const ABSENT: SiteWord = SiteWord { av: 0, word: 0 };
 
     /// Whether the site carries any instrumentation.
-    #[inline]
-    pub fn present(self) -> bool {
+    fn present(self) -> bool {
         self.word & SITE_PRESENT != 0
     }
 
     /// Whether the ID arithmetic is emitted.
-    #[inline]
-    pub fn encoded(self) -> bool {
+    fn encoded(self) -> bool {
         self.word & SITE_ENCODED != 0
     }
 
     /// The raw `tracked` flag (before fusing with the CPT switch).
-    #[inline]
-    pub fn tracked(self) -> bool {
+    fn tracked(self) -> bool {
         self.word & SITE_TRACKED != 0
     }
 
-    /// Whether the hook saves the pending expectation (`cpt && tracked`).
-    #[inline]
-    pub fn save_pending(self) -> bool {
-        self.word & SITE_SAVE_PENDING != 0
-    }
-
-    /// Whether some dispatch through this site takes a recursion back edge
-    /// (guard before the back-edge pair lookup).
-    #[inline]
-    pub fn may_take_back_edge(self) -> bool {
-        self.word & SITE_MAY_BACK_EDGE != 0
-    }
-
-    /// The site's addition value.
-    #[inline]
-    pub fn av(self) -> u64 {
-        self.av
-    }
-
     /// The SID every statically known target shares.
-    #[inline]
-    pub fn expected_sid(self) -> Sid {
+    fn expected_sid(self) -> Sid {
         Sid::from_raw((self.word & SID_MASK) as u32)
-    }
-
-    /// Unpacks the word into the resolved form the state machine consumes.
-    #[inline]
-    pub fn resolved(self) -> ResolvedSite {
-        ResolvedSite {
-            av: self.av,
-            encoded: self.encoded(),
-            expected_sid: self.expected_sid(),
-            save_pending: self.save_pending(),
-        }
     }
 }
 
 /// One method entry's fused action word.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct EntryWord {
+struct EntryWord {
     word: u64,
 }
 
 impl EntryWord {
     /// The word of an uninstrumented method.
-    pub const ABSENT: EntryWord = EntryWord { word: 0 };
+    const ABSENT: EntryWord = EntryWord { word: 0 };
 
     /// Whether the method entry carries any instrumentation.
-    #[inline]
-    pub fn present(self) -> bool {
+    fn present(self) -> bool {
         self.word & ENTRY_PRESENT != 0
     }
 
     /// Whether the entry pushes an anchor frame.
-    #[inline]
-    pub fn is_anchor(self) -> bool {
+    fn is_anchor(self) -> bool {
         self.word & ENTRY_ANCHOR != 0
     }
 
     /// The raw `check_sid` flag (before fusing with the CPT switch).
-    #[inline]
-    pub fn check_sid(self) -> bool {
+    fn check_sid(self) -> bool {
         self.word & ENTRY_CHECK != 0
     }
 
-    /// Whether the entry performs the SID check (`cpt && check_sid`).
-    #[inline]
-    pub fn do_check(self) -> bool {
-        self.word & ENTRY_DO_CHECK != 0
-    }
-
     /// The method's SID.
-    #[inline]
-    pub fn sid(self) -> Sid {
+    fn sid(self) -> Sid {
         Sid::from_raw((self.word & SID_MASK) as u32)
-    }
-
-    /// Unpacks the word into the resolved form the state machine consumes,
-    /// given the back-edge classification of the dispatching call.
-    #[inline]
-    pub fn resolved(self, back_edge: bool) -> ResolvedEntry {
-        ResolvedEntry {
-            sid: self.sid(),
-            is_anchor: self.is_anchor(),
-            do_check: self.do_check(),
-            back_edge,
-        }
     }
 }
 
@@ -194,9 +147,6 @@ pub struct CompiledPlan {
     site_callers: Vec<u32>,
     /// Entry action words, indexed by [`MethodId::index`].
     entries: Vec<EntryWord>,
-    /// Recursion back-edge `(site, callee)` pairs, sorted (cold — audit and
-    /// iteration read it; runtime lookups go through the two-level table).
-    back_edge_calls: Vec<(u32, u32)>,
     /// First level of the back-edge lookup table: per-site offsets into
     /// [`Self::back_edge_callees`], indexed by [`SiteId::index`] and sized
     /// to the highest back-edge site only (sites past the end have no back
@@ -274,7 +224,6 @@ impl CompiledPlan {
             sites,
             site_callers,
             entries,
-            back_edge_calls,
             back_edge_off,
             back_edge_callees,
         }
@@ -308,40 +257,31 @@ impl CompiledPlan {
         self.entry_method
     }
 
-    /// The action word of `site` — [`SiteWord::ABSENT`] when the site is
+    /// The action word of `site` — the absent word when the site is
     /// uninstrumented or out of range. One bounds-checked load, no hashing.
     #[inline]
-    pub fn site(&self, site: SiteId) -> SiteWord {
+    fn site(&self, site: SiteId) -> SiteWord {
         self.sites
             .get(site.index())
             .copied()
             .unwrap_or(SiteWord::ABSENT)
     }
 
-    /// The action word of the entry of `method` — [`EntryWord::ABSENT`]
-    /// when the method is uninstrumented or out of range.
+    /// The action word of the entry of `method` — the absent word when the
+    /// method is uninstrumented or out of range.
     #[inline]
-    pub fn entry(&self, method: MethodId) -> EntryWord {
+    fn entry(&self, method: MethodId) -> EntryWord {
         self.entries
             .get(method.index())
             .copied()
             .unwrap_or(EntryWord::ABSENT)
     }
 
-    /// Whether dispatching `site` to `callee` takes a recursion back edge.
-    /// Guard with [`SiteWord::may_take_back_edge`] to skip the lookup for
-    /// the overwhelmingly common non-recursive site.
-    ///
-    /// Two array loads bound the site's callee slice in the two-level
-    /// table; the slice is scanned with a branchless OR-fold (it holds the
-    /// recursive targets of *one* site — almost always a single element).
-    #[inline]
-    pub fn is_back_edge_call(&self, site: SiteId, callee: MethodId) -> bool {
-        self.back_edge_probe(site.index(), callee.as_u32()) != 0
-    }
-
     /// The back-edge lookup as mask arithmetic: 1 when `(site, callee)` is
-    /// a recursion back edge, 0 otherwise.
+    /// a recursion back edge, 0 otherwise. Two array loads bound the
+    /// site's callee slice in the two-level table; the slice is scanned
+    /// with a branchless OR-fold (it holds the recursive targets of *one*
+    /// site — almost always a single element).
     #[inline(always)]
     fn back_edge_probe(&self, site: usize, callee: u32) -> u64 {
         // Sites past the offset array have no back edges; a site with the
@@ -370,7 +310,7 @@ impl CompiledPlan {
         let caller = self.site_callers[site.index()];
         debug_assert_ne!(caller, u32::MAX, "present site without a caller");
         Some(SiteInstr {
-            av: w.av(),
+            av: w.av,
             encoded: w.encoded(),
             expected_sid: w.expected_sid(),
             caller: MethodId::from_index(caller as usize),
@@ -410,21 +350,11 @@ impl CompiledPlan {
             .map(|(i, _)| MethodId::from_index(i))
     }
 
-    /// All `(site, callee)` recursion back-edge pairs, sorted.
+    /// All `(site, callee)` recursion back-edge pairs, sorted, read back
+    /// from the two-level lookup table the entry hook probes. The table is
+    /// the only stored form of the pair set, so the `DP040` audit checks
+    /// exactly what the hooks consult.
     pub fn back_edge_call_pairs(&self) -> impl Iterator<Item = (SiteId, MethodId)> + '_ {
-        self.back_edge_calls.iter().map(|&(s, m)| {
-            (
-                SiteId::from_index(s as usize),
-                MethodId::from_index(m as usize),
-            )
-        })
-    }
-
-    /// The back-edge pairs as the two-level *lookup table* stores them,
-    /// sorted. Must equal [`Self::back_edge_call_pairs`] — the `DP040`
-    /// audit cross-checks both projections against the plan, so a stale or
-    /// corrupted lookup table is caught independently of the pair list.
-    pub fn back_edge_table_pairs(&self) -> impl Iterator<Item = (SiteId, MethodId)> + '_ {
         (0..self.back_edge_off.len().saturating_sub(1)).flat_map(move |site| {
             let lo = self.back_edge_off[site] as usize;
             let hi = self.back_edge_off[site + 1] as usize;
@@ -462,7 +392,6 @@ impl CompiledPlan {
     pub fn table_bytes(&self) -> usize {
         self.sites.len() * std::mem::size_of::<SiteWord>()
             + self.entries.len() * std::mem::size_of::<EntryWord>()
-            + self.back_edge_calls.len() * std::mem::size_of::<(u32, u32)>()
             + self.back_edge_off.len() * std::mem::size_of::<u32>()
             + self.back_edge_callees.len() * std::mem::size_of::<u32>()
     }
@@ -485,99 +414,8 @@ impl CompiledPlan {
     }
 }
 
-// ---- Batched, branchless hook encoding ----
-//
-// The scalar encoder pays per-hook dispatch (an enum match, a virtual-ish
-// hook call, token traffic through the caller's stack) around the two
-// arithmetic ops the paper says a call event costs. The batch engine
-// removes that scaffolding: hooks are pre-lowered into one packed u64
-// *hook word* each, and `apply_batch` walks a slice of them in a tight
-// loop, applying the fused `SiteWord`/`EntryWord` action words with mask
-// arithmetic — the CPT/check/track decisions are bit-selects, not
-// branches. Only the genuinely rare events (a frame push at an entry, a
-// pop at an exit, an observe) leave the straight-line path. The same
-// per-word updates are public as per-hook methods (`batch_call`,
-// `batch_return`, `batch_entry`, `batch_exit`), so an encoder driven one
-// hook at a time runs the identical state machine without lowering.
-
-/// Hook tag of a call-site dispatch (`on_call`).
-const HOOK_CALL: u64 = 0;
-/// Hook tag of the matching return (`on_return`).
-const HOOK_RETURN: u64 = 1;
-/// Hook tag of a method entry (`on_entry`).
-const HOOK_ENTRY: u64 = 2;
-/// Hook tag of a method exit (`on_exit`).
-const HOOK_EXIT: u64 = 3;
-/// Hook tag of an observation point (`observe`).
-const HOOK_OBSERVE: u64 = 4;
-
-/// One pre-resolved instrumentation hook, packed into a single u64:
-///
-/// ```text
-/// bits 60..64  tag      (call / return / entry / exit / observe)
-/// bits 32..60  via+1    (entry only: dispatching site index + 1, 0 = none)
-/// bits  0..32  operand  (site index for calls, method index otherwise)
-/// ```
-///
-/// This is the wire format of the batch engine: harvested hook streams
-/// lower into a flat buffer of these words once, and
-/// [`CompiledPlan::apply_batch`] consumes slices of them with no per-hook
-/// decoding beyond three shifts.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct HookWord(u64);
-
-impl HookWord {
-    const TAG_SHIFT: u32 = 60;
-    const VIA_SHIFT: u32 = 32;
-    const VIA_BITS: u32 = 28;
-    const VIA_MASK: u64 = (1 << Self::VIA_BITS) - 1;
-    const OPERAND_MASK: u64 = 0xFFFF_FFFF;
-
-    /// The word of an `on_call` hook at `site`.
-    #[inline]
-    pub fn call(site: SiteId) -> Self {
-        Self(HOOK_CALL << Self::TAG_SHIFT | site.index() as u64)
-    }
-
-    /// The word of the `on_return` hook matching the innermost open call.
-    #[inline]
-    pub fn ret() -> Self {
-        Self(HOOK_RETURN << Self::TAG_SHIFT)
-    }
-
-    /// The word of an `on_entry` hook of `method`, dispatched via `via`
-    /// (`None` when control arrived from uninstrumented code).
-    #[inline]
-    pub fn entry(method: MethodId, via: Option<SiteId>) -> Self {
-        let via_plus_1 = via.map_or(0, |s| s.index() as u64 + 1);
-        debug_assert!(
-            via_plus_1 <= Self::VIA_MASK,
-            "site index exceeds the hook word's 28-bit via field"
-        );
-        Self(HOOK_ENTRY << Self::TAG_SHIFT | via_plus_1 << Self::VIA_SHIFT | method.index() as u64)
-    }
-
-    /// The word of an `on_exit` hook of `method`.
-    #[inline]
-    pub fn exit(method: MethodId) -> Self {
-        Self(HOOK_EXIT << Self::TAG_SHIFT | method.index() as u64)
-    }
-
-    /// The word of an `observe` event at `method`.
-    #[inline]
-    pub fn observe(method: MethodId) -> Self {
-        Self(HOOK_OBSERVE << Self::TAG_SHIFT | method.index() as u64)
-    }
-
-    /// The raw packed word.
-    #[inline]
-    pub fn raw(self) -> u64 {
-        self.0
-    }
-}
-
-/// Raw operation tallies of a [`BatchState`] — the batch engine's flat
-/// counter block, incremented by mask arithmetic (never by a branch) on
+/// Raw operation tallies of a [`BatchState`] — the batched state machine's
+/// flat counter block, incremented by mask arithmetic (never by a branch) on
 /// the straight-line path. `deltapath-runtime` maps the shared subset into
 /// its `OpCounts`; the extras (`backedge_probes`, `stack_hwm`, the
 /// snapshot tallies) feed the `encoder.backedge.*` / `encoder.batched.*`
@@ -612,8 +450,8 @@ pub struct BatchCounts {
 }
 
 /// One open call's caller-saved record: what the matching return must
-/// subtract and restore. Pushed unconditionally per call word — masked
-/// stores replace the `Option` dance of the scalar
+/// subtract and restore. Pushed unconditionally per call hook — masked
+/// stores replace the `Option` dance of the reference state machine's
 /// [`CallToken`](crate::CallToken), keeping the call/return pair
 /// branch-free.
 #[derive(Clone, Copy, Debug, Default)]
@@ -629,13 +467,13 @@ struct BatchCallRec {
     saved_id: u64,
 }
 
-/// Per-thread encoding state of the batch engine: the mirror of
+/// Per-thread encoding state of the batched state machine: the mirror of
 /// [`DeltaState`](crate::DeltaState) with the pending expectation held as
 /// mask-selectable raw words and the caller-saved tokens on internal LIFO
-/// stacks (the batch engine has no native caller frame to keep them in).
+/// stacks (the hooks have no native caller frame to keep them in).
 ///
-/// Equality with the scalar state machine — captures, counts, UCP
-/// detections, for every chunking of the word stream — is pinned by the
+/// Equality with the reference state machine — ID, depth, captures,
+/// counts and UCP detections after every hook — is pinned by the
 /// `batched_encoder` differential suite.
 #[derive(Clone, Debug)]
 pub struct BatchState {
@@ -686,8 +524,8 @@ impl BatchState {
     }
 
     /// Resets the encoding state for a new thread/replay at `entry`,
-    /// keeping the cumulative counts — the batch analog of the scalar
-    /// encoder's `thread_start`.
+    /// keeping the cumulative counts — the batched analog of
+    /// [`DeltaState::start`](crate::DeltaState::start).
     pub fn restart(&mut self, entry: MethodId) {
         self.id = 0;
         self.frames.clear();
@@ -743,7 +581,7 @@ impl BatchState {
     }
 }
 
-/// `(a & mask) | (b & !mask)` — the branchless select the kernel uses for
+/// `(a & mask) | (b & !mask)` — the branchless select the hooks use for
 /// every conditional state update (`mask` is all-ones or all-zeros).
 #[inline(always)]
 fn select(mask: u64, a: u64, b: u64) -> u64 {
@@ -751,98 +589,12 @@ fn select(mask: u64, a: u64, b: u64) -> u64 {
 }
 
 impl CompiledPlan {
-    /// Applies a slice of pre-lowered hook words to `state`, appending the
-    /// encoded context of every observe word to `out`.
-    ///
-    /// This is the batch engine's hot loop: one packed load per hook, the
-    /// site/entry action word applied with mask arithmetic, and state that
-    /// stays in registers across iterations. Splitting a stream into
-    /// arbitrary chunks and applying them in order is exact — the state
-    /// carries everything across the boundary (pinned by the chunking
-    /// property test).
-    pub fn apply_batch(
-        &self,
-        state: &mut BatchState,
-        words: &[HookWord],
-        out: &mut Vec<EncodedContext>,
-    ) {
-        for &w in words {
-            self.apply_word(state, w, out);
-        }
-    }
-
-    /// Advances K independent streams in lockstep: every lane applies the
-    /// same word before the loop moves to the next one, so the per-lane
-    /// updates (independent by construction) overlap in the pipeline —
-    /// the multi-client ingest shape, one simulated client per lane.
-    ///
-    /// Observe words snapshot lane 0 only (the lanes are replicas of the
-    /// same stream, so one capture per event is representative; final
-    /// states of all lanes are asserted equal by the differential suite).
-    pub fn apply_batch_fanout(
-        &self,
-        states: &mut [BatchState],
-        words: &[HookWord],
-        out: &mut Vec<EncodedContext>,
-    ) {
-        for &w in words {
-            let raw = w.0;
-            let tag = raw >> HookWord::TAG_SHIFT;
-            if tag == HOOK_OBSERVE {
-                if let Some(first) = states.first_mut() {
-                    out.push(first.snapshot(MethodId::from_index(
-                        (raw & HookWord::OPERAND_MASK) as usize,
-                    )));
-                }
-                continue;
-            }
-            for state in states.iter_mut() {
-                self.apply_word_silent(state, raw);
-            }
-        }
-    }
-
-    /// Applies one hook word (the body of [`Self::apply_batch`]).
-    #[inline(always)]
-    fn apply_word(&self, state: &mut BatchState, w: HookWord, out: &mut Vec<EncodedContext>) {
-        let raw = w.0;
-        if raw >> HookWord::TAG_SHIFT == HOOK_OBSERVE {
-            out.push(state.snapshot(MethodId::from_index(
-                (raw & HookWord::OPERAND_MASK) as usize,
-            )));
-        } else {
-            self.apply_word_silent(state, raw);
-        }
-    }
-
-    /// Applies one non-observe hook word.
-    #[inline(always)]
-    fn apply_word_silent(&self, state: &mut BatchState, raw: u64) {
-        let tag = raw >> HookWord::TAG_SHIFT;
-        let operand = (raw & HookWord::OPERAND_MASK) as usize;
-        match tag {
-            HOOK_CALL => self.call_word(state, operand),
-            HOOK_RETURN => self.batch_return(state),
-            HOOK_ENTRY => self.entry_word(
-                state,
-                operand,
-                ((raw >> HookWord::VIA_SHIFT) & HookWord::VIA_MASK) as usize,
-            ),
-            HOOK_EXIT => self.batch_exit(state),
-            _ => debug_assert!(false, "unknown hook tag {tag}"),
-        }
-    }
-
-    /// Applies an `on_call` hook at `site` to `state`.
+    /// Applies an `on_call` hook at `site` to `state`: masked `ID += av`,
+    /// masked pending install, unconditional caller-record push. No
+    /// branches.
     #[inline(always)]
     pub fn batch_call(&self, state: &mut BatchState, site: SiteId) {
-        self.call_word(state, site.index());
-    }
-
-    /// Call word: masked `ID += av`, masked pending install, unconditional
-    /// caller-record push. No branches.
-    #[inline(always)]
-    fn call_word(&self, state: &mut BatchState, site: usize) {
+        let site = site.index();
         let w = self.sites.get(site).copied().unwrap_or(SiteWord::ABSENT);
         let encoded = (w.word >> 33) & 1; // SITE_ENCODED
         let save = (w.word >> 35) & 1; // SITE_SAVE_PENDING
@@ -867,9 +619,9 @@ impl CompiledPlan {
         state.pend_id = select(m, state.id, state.pend_id);
     }
 
-    /// Applies the `on_return` hook matching the innermost open call (the
-    /// return word): masked `ID -= av`, masked pending restore. No
-    /// branches beyond the record pop.
+    /// Applies the `on_return` hook matching the innermost open call:
+    /// masked `ID -= av`, masked pending restore. No branches beyond the
+    /// record pop.
     ///
     /// # Panics
     ///
@@ -891,17 +643,14 @@ impl CompiledPlan {
     }
 
     /// Applies an `on_entry` hook of `method` to `state`, dispatched via
-    /// `via` (`None` when control arrived from uninstrumented code).
+    /// `via` (`None` when control arrived from uninstrumented code): the
+    /// UCP / back-edge / anchor decision computed as mask bits; only an
+    /// entry that actually pushes a frame (rare) leaves the straight-line
+    /// path.
     #[inline(always)]
     pub fn batch_entry(&self, state: &mut BatchState, method: MethodId, via: Option<SiteId>) {
-        self.entry_word(state, method.index(), via.map_or(0, |s| s.index() + 1));
-    }
-
-    /// Entry word: the UCP / back-edge / anchor decision computed as mask
-    /// bits; only an entry that actually pushes a frame (rare) leaves the
-    /// straight-line path.
-    #[inline(always)]
-    fn entry_word(&self, state: &mut BatchState, method: usize, via_plus_1: usize) {
+        let method = method.index();
+        let via_plus_1 = via.map_or(0, |s| s.index() + 1);
         let e = self
             .entries
             .get(method)
@@ -937,7 +686,7 @@ impl CompiledPlan {
         }
     }
 
-    /// The rare push path of an entry word: reproduces the scalar state
+    /// The rare push path of an entry hook: reproduces the reference state
     /// machine's UCP > recursion > anchor priority and frame contents
     /// exactly (normal branches are fine here — pushes are off the
     /// straight-line path by construction).
@@ -990,9 +739,9 @@ impl CompiledPlan {
         state.counts.stack_hwm = state.counts.stack_hwm.max(state.frames.len() as u64);
     }
 
-    /// Applies the `on_exit` hook matching the innermost open entry (the
-    /// exit word): pop the entry's outcome; restore the saved ID when the
-    /// entry pushed (rare, predictable branch).
+    /// Applies the `on_exit` hook matching the innermost open entry: pop
+    /// the entry's outcome; restore the saved ID when the entry pushed
+    /// (rare, predictable branch).
     ///
     /// # Panics
     ///
@@ -1088,13 +837,13 @@ mod tests {
         let off = plan_off.compile();
         for site in on.present_sites() {
             let w = on.site(site);
-            assert_eq!(w.save_pending(), w.tracked());
-            assert!(!off.site(site).save_pending());
+            assert_eq!(w.word & SITE_SAVE_PENDING != 0, w.tracked());
+            assert_eq!(off.site(site).word & SITE_SAVE_PENDING, 0);
         }
         for method in on.present_entries() {
             let w = on.entry(method);
-            assert_eq!(w.do_check(), w.check_sid());
-            assert!(!off.entry(method).do_check());
+            assert_eq!(w.word & ENTRY_DO_CHECK != 0, w.check_sid());
+            assert_eq!(off.entry(method).word & ENTRY_DO_CHECK, 0);
         }
     }
 
@@ -1117,18 +866,24 @@ mod tests {
         let p = recursive_program();
         let plan = EncodingPlan::analyze(&p, &PlanConfig::default()).unwrap();
         let compiled = plan.compile();
+        let may_back_edge = |site: SiteId| compiled.site(site).word & SITE_MAY_BACK_EDGE != 0;
         let mut saw_back_edge = false;
         for (site, callee) in plan.back_edge_call_pairs() {
             saw_back_edge = true;
-            assert!(compiled.is_back_edge_call(site, callee));
-            assert!(compiled.site(site).may_take_back_edge());
+            assert_eq!(compiled.back_edge_probe(site.index(), callee.as_u32()), 1);
+            assert!(may_back_edge(site));
         }
         assert!(saw_back_edge, "fixture must contain recursion");
+        assert_eq!(
+            compiled.back_edge_pair_count(),
+            plan.back_edge_call_pairs().count()
+        );
         for site in compiled.present_sites() {
-            if !compiled.site(site).may_take_back_edge() {
-                for callee in compiled.present_entries() {
-                    assert!(!compiled.is_back_edge_call(site, callee));
-                }
+            for callee in compiled.present_entries() {
+                let probe = compiled.back_edge_probe(site.index(), callee.as_u32());
+                let want = plan.back_edge_call_pairs().any(|p| p == (site, callee));
+                assert_eq!(probe == 1, want, "({site:?}, {callee:?})");
+                assert!(may_back_edge(site) || probe == 0);
             }
         }
     }

@@ -26,8 +26,8 @@ use crate::sid::Sid;
 
 /// A [`SiteInstr`] resolved against the plan configuration: everything the
 /// caller-side hooks need, with the config conditionals (`cpt && tracked`)
-/// already folded in so the hot path branches on plain booleans. This is
-/// the unpacked form of a [`CompiledPlan`](crate::CompiledPlan) site word.
+/// already folded in so the hot path branches on plain booleans — the
+/// fields a [`CompiledPlan`](crate::CompiledPlan) site word packs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ResolvedSite {
     /// The site's addition value.
@@ -224,8 +224,8 @@ impl DeltaState {
     /// Caller-side hook, before the call at `site` is dispatched; resolves
     /// the site against `plan` and delegates to
     /// [`DeltaState::on_call_resolved`]. This is the map-probing reference
-    /// path; table-driven encoders resolve through a
-    /// [`CompiledPlan`](crate::CompiledPlan) instead.
+    /// path; the deployment path runs a [`BatchState`](crate::BatchState)
+    /// over a [`CompiledPlan`](crate::CompiledPlan) instead.
     pub fn on_call(&mut self, plan: &EncodingPlan, site: SiteId) -> CallToken {
         match plan.site(site) {
             Some(instr) => self.on_call_resolved(site, ResolvedSite::of(instr, plan.config().cpt)),

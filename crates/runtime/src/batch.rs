@@ -1,15 +1,16 @@
-//! The batched DeltaPath encoder.
+//! The batched DeltaPath encoder: the deployment hot path.
 //!
-//! [`BatchedDeltaEncoder`] is operationally identical to
-//! [`CompiledDeltaEncoder`](crate::CompiledDeltaEncoder) — same captures,
-//! same op counts, same UCP detections, pinned by the `batched_encoder`
-//! differential suite — but runs the batch kernel's branchless state
-//! machine instead of the scalar one: each hook is applied to a
+//! [`BatchedDeltaEncoder`] is operationally identical to the map-based
+//! reference [`DeltaEncoder`](crate::DeltaEncoder) — same captures, same
+//! op counts, same UCP detections, pinned by the `batched_encoder`
+//! differential suite — but resolves every hook through a
+//! [`CompiledPlan`]'s dense tables instead of the plan's hash maps and
+//! runs a branchless state machine: each hook is applied to a
 //! [`BatchState`] the moment it arrives, through the per-hook methods
-//! ([`CompiledPlan::batch_call`] and friends) that
-//! [`CompiledPlan::apply_batch`] loops over for pre-lowered
-//! [`HookWord`](deltapath_core::HookWord) streams. Nothing is buffered, so
-//! [`BatchedDeltaEncoder::state`] is exact after every hook.
+//! [`CompiledPlan::batch_call`], [`CompiledPlan::batch_return`],
+//! [`CompiledPlan::batch_entry`] and [`CompiledPlan::batch_exit`].
+//! Nothing is buffered, so [`BatchedDeltaEncoder::state`] is exact after
+//! every hook.
 
 use deltapath_core::{BatchState, CompiledPlan};
 use deltapath_ir::{MethodId, SiteId};
@@ -17,8 +18,8 @@ use deltapath_telemetry::{names, Telemetry};
 
 use crate::encoder::{report_op_counts, Capture, ContextEncoder, OpCounts};
 
-/// DeltaPath over the batch kernel's state machine, one hook at a time
-/// (see the module docs).
+/// DeltaPath over compiled dispatch tables and the branchless batched
+/// state machine, one hook at a time (see the module docs).
 #[derive(Debug)]
 pub struct BatchedDeltaEncoder<'p> {
     compiled: &'p CompiledPlan,
@@ -39,7 +40,7 @@ impl<'p> BatchedDeltaEncoder<'p> {
         self.compiled
     }
 
-    /// The current batch-engine state, exact after every hook.
+    /// The current batched state, exact after every hook.
     pub fn state(&self) -> &BatchState {
         &self.state
     }
@@ -147,7 +148,7 @@ impl ContextEncoder for BatchedDeltaEncoder<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compiled::CompiledDeltaEncoder;
+    use crate::encoders::DeltaEncoder;
     use deltapath_core::{EncodingPlan, PlanConfig};
     use deltapath_ir::{MethodKind, Program, ProgramBuilder};
     use deltapath_telemetry::Recorder;
@@ -168,11 +169,11 @@ mod tests {
     }
 
     #[test]
-    fn mirrors_compiled_encoder_hook_for_hook() {
+    fn mirrors_map_based_encoder_hook_for_hook() {
         let p = program();
         let plan = EncodingPlan::analyze(&p, &PlanConfig::default()).unwrap();
         let compiled = plan.compile();
-        let mut scalar = CompiledDeltaEncoder::new(&compiled);
+        let mut map = DeltaEncoder::new(&plan);
         let mut batched = BatchedDeltaEncoder::new(&compiled);
         let main = p.entry();
         let leaf = p
@@ -182,23 +183,42 @@ mod tests {
             )
             .unwrap();
         let site = p.sites().iter().find(|s| s.caller() == main).unwrap().id();
-        scalar.thread_start(main);
+        map.thread_start(main);
         batched.thread_start(main);
         for _ in 0..5 {
-            let ts = scalar.on_call(site);
+            let tm = map.on_call(site);
             batched.on_call(site);
-            let es = scalar.on_entry(leaf, Some(site));
+            let em = map.on_entry(leaf, Some(site));
             batched.on_entry(leaf, Some(site));
-            assert_eq!(scalar.observe(leaf), batched.observe(leaf));
-            scalar.on_exit(leaf, es);
+            assert_eq!(map.observe(leaf), batched.observe(leaf));
+            map.on_exit(leaf, em);
             batched.on_exit(leaf, ());
-            scalar.on_return(site, ts);
+            map.on_return(site, tm);
             batched.on_return(site, ());
         }
-        assert_eq!(scalar.counts(), batched.counts());
-        assert_eq!(scalar.state().id(), batched.state().id());
-        assert_eq!(scalar.ucp_detections(), batched.ucp_detections());
+        assert_eq!(map.counts(), batched.counts());
+        assert_eq!(map.state().id(), batched.state().id());
+        assert_eq!(map.ucp_detections(), batched.ucp_detections());
         assert_eq!(batched.flushes(), 0);
+    }
+
+    #[test]
+    fn uninstrumented_points_are_no_ops() {
+        let p = program();
+        let plan = EncodingPlan::analyze(&p, &PlanConfig::default()).unwrap();
+        let compiled = plan.compile();
+        let mut e = BatchedDeltaEncoder::new(&compiled);
+        e.thread_start(p.entry());
+        let bogus_site = SiteId::from_index(4_096);
+        let bogus_method = MethodId::from_index(4_096);
+        e.on_call(bogus_site);
+        e.on_entry(bogus_method, Some(bogus_site));
+        e.on_exit(bogus_method, ());
+        e.on_return(bogus_site, ());
+        assert_eq!(e.counts(), OpCounts::default());
+        assert_eq!(e.ucp_detections(), 0);
+        assert_eq!(e.state().id(), 0);
+        assert_eq!(e.state().depth(), 1, "only the bootstrap frame");
     }
 
     #[test]

@@ -9,18 +9,14 @@
 //! calling-context technique runs over identical executions:
 //!
 //! * [`NullEncoder`] — the native baseline;
-//! * [`DeltaEncoder`] — DeltaPath, driving the state machine from
-//!   `deltapath-core` according to an
-//!   [`EncodingPlan`](deltapath_core::EncodingPlan);
-//! * [`CompiledDeltaEncoder`] — the same technique over a
+//! * [`DeltaEncoder`] — DeltaPath, driving the reference state machine
+//!   from `deltapath-core` according to an
+//!   [`EncodingPlan`](deltapath_core::EncodingPlan)'s hash maps;
+//! * [`BatchedDeltaEncoder`] — the same technique over a
 //!   [`CompiledPlan`](deltapath_core::CompiledPlan)'s dense dispatch
-//!   tables: one array load per hook, no hashing (the deployment-shaped
-//!   hot path; the map-based encoder is the reference oracle);
-//! * [`BatchedDeltaEncoder`] — the same technique again, applying each
-//!   hook as it arrives through the branchless batch kernel's per-hook
-//!   updates (the ones
-//!   [`CompiledPlan::apply_batch`](deltapath_core::CompiledPlan::apply_batch)
-//!   loops over);
+//!   tables, applying each hook as it arrives with branchless mask
+//!   arithmetic: one array load per hook, no hashing (the deployment hot
+//!   path; the map-based encoder is its reference);
 //! * [`StackWalkEncoder`] — stack walking (precise but expensive; also the
 //!   ground truth for precision experiments);
 //! * PCC, Breadcrumbs-lite and the calling-context tree live in
@@ -29,7 +25,8 @@
 //! Encoders meter their abstract operations ([`OpCounts`]) and a
 //! [`CostModel`] turns the counts into overhead comparable across
 //! techniques — this is how the paper's Figure 8 throughput comparison is
-//! regenerated without a JVM.
+//! regenerated without a JVM. Any encoder can be wrapped in a
+//! [`HookSampler`] to record the latency of 1-in-N call hooks.
 //!
 //! # Example
 //!
@@ -74,18 +71,18 @@
 
 mod batch;
 mod collect;
-mod compiled;
 mod encoder;
 mod encoders;
 mod profile;
+mod sampler;
 mod shard;
 mod vm;
 
 pub use batch::BatchedDeltaEncoder;
 pub use collect::{Collector, ContextStats, EventLog, NullCollector, RelativeCollector};
-pub use compiled::{CompiledDeltaEncoder, HookSampler};
 pub use encoder::{report_op_counts, Capture, ContextEncoder, CostModel, OpCounts};
 pub use encoders::{DeltaEncoder, NullEncoder, StackWalkEncoder};
 pub use profile::{fold_path, ContextProfile};
+pub use sampler::HookSampler;
 pub use shard::{ShardHandle, ShardedCollector, DEFAULT_BATCH, DEFAULT_SHARDS};
 pub use vm::{CollectMode, RunStats, Vm, VmConfig, VmError};

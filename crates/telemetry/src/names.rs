@@ -217,8 +217,9 @@ pub const SPAN_UNBALANCED: &str = "span.unbalanced";
 
 // ---- profile.* — sampled hot-path latency ----
 
-/// Sampled compiled-encoder hook latency, nanoseconds (histogram; 1-in-N
-/// sampled so the hot loop stays one array index).
+/// Sampled call-hook latency of a `HookSampler`-wrapped encoder,
+/// nanoseconds (histogram; 1-in-N call hooks, so the hot loop stays one
+/// array index).
 pub const PROFILE_HOOK_NS: &str = "profile.hook_ns";
 
 /// Hook latency samples taken (counter).
@@ -360,7 +361,7 @@ mod tests {
     #[test]
     fn format_families_are_recognized() {
         assert!(is_registered("ops.delta.adds"));
-        assert!(is_registered("encoder.compiled-nocpt.stack_hwm"));
+        assert!(is_registered("encoder.batched-nocpt.stack_hwm"));
         assert!(is_registered(VM_RUN));
         assert!(!is_registered("ops.dangling"));
         assert!(!is_registered("vm.unheard_of"));

@@ -5,7 +5,7 @@
 //! deltapath list
 //! deltapath inspect <benchmark> [--scope app|all] [--width BITS]
 //! deltapath dot <benchmark> [--scope app|all]
-//! deltapath run <benchmark> [--encoder native|pcc|deltapath|deltapath-nocpt|compiled|compiled-nocpt|batched|batched-nocpt|stackwalk|cct]
+//! deltapath run <benchmark> [--encoder native|pcc|deltapath|deltapath-nocpt|batched|batched-nocpt|stackwalk|cct]
 //! deltapath decode <benchmark>     # run, capture, decode a few contexts
 //! deltapath report <benchmark> [--encoder NAME] [--json]   # run report (summary or JSON)
 //! deltapath report --from FILE [--json]                    # re-read a saved report
@@ -32,11 +32,11 @@ use deltapath::workloads::specjvm::{program, suite};
 use deltapath::{
     audit_delta, audit_plan_full, audit_plan_with, diff_plans, parse_graph, parse_plan,
     render_graph, render_plan, Analysis, AuditBaseline, AuditOptions, AuditReport,
-    BatchedDeltaEncoder, CallGraph, Capture, CollectMode, CompiledDeltaEncoder, ContextEncoder,
+    BatchedDeltaEncoder, CallGraph, Capture, CollectMode, Collector, ContextEncoder,
     ContextProfile, ContextStats, DeltaEncoder, EncodingPlan, EncodingWidth, EventLog,
     FoldedStacks, GraphConfig, GraphStats, ImportError, ImportedPlan, NullCollector, NullEncoder,
-    NullTelemetry, PlanConfig, PlanParseError, Program, RunReport, ScopeFilter, SpanProfiler,
-    StackWalkEncoder, Telemetry, Vm, VmConfig,
+    NullTelemetry, OpCounts, PlanConfig, PlanParseError, Program, RunReport, RunStats, ScopeFilter,
+    SpanProfiler, StackWalkEncoder, Telemetry, Vm, VmConfig,
 };
 
 fn main() -> ExitCode {
@@ -56,7 +56,7 @@ fn main() -> ExitCode {
         Some("generate") => cmd_generate(&args[1..]),
         _ => {
             eprintln!(
-                "usage: deltapath <list|inspect|dot|run|decode|report|trace|flamegraph|lint> [benchmark] [options]\n\
+                "usage: deltapath <list|inspect|dot|run|decode|report|trace|flamegraph|lint|import|diff|generate> [benchmark] [options]\n\
                  \n\
                  list                      list the bundled SPECjvm2008-like benchmarks\n\
                  inspect <bench>           static characteristics and encoding plan summary\n\
@@ -64,9 +64,7 @@ fn main() -> ExitCode {
                  \x20   --width BITS       encoding integer width (default: 64)\n\
                  dot <bench>               print the encoded call graph in Graphviz format\n\
                  run <bench>               execute under an encoder and report costs\n\
-                 \x20   --encoder NAME     native|pcc|deltapath|deltapath-nocpt|\n\
-                 \x20                      compiled|compiled-nocpt|batched|batched-nocpt|\n\
-                 \x20                      stackwalk|cct\n\
+                 \x20   --encoder NAME     {all}\n\
                  decode <bench>            run, capture, and decode example contexts\n\
                  report <bench>            run with telemetry; print a human-readable summary\n\
                  \x20                      (histograms as p50/p90/p99 upper bounds)\n\
@@ -79,8 +77,7 @@ fn main() -> ExitCode {
                  flamegraph <bench>        folded flamegraph stacks (inferno-compatible) on stdout\n\
                  \x20   --contexts         decoded calling contexts weighted by entries (default)\n\
                  \x20   --spans            self-time of the analysis/audit/run span tree\n\
-                 \x20   --encoder NAME     deltapath|deltapath-nocpt|compiled|compiled-nocpt|\n\
-                 \x20                      batched|batched-nocpt|stackwalk\n\
+                 \x20   --encoder NAME     {decodable}\n\
                  \x20   --scope app|all    selective vs full encoding (default: app)\n\
                  \x20   --out FILE         write to FILE instead of stdout\n\
                  \x20   --check [--all]    validate flamegraphs against the stack-walk oracle\n\
@@ -111,7 +108,9 @@ fn main() -> ExitCode {
                  generate                  write a seeded scale graph (deltapath.graph.v1)\n\
                  \x20   --methods N        graph size (default: 10000)\n\
                  \x20   --seed S           generator seed (default: 42)\n\
-                 \x20   --out FILE         write to FILE instead of stdout"
+                 \x20   --out FILE         write to FILE instead of stdout",
+                all = encoder_names(|_| true),
+                decodable = encoder_names(EncoderKind::decodable),
             );
             return ExitCode::FAILURE;
         }
@@ -234,55 +233,155 @@ fn cmd_dot(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
+/// What an `--encoder` name builds.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum EncoderKind {
+    /// No instrumentation: the native baseline.
+    Native,
+    /// Probabilistic calling context.
+    Pcc,
+    /// DeltaPath, the map-based reference encoder.
+    Map,
+    /// DeltaPath, the batched deployment encoder.
+    Batched,
+    /// Shadow-stack walking.
+    StackWalk,
+    /// The calling-context tree.
+    Cct,
+}
+
+impl EncoderKind {
+    /// Whether the encoder runs over an encoding plan.
+    fn needs_plan(self) -> bool {
+        matches!(self, Self::Pcc | Self::Map | Self::Batched)
+    }
+
+    /// Whether its captures decode to calling contexts (a context
+    /// flamegraph source).
+    fn decodable(self) -> bool {
+        matches!(self, Self::Map | Self::Batched | Self::StackWalk)
+    }
+}
+
+/// The `--encoder` table. A `-nocpt` name plans with call-path tracking
+/// off.
+const ENCODERS: [(&str, EncoderKind); 8] = [
+    ("native", EncoderKind::Native),
+    ("pcc", EncoderKind::Pcc),
+    ("deltapath", EncoderKind::Map),
+    ("deltapath-nocpt", EncoderKind::Map),
+    ("batched", EncoderKind::Batched),
+    ("batched-nocpt", EncoderKind::Batched),
+    ("stackwalk", EncoderKind::StackWalk),
+    ("cct", EncoderKind::Cct),
+];
+
+/// The names in [`ENCODERS`] whose kind `keep` accepts, `|`-separated.
+fn encoder_names(keep: impl Fn(EncoderKind) -> bool) -> String {
+    let names: Vec<&str> = ENCODERS
+        .iter()
+        .filter(|&&(_, kind)| keep(kind))
+        .map(|&(name, _)| name)
+        .collect();
+    names.join("|")
+}
+
+/// An `--encoder` name resolved against [`ENCODERS`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Encoder {
+    name: &'static str,
+    kind: EncoderKind,
+}
+
+impl Encoder {
+    /// Resolves `name`; an unknown name is an error listing the table.
+    fn parse(name: &str) -> Result<Self, String> {
+        ENCODERS
+            .iter()
+            .find(|&&(n, _)| n == name)
+            .map(|&(name, kind)| Self { name, kind })
+            .ok_or_else(|| format!("unknown encoder {name:?} (use {})", encoder_names(|_| true)))
+    }
+
+    /// The `--encoder` of `args` (default: `deltapath`), resolved.
+    fn of_args(args: &[String]) -> Result<Self, String> {
+        Self::parse(flag(args, "--encoder").as_deref().unwrap_or("deltapath"))
+    }
+
+    /// `base` with call-path tracking as the name asks for.
+    fn plan_config(self, base: PlanConfig) -> PlanConfig {
+        base.with_cpt(!self.name.ends_with("-nocpt"))
+    }
+
+    /// Runs `p` under this encoder, recording into `collector`. `plan` is
+    /// the plan it runs over.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the kind needs a plan and `plan` is `None`.
+    fn run(
+        self,
+        p: &Program,
+        plan: Option<&EncodingPlan>,
+        vm_config: VmConfig,
+        collector: &mut impl Collector,
+    ) -> Result<(RunStats, OpCounts), String> {
+        fn go<E: ContextEncoder>(
+            p: &Program,
+            vm_config: VmConfig,
+            mut encoder: E,
+            collector: &mut impl Collector,
+        ) -> Result<(RunStats, OpCounts), String> {
+            let run = Vm::new(p, vm_config)
+                .run(&mut encoder, collector)
+                .map_err(|e| e.to_string())?;
+            Ok((run, encoder.counts()))
+        }
+        let plan = || plan.expect("plan-driven encoder run without a plan");
+        match self.kind {
+            EncoderKind::Native => go(p, vm_config, NullEncoder, collector),
+            EncoderKind::Pcc => go(
+                p,
+                vm_config,
+                PccEncoder::from_plan(plan(), PccWidth::Bits32),
+                collector,
+            ),
+            EncoderKind::Map => go(p, vm_config, DeltaEncoder::new(plan()), collector),
+            EncoderKind::Batched => {
+                let compiled = plan().compile();
+                go(p, vm_config, BatchedDeltaEncoder::new(&compiled), collector)
+            }
+            EncoderKind::StackWalk => go(p, vm_config, StackWalkEncoder::full(), collector),
+            EncoderKind::Cct => go(p, vm_config, CctEncoder::new(), collector),
+        }
+    }
+}
+
 fn cmd_run(args: &[String]) -> Result<(), String> {
     let p = load(args)?;
-    let encoder_name = flag(args, "--encoder").unwrap_or_else(|| "deltapath".to_owned());
-    let plan_config = PlanConfig::default().with_scope(ScopeFilter::ApplicationOnly);
-    let plan = EncodingPlan::analyze(&p, &plan_config).map_err(|e| e.to_string())?;
-    let nocpt = EncodingPlan::analyze(&p, &plan_config.clone().with_cpt(false))
-        .map_err(|e| e.to_string())?;
+    let encoder = Encoder::of_args(args)?;
+    let plan = if encoder.kind.needs_plan() {
+        let config = PlanConfig::default().with_scope(ScopeFilter::ApplicationOnly);
+        Some(EncodingPlan::analyze(&p, &encoder.plan_config(config)).map_err(|e| e.to_string())?)
+    } else {
+        None
+    };
     let vm_config = VmConfig::default().with_collect(CollectMode::Entries);
 
     let started = std::time::Instant::now();
-    let (run, counts, unique) = match encoder_name.as_str() {
-        "native" => {
-            let mut vm = Vm::new(&p, vm_config);
-            let run = vm
-                .run(&mut NullEncoder, &mut NullCollector)
-                .map_err(|e| e.to_string())?;
-            (run, Default::default(), 0)
-        }
-        "pcc" => run_one(
-            &p,
-            vm_config,
-            PccEncoder::from_plan(&plan, PccWidth::Bits32),
-        )?,
-        "deltapath" => run_one(&p, vm_config, DeltaEncoder::new(&plan))?,
-        "deltapath-nocpt" => run_one(&p, vm_config, DeltaEncoder::new(&nocpt))?,
-        "compiled" => {
-            let compiled = plan.compile();
-            run_one(&p, vm_config, CompiledDeltaEncoder::new(&compiled))?
-        }
-        "compiled-nocpt" => {
-            let compiled = nocpt.compile();
-            run_one(&p, vm_config, CompiledDeltaEncoder::new(&compiled))?
-        }
-        "batched" => {
-            let compiled = plan.compile();
-            run_one(&p, vm_config, BatchedDeltaEncoder::new(&compiled))?
-        }
-        "batched-nocpt" => {
-            let compiled = nocpt.compile();
-            run_one(&p, vm_config, BatchedDeltaEncoder::new(&compiled))?
-        }
-        "stackwalk" => run_one(&p, vm_config, StackWalkEncoder::full())?,
-        "cct" => run_one(&p, vm_config, CctEncoder::new())?,
-        other => return Err(format!("unknown encoder {other:?}")),
+    // The native baseline collects nothing, so it times the bare program.
+    let mut stats = ContextStats::new();
+    let (run, counts) = if encoder.kind == EncoderKind::Native {
+        encoder.run(&p, None, vm_config, &mut NullCollector)?
+    } else {
+        encoder.run(&p, plan.as_ref(), vm_config, &mut stats)?
     };
+    let unique = stats.unique_contexts();
     let elapsed = started.elapsed();
     println!(
-        "{} under {encoder_name}: {} calls, base cost {}, wall time {:.2?}",
+        "{} under {}: {} calls, base cost {}, wall time {:.2?}",
         p.name(),
+        encoder.name,
         run.calls,
         run.base_cost,
         elapsed
@@ -301,19 +400,6 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         println!("  unique contexts captured: {unique}");
     }
     Ok(())
-}
-
-fn run_one<E: ContextEncoder>(
-    p: &Program,
-    vm_config: VmConfig,
-    mut encoder: E,
-) -> Result<(deltapath::RunStats, deltapath::OpCounts, usize), String> {
-    let mut vm = Vm::new(p, vm_config);
-    let mut stats = ContextStats::new();
-    let run = vm
-        .run(&mut encoder, &mut stats)
-        .map_err(|e| e.to_string())?;
-    Ok((run, encoder.counts(), stats.unique_contexts()))
 }
 
 fn cmd_decode(args: &[String]) -> Result<(), String> {
@@ -372,69 +458,25 @@ fn cmd_decode(args: &[String]) -> Result<(), String> {
 /// Runs `bench` under `--encoder` with a hierarchical [`SpanProfiler`]
 /// attached end to end — plan analysis, the static plan audit, and the VM
 /// run all record their nested spans (and every metric) into it.
-fn profiled_run(args: &[String]) -> Result<(Program, String, Arc<SpanProfiler>), String> {
+fn profiled_run(args: &[String]) -> Result<(Program, &'static str, Arc<SpanProfiler>), String> {
     let p = load(args)?;
-    let encoder_name = flag(args, "--encoder").unwrap_or_else(|| "deltapath".to_owned());
+    let encoder = Encoder::of_args(args)?;
     let profiler = Arc::new(SpanProfiler::new());
     let sink: &dyn Telemetry = profiler.as_ref();
-    let plan_config = PlanConfig::default().with_scope(ScopeFilter::ApplicationOnly);
     let vm_config = VmConfig::default()
         .with_collect(CollectMode::Entries)
         .with_telemetry(profiler.clone());
-    let analyzed = |config: &PlanConfig| -> Result<EncodingPlan, String> {
-        let plan = EncodingPlan::analyze_with(&p, config, sink).map_err(|e| e.to_string())?;
+    let plan = if encoder.kind.needs_plan() {
+        let config = PlanConfig::default().with_scope(ScopeFilter::ApplicationOnly);
+        let plan = EncodingPlan::analyze_with(&p, &encoder.plan_config(config), sink)
+            .map_err(|e| e.to_string())?;
         audit_plan_with(&p, &plan, sink);
-        Ok(plan)
+        Some(plan)
+    } else {
+        None
     };
-    match encoder_name.as_str() {
-        "native" => {
-            run_one(&p, vm_config, NullEncoder)?;
-        }
-        "pcc" => {
-            let plan = analyzed(&plan_config)?;
-            run_one(
-                &p,
-                vm_config,
-                PccEncoder::from_plan(&plan, PccWidth::Bits32),
-            )?;
-        }
-        "deltapath" => {
-            let plan = analyzed(&plan_config)?;
-            run_one(&p, vm_config, DeltaEncoder::new(&plan))?;
-        }
-        "deltapath-nocpt" => {
-            let plan = analyzed(&plan_config.with_cpt(false))?;
-            run_one(&p, vm_config, DeltaEncoder::new(&plan))?;
-        }
-        "compiled" => {
-            let plan = analyzed(&plan_config)?;
-            let compiled = plan.compile();
-            run_one(&p, vm_config, CompiledDeltaEncoder::new(&compiled))?;
-        }
-        "compiled-nocpt" => {
-            let plan = analyzed(&plan_config.with_cpt(false))?;
-            let compiled = plan.compile();
-            run_one(&p, vm_config, CompiledDeltaEncoder::new(&compiled))?;
-        }
-        "batched" => {
-            let plan = analyzed(&plan_config)?;
-            let compiled = plan.compile();
-            run_one(&p, vm_config, BatchedDeltaEncoder::new(&compiled))?;
-        }
-        "batched-nocpt" => {
-            let plan = analyzed(&plan_config.with_cpt(false))?;
-            let compiled = plan.compile();
-            run_one(&p, vm_config, BatchedDeltaEncoder::new(&compiled))?;
-        }
-        "stackwalk" => {
-            run_one(&p, vm_config, StackWalkEncoder::full())?;
-        }
-        "cct" => {
-            run_one(&p, vm_config, CctEncoder::new())?;
-        }
-        other => return Err(format!("unknown encoder {other:?}")),
-    }
-    Ok((p, encoder_name, profiler))
+    encoder.run(&p, plan.as_ref(), vm_config, &mut ContextStats::new())?;
+    Ok((p, encoder.name, profiler))
 }
 
 /// Runs `bench` instrumented (see [`profiled_run`]) and freezes the result
@@ -444,7 +486,7 @@ fn telemetry_report(args: &[String]) -> Result<RunReport, String> {
     Ok(profiler
         .report(p.name())
         .with_meta("benchmark", p.name())
-        .with_meta("encoder", &encoder_name)
+        .with_meta("encoder", encoder_name)
         .with_meta("scope", "app"))
 }
 
@@ -531,54 +573,42 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
     let report = profiler
         .report(p.name())
         .with_meta("benchmark", p.name())
-        .with_meta("encoder", &encoder_name)
+        .with_meta("encoder", encoder_name)
         .with_meta("scope", "app");
     print!("{}", report.to_jsonl());
     Ok(())
 }
 
-/// Runs `p` under `encoder`, counting entries per distinct captured context
-/// with a [`ContextProfile`].
-fn profile_entries<E: ContextEncoder>(
+/// Runs `p` under `encoder` (over `plan`), counting entries per distinct
+/// captured context with a [`ContextProfile`].
+fn profile_entries(
     p: &Program,
-    mut encoder: E,
+    encoder: Encoder,
+    plan: Option<&EncodingPlan>,
 ) -> Result<ContextProfile, String> {
-    let mut vm = Vm::new(p, VmConfig::default().with_collect(CollectMode::Entries));
     let mut profile = ContextProfile::new();
-    vm.run(&mut encoder, &mut profile)
-        .map_err(|e| e.to_string())?;
+    let vm_config = VmConfig::default().with_collect(CollectMode::Entries);
+    encoder.run(p, plan, vm_config, &mut profile)?;
     Ok(profile)
 }
 
 /// The *context flamegraph*: folded call stacks weighted by entry counts,
-/// decoded from the captures `encoder_name` produced under `scope`.
+/// decoded from the captures `encoder` produced under `scope`.
 fn context_folded(
     p: &Program,
-    encoder_name: &str,
+    encoder: Encoder,
     scope: ScopeFilter,
 ) -> Result<(FoldedStacks, u64), String> {
-    let plan_config = PlanConfig::default().with_scope(scope);
-    let cpt = !encoder_name.ends_with("-nocpt");
-    let plan = EncodingPlan::analyze(p, &plan_config.with_cpt(cpt)).map_err(|e| e.to_string())?;
-    let profile = match encoder_name {
-        "deltapath" | "deltapath-nocpt" => profile_entries(p, DeltaEncoder::new(&plan))?,
-        "compiled" | "compiled-nocpt" => {
-            let compiled = plan.compile();
-            profile_entries(p, CompiledDeltaEncoder::new(&compiled))?
-        }
-        "batched" | "batched-nocpt" => {
-            let compiled = plan.compile();
-            profile_entries(p, BatchedDeltaEncoder::new(&compiled))?
-        }
-        "stackwalk" => profile_entries(p, StackWalkEncoder::full())?,
-        other => {
-            return Err(format!(
-                "encoder {other:?} does not produce decodable contexts \
-                 (use deltapath|deltapath-nocpt|compiled|compiled-nocpt|\
-                 batched|batched-nocpt|stackwalk)"
-            ))
-        }
-    };
+    if !encoder.kind.decodable() {
+        return Err(format!(
+            "encoder {:?} does not produce decodable contexts (use {})",
+            encoder.name,
+            encoder_names(EncoderKind::decodable)
+        ));
+    }
+    let config = encoder.plan_config(PlanConfig::default().with_scope(scope));
+    let plan = EncodingPlan::analyze(p, &config).map_err(|e| e.to_string())?;
+    let profile = profile_entries(p, encoder, Some(&plan))?;
     Ok(profile.folded(p, &plan.decoder()))
 }
 
@@ -588,14 +618,14 @@ fn context_folded(
 /// The oracle is the walk run's stacks *filtered to plan-encoded methods*
 /// (the same ground truth the differential suite uses), keeping only
 /// entries whose true stack never crosses unencoded code. For closed-world
-/// benchmarks that is every entry, and the DeltaPath/compiled context
+/// benchmarks that is every entry, and the map-based and batched context
 /// flamegraphs must match it *exactly* — same stacks, same entry counts,
 /// nothing skipped. Benchmarks with dynamic class loading keep the exact
 /// check on the fully-encoded subset (each oracle stack's count is a lower
 /// bound on the decoded count, since a path through dynamic code may
 /// legitimately decode to the same filtered stack), plus conservation:
 /// both runs must account for every recorded entry. In all cases the
-/// DeltaPath and compiled encoders must agree stack for stack, the folded
+/// map-based and batched encoders must agree stack for stack, the folded
 /// text must round-trip through [`FoldedStacks::parse`], and the span
 /// flamegraph's Chrome trace must be well-formed `deltapath.trace.v2`
 /// JSON.
@@ -609,7 +639,7 @@ fn check_flamegraph(p: &Program) -> Result<(), String> {
         .map_err(|e| e.to_string())?;
 
     // The oracle map: walked stacks filtered to planned methods.
-    let walk_profile = profile_entries(p, StackWalkEncoder::full())?;
+    let walk_profile = profile_entries(p, Encoder::parse("stackwalk")?, None)?;
     let mut oracle = FoldedStacks::new();
     let mut outside = 0u64; // entries at methods the plan never encoded
     let mut through_dynamic = 0u64; // planned entries reached across unencoded frames
@@ -627,11 +657,12 @@ fn check_flamegraph(p: &Program) -> Result<(), String> {
         }
     }
 
-    let (delta, delta_skipped) = context_folded(p, "deltapath", ScopeFilter::All)?;
-    let (compiled, compiled_skipped) = context_folded(p, "compiled", ScopeFilter::All)?;
-    if delta != compiled || delta_skipped != compiled_skipped {
+    let (delta, delta_skipped) = context_folded(p, Encoder::parse("deltapath")?, ScopeFilter::All)?;
+    let (batched, batched_skipped) =
+        context_folded(p, Encoder::parse("batched")?, ScopeFilter::All)?;
+    if delta != batched || delta_skipped != batched_skipped {
         return Err(format!(
-            "{name}: DeltaPath and compiled context flamegraphs diverge"
+            "{name}: map-based and batched context flamegraphs diverge"
         ));
     }
     if delta.total() + delta_skipped != walk_profile.total() {
@@ -732,8 +763,7 @@ fn cmd_flamegraph(args: &[String]) -> Result<(), String> {
         profiler.snapshot().folded().render()
     } else {
         let p = load(args)?;
-        let encoder_name = flag(args, "--encoder").unwrap_or_else(|| "deltapath".to_owned());
-        let (stacks, skipped) = context_folded(&p, &encoder_name, scope_of(args)?)?;
+        let (stacks, skipped) = context_folded(&p, Encoder::of_args(args)?, scope_of(args)?)?;
         if skipped > 0 {
             eprintln!("note: {skipped} entries had undecodable captures and were skipped");
         }
@@ -1119,6 +1149,36 @@ mod tests {
         assert!(width_of(&args(&["x", "--width", "0"])).is_err());
         assert!(width_of(&args(&["x", "--width", "200"])).is_err());
         assert!(width_of(&args(&["x", "--width", "wide"])).is_err());
+    }
+
+    #[test]
+    fn encoder_table_resolves_every_name() {
+        for (name, kind) in ENCODERS {
+            let encoder = Encoder::parse(name).unwrap();
+            assert_eq!((encoder.name, encoder.kind), (name, kind));
+            let cpt = encoder.plan_config(PlanConfig::default()).cpt;
+            assert_eq!(cpt, !name.ends_with("-nocpt"), "{name}");
+        }
+        for name in ["deltapath-nocpt", "batched-nocpt"] {
+            let encoder = Encoder::parse(name).unwrap();
+            assert!(!encoder.plan_config(PlanConfig::default()).cpt, "{name}");
+        }
+        // Only plan-driven encoders analyse a plan.
+        for name in ["native", "stackwalk", "cct"] {
+            assert!(!Encoder::parse(name).unwrap().kind.needs_plan(), "{name}");
+        }
+        assert_eq!(
+            Encoder::of_args(&args(&["x"])).unwrap().name,
+            "deltapath",
+            "default encoder"
+        );
+        for bad in ["compiled", "compiled-nocpt", "not-an-encoder"] {
+            let err = Encoder::parse(bad).unwrap_err();
+            assert!(err.contains(&format!("{bad:?}")), "{err}");
+            for (name, _) in ENCODERS {
+                assert!(err.contains(name), "{err} does not list {name}");
+            }
+        }
     }
 
     #[test]

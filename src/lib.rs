@@ -106,17 +106,17 @@ pub use deltapath_callgraph::{
 pub use deltapath_core::{
     parse_plan, render_plan, render_plan_string, BatchCounts, BatchState, CompiledPlan,
     DecodeError, DecodeOptions, Decoder, DeltaState, EncodeError, EncodedContext, EncodingPlan,
-    EncodingWidth, Frame, FrameStack, FrameTag, HookWord, ImportedPlan, PlanConfig, PlanParseError,
-    Sid, PLAN_SCHEMA,
+    EncodingWidth, Frame, FrameStack, FrameTag, ImportedPlan, PlanConfig, PlanParseError, Sid,
+    PLAN_SCHEMA,
 };
 pub use deltapath_ir::{
     skeleton_program, ArgExpr, ClassId, MethodId, MethodKind, Program, ProgramBuilder, Receiver,
     SiteId, SkeletonSite,
 };
 pub use deltapath_runtime::{
-    BatchedDeltaEncoder, Capture, CollectMode, Collector, CompiledDeltaEncoder, ContextEncoder,
-    ContextProfile, ContextStats, CostModel, DeltaEncoder, EventLog, HookSampler, NullCollector,
-    NullEncoder, OpCounts, RunStats, ShardHandle, ShardedCollector, StackWalkEncoder, Vm, VmConfig,
+    BatchedDeltaEncoder, Capture, CollectMode, Collector, ContextEncoder, ContextProfile,
+    ContextStats, CostModel, DeltaEncoder, EventLog, HookSampler, NullCollector, NullEncoder,
+    OpCounts, RunStats, ShardHandle, ShardedCollector, StackWalkEncoder, Vm, VmConfig,
 };
 pub use deltapath_telemetry::{
     FoldedStacks, HistogramSnapshot, NullTelemetry, Recorder, RunReport, ScopedSpan, SpanProfiler,

@@ -1,43 +1,38 @@
-//! Batched-encoder differential suite: the hook-at-a-time
-//! [`BatchedDeltaEncoder`] and the underlying branchless batch kernel
-//! ([`CompiledPlan::apply_batch`]) replayed against the scalar
-//! [`CompiledDeltaEncoder`] across workloads × scopes × CPT modes ×
-//! encoding widths. The interpreter is deterministic, so every
-//! configuration observes the identical event sequence and must agree on
-//! *everything*:
+//! Batched-encoder differential suite: the deployment path,
+//! [`BatchedDeltaEncoder`] over a compiled plan's dense tables, replayed
+//! against two scalar references — the reference state machine
+//! ([`DeltaState`]) driven by the instructions the compiled image
+//! re-expands, and the map-based [`DeltaEncoder`] driven by the plan
+//! itself.
 //!
-//! * every capture, byte for byte, in execution order (entries and
-//!   observes);
-//! * the abstract operation counts — the branchless state machine must
-//!   not add, skip, or reorder a single encoding operation;
-//! * hazardous-UCP detections, which exercise the fused
-//!   `save_pending` / `do_check` bits under dynamic loading;
-//! * the plan fingerprint: lowering and batch replay are read-only.
-//!
-//! On top of the VM-driven matrix, a seeded property test pins the batch
-//! kernel's core algebraic guarantee: *any* chunking of a lowered hook
-//! stream — size-1 chunks, the whole stream in one call, or arbitrary
-//! random splits — produces the identical final state, and the
-//! interleaved fan-out variant keeps every lane identical to a
-//! single-lane replay. A per-hook test pins that the runtime encoder's
-//! state equals the kernel's after every single hook.
+//! The first runs hook by hook over every harvested stream across
+//! workloads × scopes × CPT modes × encoding widths, so the branchless
+//! state machine must agree with the scalar one after every single hook
+//! (ID, depth, UCP detections, and every capture byte for byte); the
+//! fused `save_pending` / `do_check` bits are exercised under dynamic
+//! loading. The second pins captures, abstract operation counts and UCP
+//! detections under the deterministic VM and after every hook. The full
+//! VM-driven matrix against the map-based encoder, with the DP040
+//! round-trip audit of every lowered image, lives in the `compiled_plan`
+//! suite.
 
 mod common;
 
+use std::collections::HashSet;
+
 use common::CaptureLog;
-use deltapath::workloads::rng::SplitMix64;
 use deltapath::workloads::synthetic::{generate, SyntheticConfig};
 use deltapath::{
-    ArgExpr, BatchCounts, BatchState, BatchedDeltaEncoder, Capture, ClassId, CollectMode,
-    CompiledDeltaEncoder, ContextEncoder, DeltaEncoder, EncodedContext, EncodingPlan,
-    EncodingWidth, FrameStack, MethodKind, PlanConfig, Program, ProgramBuilder, ScopeFilter, Vm,
-    VmConfig,
+    ArgExpr, BatchedDeltaEncoder, Capture, ClassId, CollectMode, ContextEncoder, DeltaEncoder,
+    DeltaState, EncodingPlan, EncodingWidth, FrameStack, MethodKind, PlanConfig, Program,
+    ProgramBuilder, ScopeFilter, Vm, VmConfig,
 };
-use deltapath_bench::hooks::{harvest, Hook, HookBuffer};
+use deltapath_bench::hooks::{harvest, Hook};
+use deltapath_core::{CallToken, EntryOutcome, ResolvedEntry, ResolvedSite};
 
-/// Workload shapes, mirroring the compiled-plan suite: two open worlds
-/// with dynamic subclass loading and cross-scope calls (UCP recoveries on
-/// the hot path) and one closed world (every hook hits a present slot).
+/// Workload shapes: two open worlds with dynamic subclass loading and
+/// cross-scope calls (UCP recoveries on the hot path) and one closed world
+/// (every hook hits a present table slot).
 fn programs() -> Vec<Program> {
     let open = |seed: u64| {
         generate(&SyntheticConfig {
@@ -101,8 +96,13 @@ fn run_log(program: &Program, encoder: &mut impl ContextEncoder) -> CaptureLog {
 
 #[test]
 fn batched_encoder_matches_compiled_everywhere() {
+    // The scalar reference state machine reads the compiled image only —
+    // `site_instr` / `entry_instr` re-expand each word and the back-edge
+    // pairs come from the lookup table the entry hook probes — so any
+    // divergence is the branchless machine's, not the lowering's.
     let mut pairs = 0usize;
     for program in programs() {
+        let hooks = harvest(&program).expect("harvest");
         for (label, config) in configs() {
             // Narrow widths may be unencodable for a given shape; that is
             // the analyzer's documented answer, not this suite's subject.
@@ -111,30 +111,79 @@ fn batched_encoder_matches_compiled_everywhere() {
             };
             let fingerprint_before = plan.fingerprint();
             let compiled = plan.compile();
+            let cpt = compiled.cpt();
+            let back_edges: HashSet<_> = compiled.back_edge_call_pairs().collect();
             let tag = format!("{}/{label}", program.name());
 
-            let mut tab_enc = CompiledDeltaEncoder::new(&compiled);
-            let tab_log = run_log(&program, &mut tab_enc);
-            assert!(
-                !tab_log.records.is_empty(),
-                "{tag}: workload must collect events"
-            );
+            let mut scalar = DeltaState::start(program.entry());
+            let mut scalar_ucps = 0u64;
+            let mut enc = BatchedDeltaEncoder::new(&compiled);
+            enc.thread_start(program.entry());
+            let mut open_calls = Vec::new();
+            let mut open_entries = Vec::new();
+            let mut observes = 0usize;
+            for (i, &hook) in hooks.iter().enumerate() {
+                match hook {
+                    Hook::Call(site) => {
+                        let token = match compiled.site_instr(site) {
+                            Some(instr) => {
+                                scalar.on_call_resolved(site, ResolvedSite::of(&instr, cpt))
+                            }
+                            None => CallToken::inert(),
+                        };
+                        open_calls.push((site, token));
+                        enc.on_call(site);
+                    }
+                    Hook::Return => {
+                        let (site, token) = open_calls.pop().expect("balanced stream");
+                        scalar.on_return(token);
+                        enc.on_return(site, ());
+                    }
+                    Hook::Entry(method, via) => {
+                        let outcome = match compiled.entry_instr(method) {
+                            Some(instr) => {
+                                // Only an instrumented dispatching site
+                                // counts as "via".
+                                let via = via.filter(|&s| compiled.site_instr(s).is_some());
+                                let back_edge =
+                                    via.is_some_and(|site| back_edges.contains(&(site, method)));
+                                let r = ResolvedEntry::of(&instr, cpt, back_edge);
+                                scalar.on_entry_resolved(method, via, r)
+                            }
+                            None => EntryOutcome::Plain,
+                        };
+                        scalar_ucps += u64::from(outcome == EntryOutcome::PushedUcp);
+                        open_entries.push(outcome);
+                        enc.on_entry(method, via);
+                    }
+                    Hook::Exit(method) => {
+                        scalar.on_exit(open_entries.pop().expect("balanced stream"));
+                        enc.on_exit(method, ());
+                    }
+                    Hook::Observe(at) => {
+                        observes += 1;
+                        assert_eq!(
+                            enc.observe(at),
+                            Capture::Delta(scalar.snapshot(at)),
+                            "{tag}: capture at hook {i}"
+                        );
+                    }
+                }
+                assert_eq!(enc.state().id(), scalar.id(), "{tag}: ID after hook {i}");
+                assert_eq!(
+                    enc.state().depth(),
+                    scalar.depth(),
+                    "{tag}: depth after hook {i}"
+                );
+                assert_eq!(
+                    enc.ucp_detections(),
+                    scalar_ucps,
+                    "{tag}: UCP detections after hook {i}"
+                );
+            }
+            assert!(observes > 0, "{tag}: workload must observe");
 
-            let mut bat_enc = BatchedDeltaEncoder::new(&compiled);
-            let bat_log = run_log(&program, &mut bat_enc);
-            assert_eq!(tab_log.records, bat_log.records, "{tag}: captures diverged");
-            assert_eq!(
-                tab_enc.counts(),
-                bat_enc.counts(),
-                "{tag}: operation counts diverged"
-            );
-            assert_eq!(
-                tab_enc.ucp_detections(),
-                bat_enc.ucp_detections(),
-                "{tag}: UCP detections diverged"
-            );
-
-            // Batch replay is read-only on the plan and its image.
+            // Replay is read-only on the plan and its image.
             assert_eq!(plan.fingerprint(), fingerprint_before, "{tag}");
             assert_eq!(
                 plan.instruction_fingerprint(),
@@ -149,9 +198,10 @@ fn batched_encoder_matches_compiled_everywhere() {
 
 #[test]
 fn map_based_encoder_agrees_with_batched() {
-    // One three-way pin (map vs scalar-compiled vs batched) on the default
-    // configuration of every workload, closing the transitivity argument
-    // without re-running the full matrix a third time.
+    // The map-based reference against the batched encoder on the default
+    // configuration of every workload, under the deterministic VM: the
+    // direct pin between the two encoders this suite's per-hook tests
+    // compare.
     for program in programs() {
         let config = PlanConfig::default().with_scope(ScopeFilter::ApplicationOnly);
         let plan = EncodingPlan::analyze(&program, &config).expect("plan");
@@ -171,146 +221,64 @@ fn map_based_encoder_agrees_with_batched() {
     }
 }
 
-/// Applies the whole lowered stream in one kernel call and returns the
-/// reference observation: captures, final ID, final depth, and counts.
-fn whole_stream_reference(
-    compiled: &deltapath::CompiledPlan,
-    buffer: &HookBuffer,
-) -> (Vec<EncodedContext>, u64, usize, deltapath::BatchCounts) {
-    let mut state = BatchState::start(buffer.entry);
-    let mut out = Vec::new();
-    compiled.apply_batch(&mut state, &buffer.words, &mut out);
-    (out, state.id(), state.depth(), *state.counts())
-}
-
-#[test]
-fn arbitrary_chunkings_are_exact() {
-    // The kernel's core algebraic property: chunk boundaries are
-    // invisible. Seeded random splits (plus the size-1 and whole-stream
-    // extremes) of every workload's lowered stream must reproduce the
-    // reference final state bit for bit.
-    let mut rng = SplitMix64::seed_from_u64(0x9e3779b97f4a7c15);
-    for program in programs() {
-        for scope in [ScopeFilter::ApplicationOnly, ScopeFilter::All] {
-            let config = PlanConfig::default().with_scope(scope);
-            let plan = EncodingPlan::analyze(&program, &config).expect("plan");
-            let compiled = plan.compile();
-            let hooks = harvest(&program).expect("harvest");
-            let buffer = HookBuffer::lower(program.entry(), &hooks);
-            let (ref_out, ref_id, ref_depth, ref_counts) =
-                whole_stream_reference(&compiled, &buffer);
-            let tag = format!("{}/{scope:?}", program.name());
-
-            let check = |splits: &[usize], what: &str| {
-                let mut state = BatchState::start(buffer.entry);
-                let mut out = Vec::new();
-                let mut pos = 0usize;
-                for &next in splits {
-                    compiled.apply_batch(&mut state, &buffer.words[pos..next], &mut out);
-                    pos = next;
-                }
-                compiled.apply_batch(&mut state, &buffer.words[pos..], &mut out);
-                assert_eq!(out, ref_out, "{tag}/{what}: captures diverged");
-                assert_eq!(state.id(), ref_id, "{tag}/{what}: final ID diverged");
-                assert_eq!(state.depth(), ref_depth, "{tag}/{what}: depth diverged");
-                assert_eq!(*state.counts(), ref_counts, "{tag}/{what}: counts diverged");
-            };
-
-            // The two extremes, then seeded arbitrary splits.
-            check(&(1..buffer.words.len()).collect::<Vec<_>>(), "size-1");
-            check(&[], "whole-stream");
-            for round in 0..8 {
-                let mut splits = Vec::new();
-                let mut pos = 0usize;
-                while pos < buffer.words.len() {
-                    pos += 1 + (rng.next_u64() as usize) % 97;
-                    if pos < buffer.words.len() {
-                        splits.push(pos);
-                    }
-                }
-                check(&splits, &format!("random{round}"));
-            }
-        }
-    }
-}
-
-#[test]
-fn fanout_lanes_replicate_single_lane() {
-    for program in programs() {
-        let config = PlanConfig::default().with_scope(ScopeFilter::ApplicationOnly);
-        let plan = EncodingPlan::analyze(&program, &config).expect("plan");
-        let compiled = plan.compile();
-        let hooks = harvest(&program).expect("harvest");
-        let buffer = HookBuffer::lower(program.entry(), &hooks);
-        let (ref_out, ref_id, ref_depth, ref_counts) = whole_stream_reference(&compiled, &buffer);
-
-        let mut states: Vec<BatchState> = (0..3).map(|_| BatchState::start(buffer.entry)).collect();
-        let mut out = Vec::new();
-        compiled.apply_batch_fanout(&mut states, &buffer.words, &mut out);
-        // Observes snapshot lane 0 only — lanes are replicas by design,
-        // so only lane 0 tallies snapshots.
-        assert_eq!(out, ref_out, "{}: lane-0 captures", program.name());
-        let unobserved = BatchCounts {
-            snapshots_shared: 0,
-            snapshots_built: 0,
-            ..ref_counts
-        };
-        for (lane, state) in states.iter().enumerate() {
-            let tag = format!("{}/lane{lane}", program.name());
-            let expected = if lane == 0 { ref_counts } else { unobserved };
-            assert_eq!(state.id(), ref_id, "{tag}: final ID diverged");
-            assert_eq!(state.depth(), ref_depth, "{tag}: depth diverged");
-            assert_eq!(*state.counts(), expected, "{tag}: counts diverged");
-        }
-    }
-}
-
 #[test]
 fn state_is_exact_after_every_hook() {
-    // The runtime encoder buffers nothing, so every cut point of a stream
-    // is exact: after each hook its state must equal a kernel state
-    // advanced by the same words, one `apply_batch` call per word.
+    // The batched encoder buffers nothing, so every cut point of a stream
+    // is exact: after each hook its state must equal the reference state
+    // machine driven by the same hook.
     for program in programs() {
         for scope in [ScopeFilter::ApplicationOnly, ScopeFilter::All] {
             let config = PlanConfig::default().with_scope(scope);
             let plan = EncodingPlan::analyze(&program, &config).expect("plan");
             let compiled = plan.compile();
             let hooks = harvest(&program).expect("harvest");
-            let buffer = HookBuffer::lower(program.entry(), &hooks);
             let tag = format!("{}/{scope:?}", program.name());
 
+            let mut map = DeltaEncoder::new(&plan);
             let mut enc = BatchedDeltaEncoder::new(&compiled);
-            enc.thread_start(buffer.entry);
-            let mut kernel = BatchState::start(buffer.entry);
-            let mut kernel_out = Vec::new();
+            map.thread_start(program.entry());
+            enc.thread_start(program.entry());
             let mut open_calls = Vec::new();
-            for (i, (&hook, word)) in hooks.iter().zip(buffer.words.chunks(1)).enumerate() {
-                compiled.apply_batch(&mut kernel, word, &mut kernel_out);
+            let mut open_entries = Vec::new();
+            for (i, &hook) in hooks.iter().enumerate() {
                 match hook {
                     Hook::Call(site) => {
-                        open_calls.push(site);
+                        open_calls.push((site, map.on_call(site)));
                         enc.on_call(site);
                     }
                     Hook::Return => {
-                        let site = open_calls.pop().expect("balanced stream");
+                        let (site, token) = open_calls.pop().expect("balanced stream");
+                        map.on_return(site, token);
                         enc.on_return(site, ());
                     }
-                    Hook::Entry(method, via) => enc.on_entry(method, via),
-                    Hook::Exit(method) => enc.on_exit(method, ()),
+                    Hook::Entry(method, via) => {
+                        open_entries.push(map.on_entry(method, via));
+                        enc.on_entry(method, via);
+                    }
+                    Hook::Exit(method) => {
+                        let token = open_entries.pop().expect("balanced stream");
+                        map.on_exit(method, token);
+                        enc.on_exit(method, ());
+                    }
                     Hook::Observe(at) => {
-                        let Capture::Delta(ctx) = enc.observe(at) else {
-                            panic!("{tag}: delta capture expected at hook {i}");
-                        };
-                        assert_eq!(Some(&ctx), kernel_out.last(), "{tag}: capture {i}");
+                        assert_eq!(enc.observe(at), map.observe(at), "{tag}: capture {i}");
                     }
                 }
-                let state = enc.state();
-                assert_eq!(state.id(), kernel.id(), "{tag}: ID after hook {i}");
-                assert_eq!(state.depth(), kernel.depth(), "{tag}: depth after hook {i}");
                 assert_eq!(
-                    *state.counts(),
-                    *kernel.counts(),
-                    "{tag}: counts after hook {i}"
+                    enc.state().id(),
+                    map.state().id(),
+                    "{tag}: ID after hook {i}"
+                );
+                assert_eq!(
+                    enc.state().depth(),
+                    map.state().depth(),
+                    "{tag}: depth after hook {i}"
+                );
+                assert_eq!(enc.counts(), map.counts(), "{tag}: counts after hook {i}");
+                assert_eq!(
+                    enc.ucp_detections(),
+                    map.ucp_detections(),
+                    "{tag}: UCP detections after hook {i}"
                 );
             }
         }

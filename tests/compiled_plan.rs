@@ -1,5 +1,6 @@
-//! Compiled dispatch-table differential suite: the table-driven
-//! [`CompiledDeltaEncoder`] replayed against the map-based
+//! Compiled dispatch-table differential suite: the deployment encoder
+//! running over a [`CompiledPlan`](deltapath::CompiledPlan)'s tables,
+//! [`BatchedDeltaEncoder`], replayed against the map-based
 //! [`DeltaEncoder`] across workloads × scopes × CPT modes × encoding
 //! widths. The interpreter is deterministic, so both encoders observe the
 //! identical event sequence and must agree on *everything*:
@@ -14,14 +15,16 @@
 //!   re-renders the exact instruction section of the plan fingerprint.
 //!
 //! The static auditor's DP040 check (`audit_compiled`) runs on every
-//! lowered image as the instruction-for-instruction round-trip oracle.
+//! lowered image as the instruction-for-instruction round-trip oracle,
+//! and every instruction of the plan must survive lowering and re-expand
+//! to itself under both CPT modes.
 
 mod common;
 
 use common::CaptureLog;
 use deltapath::workloads::synthetic::{generate, SyntheticConfig};
 use deltapath::{
-    audit_compiled, CollectMode, CompiledDeltaEncoder, ContextEncoder, DeltaEncoder, EncodingPlan,
+    audit_compiled, BatchedDeltaEncoder, CollectMode, ContextEncoder, DeltaEncoder, EncodingPlan,
     EncodingWidth, PlanConfig, Program, ScopeFilter, Vm, VmConfig,
 };
 
@@ -120,7 +123,7 @@ fn compiled_encoder_matches_map_based_everywhere() {
             // Capture-for-capture equality under the deterministic VM.
             let mut map_enc = DeltaEncoder::new(&plan);
             let map_log = run_log(&program, &mut map_enc);
-            let mut tab_enc = CompiledDeltaEncoder::new(&compiled);
+            let mut tab_enc = BatchedDeltaEncoder::new(&compiled);
             let tab_log = run_log(&program, &mut tab_enc);
 
             assert!(
@@ -138,6 +141,9 @@ fn compiled_encoder_matches_map_based_everywhere() {
                 tab_enc.ucp_detections(),
                 "{tag}: UCP detections diverged"
             );
+
+            // Running the encoders is read-only on the plan too.
+            assert_eq!(plan.fingerprint(), fingerprint_before, "{tag}");
             pairs += 1;
         }
     }

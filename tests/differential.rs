@@ -6,9 +6,10 @@
 //! every encoder's answer can be checked against the oracle event by
 //! event:
 //!
-//! * every DeltaPath encoding must *decode* to exactly the oracle's
-//!   context — on unpruned plans and on plans pruned to the observation
-//!   targets (paper Section 8);
+//! * every DeltaPath encoding — from the map-based reference encoder and
+//!   from the batched deployment encoder alike — must *decode* to exactly
+//!   the oracle's context, on unpruned plans and on plans pruned to the
+//!   observation targets (paper Section 8);
 //! * the CCT's `path_of` must reproduce the oracle's stack exactly (it is
 //!   precise by construction — just expensive);
 //! * PCC must be *consistent* (equal contexts always hash to equal
@@ -28,9 +29,9 @@ use deltapath::baselines::BreadcrumbsOutcome;
 use deltapath::core::prune_to_targets;
 use deltapath::workloads::synthetic::{generate, SyntheticConfig};
 use deltapath::{
-    Analysis, BreadcrumbsDecoder, BreadcrumbsEncoder, CallGraph, Capture, CctEncoder, CollectMode,
-    ContextEncoder, DeltaEncoder, EncodingPlan, EventLog, GraphConfig, MethodId, PccEncoder,
-    PccWidth, PlanConfig, Program, StackWalkEncoder, Vm, VmConfig,
+    Analysis, BatchedDeltaEncoder, BreadcrumbsDecoder, BreadcrumbsEncoder, CallGraph, Capture,
+    CctEncoder, CollectMode, ContextEncoder, DeltaEncoder, EncodingPlan, EventLog, GraphConfig,
+    MethodId, PccEncoder, PccWidth, PlanConfig, Program, StackWalkEncoder, Vm, VmConfig,
 };
 
 /// The differential seeds: three distinct synthetic program shapes.
@@ -65,6 +66,17 @@ fn run_log(program: &Program, encoder: &mut impl ContextEncoder) -> CaptureLog {
     log
 }
 
+/// Runs `program` once under `encoder`, logging the observe events only.
+fn observe_log(program: &Program, encoder: &mut impl ContextEncoder) -> EventLog {
+    let mut log = EventLog::default();
+    let mut vm = Vm::new(
+        program,
+        VmConfig::default().with_collect(CollectMode::ObservesOnly),
+    );
+    vm.run(encoder, &mut log).expect("run");
+    log
+}
+
 /// The oracle's stack at each event, in event order.
 fn oracle_stacks(program: &Program) -> Vec<(MethodId, Vec<MethodId>)> {
     run_log(program, &mut StackWalkEncoder::full())
@@ -84,21 +96,30 @@ fn deltapath_decodes_to_the_oracle_context_unpruned() {
     for seed in SEEDS {
         let program = generate(&closed_world(seed));
         let plan = EncodingPlan::analyze(&program, &PlanConfig::default()).expect("plan");
+        let compiled = plan.compile();
         let oracle = oracle_stacks(&program);
-        let delta = run_log(&program, &mut DeltaEncoder::new(&plan));
-        assert_eq!(oracle.len(), delta.records.len(), "seed {seed}");
         assert!(!oracle.is_empty(), "seed {seed}: workload must emit events");
 
         let decoder = plan.decoder();
-        for ((at_o, truth), (at_d, capture)) in oracle.iter().zip(&delta.records) {
-            assert_eq!(at_o, at_d, "seed {seed}: event order diverged");
-            let Capture::Delta(ctx) = capture else {
-                unreachable!("DeltaPath captures Delta")
-            };
-            let decoded = decoder
-                .decode(ctx)
-                .unwrap_or_else(|e| panic!("seed {seed}: decode failed at {at_d:?}: {e}"));
-            assert_eq!(&decoded, truth, "seed {seed}: decode diverged at {at_d:?}");
+        for (encoder, delta) in [
+            ("map", run_log(&program, &mut DeltaEncoder::new(&plan))),
+            (
+                "batched",
+                run_log(&program, &mut BatchedDeltaEncoder::new(&compiled)),
+            ),
+        ] {
+            let tag = format!("seed {seed}/{encoder}");
+            assert_eq!(oracle.len(), delta.records.len(), "{tag}");
+            for ((at_o, truth), (at_d, capture)) in oracle.iter().zip(&delta.records) {
+                assert_eq!(at_o, at_d, "{tag}: event order diverged");
+                let Capture::Delta(ctx) = capture else {
+                    unreachable!("DeltaPath captures Delta")
+                };
+                let decoded = decoder
+                    .decode(ctx)
+                    .unwrap_or_else(|e| panic!("{tag}: decode failed at {at_d:?}: {e}"));
+                assert_eq!(&decoded, truth, "{tag}: decode diverged at {at_d:?}");
+            }
         }
     }
 }
@@ -109,13 +130,7 @@ fn deltapath_decodes_to_the_oracle_context_pruned() {
         let program = generate(&closed_world(seed));
 
         // Prune to the methods where observation points actually fire.
-        let mut walk_obs = EventLog::default();
-        let mut vm = Vm::new(
-            &program,
-            VmConfig::default().with_collect(CollectMode::ObservesOnly),
-        );
-        vm.run(&mut StackWalkEncoder::full(), &mut walk_obs)
-            .expect("oracle run");
+        let walk_obs = observe_log(&program, &mut StackWalkEncoder::full());
         let targets: Vec<MethodId> = walk_obs
             .events
             .iter()
@@ -130,37 +145,40 @@ fn deltapath_decodes_to_the_oracle_context_pruned() {
         let plan = EncodingPlan::from_graph(&program, pruned, &PlanConfig::default())
             .expect("pruned plan");
 
-        let mut delta_obs = EventLog::default();
-        let mut vm = Vm::new(
-            &program,
-            VmConfig::default().with_collect(CollectMode::ObservesOnly),
-        );
-        vm.run(&mut DeltaEncoder::new(&plan), &mut delta_obs)
-            .expect("delta run");
-        assert_eq!(walk_obs.events.len(), delta_obs.events.len(), "seed {seed}");
+        let compiled = plan.compile();
 
         let decoder = plan.decoder();
-        for ((ev_o, at_o, cap_o), (ev_d, at_d, cap_d)) in
-            walk_obs.events.iter().zip(&delta_obs.events)
-        {
-            assert_eq!((ev_o, at_o), (ev_d, at_d), "seed {seed}: events diverged");
-            let Capture::Walk(stack) = cap_o else {
-                unreachable!("the oracle captures Walk")
-            };
-            let Capture::Delta(ctx) = cap_d else {
-                unreachable!("DeltaPath captures Delta")
-            };
-            // Every ancestor of a target reaches it, so pruning keeps the
-            // whole stack; the filter below is the general contract.
-            let truth: Vec<MethodId> = stack
-                .iter()
-                .copied()
-                .filter(|&m| plan.entry(m).is_some())
-                .collect();
-            let decoded = decoder
-                .decode(ctx)
-                .unwrap_or_else(|e| panic!("seed {seed}: pruned decode failed: {e}"));
-            assert_eq!(decoded, truth, "seed {seed}: pruned decode diverged");
+        for (encoder, delta_obs) in [
+            ("map", observe_log(&program, &mut DeltaEncoder::new(&plan))),
+            (
+                "batched",
+                observe_log(&program, &mut BatchedDeltaEncoder::new(&compiled)),
+            ),
+        ] {
+            let tag = format!("seed {seed}/{encoder}");
+            assert_eq!(walk_obs.events.len(), delta_obs.events.len(), "{tag}");
+            for ((ev_o, at_o, cap_o), (ev_d, at_d, cap_d)) in
+                walk_obs.events.iter().zip(&delta_obs.events)
+            {
+                assert_eq!((ev_o, at_o), (ev_d, at_d), "{tag}: events diverged");
+                let Capture::Walk(stack) = cap_o else {
+                    unreachable!("the oracle captures Walk")
+                };
+                let Capture::Delta(ctx) = cap_d else {
+                    unreachable!("DeltaPath captures Delta")
+                };
+                // Every ancestor of a target reaches it, so pruning keeps
+                // the whole stack; the filter below is the general contract.
+                let truth: Vec<MethodId> = stack
+                    .iter()
+                    .copied()
+                    .filter(|&m| plan.entry(m).is_some())
+                    .collect();
+                let decoded = decoder
+                    .decode(ctx)
+                    .unwrap_or_else(|e| panic!("{tag}: pruned decode failed: {e}"));
+                assert_eq!(decoded, truth, "{tag}: pruned decode diverged");
+            }
         }
     }
 }

@@ -10,8 +10,8 @@ use std::sync::Arc;
 use deltapath::telemetry::{names, Json, Lane, LaneSnapshot, SpanEvent, SpanTree, TRACE_SCHEMA};
 use deltapath::workloads::synthetic::{generate, SyntheticConfig};
 use deltapath::{
-    audit_plan_with, BatchedDeltaEncoder, Capture, CollectMode, CompiledDeltaEncoder, EncodingPlan,
-    EventLog, FoldedStacks, HookSampler, PlanConfig, ScopedSpan, ShardedCollector, SpanProfiler,
+    audit_plan_with, BatchedDeltaEncoder, Capture, CollectMode, EncodingPlan, EventLog,
+    FoldedStacks, HookSampler, PlanConfig, ScopedSpan, ShardedCollector, SpanProfiler,
     SpanSnapshot, Telemetry, Vm, VmConfig,
 };
 
@@ -264,7 +264,7 @@ fn merged_tree_is_deterministic_across_threads() {
 // ---------------------------------------------------------------------------
 
 /// Every name a fully instrumented run records — planner phases, audit
-/// passes, the VM, the sharded collector merge, and the sampled compiled
+/// passes, the VM, the sharded collector merge, and the sampled batched
 /// hook path — must be a registered `telemetry::names` constant (or a
 /// member of the documented `ops.`/`encoder.` families). Catches metric
 /// names added as ad-hoc string literals.
@@ -279,8 +279,7 @@ fn instrumented_run_records_only_registered_names() {
     audit_plan_with(&program, &plan, sink);
 
     let compiled = plan.compile();
-    let mut encoder = CompiledDeltaEncoder::new(&compiled)
-        .with_hook_sampler(HookSampler::new(profiler.recorder(), 4));
+    let mut encoder = HookSampler::new(BatchedDeltaEncoder::new(&compiled), profiler.recorder(), 4);
     let collector = ShardedCollector::new();
     let mut handle = collector.handle();
     let mut vm = Vm::new(
@@ -293,9 +292,8 @@ fn instrumented_run_records_only_registered_names() {
     drop(handle);
     collector.stats_with(sink);
 
-    // A second run under the batched encoder, so its `encoder.batched.*` /
-    // `encoder.backedge.*` end-of-run metrics flow through the same
-    // registry check, and a decode of its events for `decoder.*`.
+    // A second, unsampled run under the batched encoder, logging observes,
+    // and a decode of its events for `decoder.*`.
     let mut batched = BatchedDeltaEncoder::new(&compiled);
     let mut vm = Vm::new(
         &program,
