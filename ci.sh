@@ -1,8 +1,8 @@
 #!/usr/bin/env sh
 # Continuous-integration gate, runnable locally and fully offline: the
-# workspace has no registry dependencies (randomness is vendored, proptest
-# and criterion are behind non-default features), so every step below works
-# without network access.
+# workspace has no registry dependencies (randomness is vendored, property
+# tests are seeded std tests), so every step below works without network
+# access.
 #
 #   ./ci.sh          # run everything
 #   ./ci.sh fast     # skip the release build (debug tests only)
@@ -63,9 +63,8 @@ fi
 # batched-vs-map divergence — captures, op counts and UCP detections are
 # pinned equal before any throughput number is believed (full numbers:
 # `encoder_hotpath --out results`).
-# The criterion benches must at least still compile (they only *run*
-# with the non-default `bench` feature restored from a networked
-# checkout, hence --no-run stays feature-less here).
+# `cargo bench --no-run` builds every target of the workspace under the
+# bench profile.
 if [ "${1:-}" != "fast" ]; then
     step cargo run --quiet --release -p deltapath-bench --bin encoder_hotpath -- \
         --smoke --out target/bench-smoke

@@ -4,11 +4,11 @@
 //!
 //! Every benchmark executes identically under all four configurations; the
 //! instrumentation overhead is the metered abstract cost of the operations
-//! each technique injects (weights from
-//! [`deltapath_runtime::CostModel`], calibrated by the criterion
-//! benches). The paper reports throughput (operations per minute)
-//! normalized to native; our normalized speed `base / (base + overhead)` is
-//! the same quantity under the abstract cost model.
+//! each technique injects (the fixed weights of
+//! [`deltapath_runtime::CostModel`]). The paper reports throughput
+//! (operations per minute) normalized to native; our normalized speed
+//! `base / (base + overhead)` is the same quantity under the abstract cost
+//! model.
 
 use deltapath_bench::harness::{geomean, run_all_encoders};
 use deltapath_bench::table::Table;

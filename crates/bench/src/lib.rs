@@ -12,8 +12,9 @@
 //!   (our ablation A1);
 //! * `perf_records` (binary) — the Figure 8 measurements as machine-readable
 //!   `BENCH_*.json` files (see [`perf`]);
-//! * criterion benches `encoders`, `analysis`, `decode` — real wall-clock
-//!   per-operation costs used to calibrate the abstract cost model.
+//! * `decode_cost`, `encoder_hotpath`, `telemetry_overhead`,
+//!   `mt_throughput` and `analysis_scale` (binaries) — wall-clock decode,
+//!   encoder hot-path, telemetry, collector and planning costs.
 //!
 //! This library crate holds the shared harness code (running a benchmark
 //! under every encoder, formatting tables).

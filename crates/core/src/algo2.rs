@@ -42,14 +42,6 @@ pub struct Algo2Config {
     /// number of restart rounds drops from O(anchors) to a handful — used
     /// for wide sweeps at narrow widths where hundreds of anchors appear.
     pub batch_overflow: bool,
-    /// Worker threads for territory identification. Each anchor's territory
-    /// walk is independent of every other's, so the walks parallelize
-    /// cleanly; `0` or `1` selects the sequential reference implementation
-    /// (the default). The parallel path produces output identical to the
-    /// reference — per-node and per-edge anchor lists stay in ascending
-    /// anchor order — so the resulting [`Encoding`] is the same bit for
-    /// bit (pinned by `tests/sharded_collector.rs`).
-    pub territory_workers: usize,
     /// Optional scalability cap on territory overlap. When set, a linear
     /// pre-pass counts the anchor-free paths reaching each node in
     /// topological order and promotes a node to an anchor whenever the
@@ -69,7 +61,6 @@ impl Algo2Config {
             width,
             forced_anchors: Vec::new(),
             batch_overflow: false,
-            territory_workers: 1,
             territory_budget: None,
         }
     }
@@ -83,13 +74,6 @@ impl Algo2Config {
     /// Enables batched overflow handling (see [`Algo2Config::batch_overflow`]).
     pub fn with_batch_overflow(mut self) -> Self {
         self.batch_overflow = true;
-        self
-    }
-
-    /// Sets the territory-walk worker count (see
-    /// [`Algo2Config::territory_workers`]).
-    pub fn with_territory_workers(mut self, workers: usize) -> Self {
-        self.territory_workers = workers;
         self
     }
 
@@ -153,10 +137,7 @@ impl Encoding {
     /// As [`Encoding::analyze`], emitting timed spans into `sink`:
     ///
     /// * `algo2.territories` — one span per restart-loop iteration, with the
-    ///   iteration number and current anchor count; with territory workers,
-    ///   each worker additionally emits an `algo2.territory_walk` span from
-    ///   its own thread and the in-order recombination an
-    ///   `algo2.territory_merge` span;
+    ///   iteration number and current anchor count;
     /// * `algo2.interval_walk` — the symbolic CAV/ICC propagation over the
     ///   topological order, one span per iteration;
     /// * `algo2.restart` — a point event each time overflow promotes a new
@@ -231,8 +212,7 @@ impl Encoding {
         // times.
         'again: loop {
             let territories_span = ScopedSpan::enter(sink, names::ALGO2_TERRITORIES);
-            let (nanchors, eanchors) =
-                identify_territories(graph, &mask, &is_anchor, config.territory_workers, sink);
+            let (nanchors, eanchors) = identify_territories(graph, &mask, &is_anchor);
             if sink.enabled() {
                 let anchor_count = is_anchor.iter().filter(|&&b| b).count() as u64;
                 territories_span
@@ -426,27 +406,14 @@ impl Encoding {
 
 /// The paper's `IdentifyTerritories`: for each anchor, a DFS that starts at
 /// the anchor and retreats at other anchors. Returns the anchors reaching
-/// each node (`nanchors`) and each edge (`eanchors`).
-///
-/// With `workers > 1` the per-anchor walks run on a scoped worker pool (the
-/// walks share nothing but the immutable graph); the sequential path is the
-/// reference implementation and the parallel path reproduces its output
-/// exactly, because both visit anchors in ascending index order and each
-/// node/edge is recorded at most once per anchor.
+/// each node (`nanchors`) and each edge (`eanchors`), each list in
+/// ascending anchor order.
 fn identify_territories(
     graph: &CallGraph,
     excluded: &[bool],
     is_anchor: &[bool],
-    workers: usize,
-    sink: &dyn Telemetry,
 ) -> (Vec<Vec<NodeIx>>, Vec<Vec<NodeIx>>) {
     let n = graph.node_count();
-    let anchor_count = is_anchor.iter().filter(|&&b| b).count();
-    // Parallelism only pays once there are several territories to walk;
-    // tiny graphs and single-anchor iterations stay on the reference path.
-    if workers > 1 && anchor_count > 1 {
-        return identify_territories_parallel(graph, excluded, is_anchor, workers, sink);
-    }
     let mut nanchors: Vec<Vec<NodeIx>> = vec![Vec::new(); n];
     let mut eanchors: Vec<Vec<NodeIx>> = vec![Vec::new(); graph.edge_count()];
     // Epoch-stamped visited set: one allocation for all anchors (the
@@ -485,121 +452,6 @@ fn identify_territories(
             }
         }
     }
-    (nanchors, eanchors)
-}
-
-/// One anchor's territory walk: the nodes and edges its bounded DFS
-/// reaches, recorded once each. Shared by every worker of the parallel
-/// path.
-fn walk_territory(
-    graph: &CallGraph,
-    excluded: &[bool],
-    is_anchor: &[bool],
-    r: NodeIx,
-    visited: &mut [u32],
-    epoch: u32,
-    stack: &mut Vec<NodeIx>,
-) -> (Vec<NodeIx>, Vec<EdgeIx>) {
-    let mut nodes = vec![r];
-    let mut edges = Vec::new();
-    visited[r.index()] = epoch;
-    stack.clear();
-    stack.push(r);
-    while let Some(node) = stack.pop() {
-        if node != r && is_anchor[node.index()] {
-            continue;
-        }
-        for &e in graph.out_edges(node) {
-            if excluded[e.index()] {
-                continue;
-            }
-            edges.push(e);
-            let t = graph.edge(e).callee;
-            if visited[t.index()] != epoch {
-                visited[t.index()] = epoch;
-                nodes.push(t);
-                stack.push(t);
-            }
-        }
-    }
-    (nodes, edges)
-}
-
-/// The scoped-thread fan-out behind [`identify_territories`]: the ascending
-/// anchor list is cut into one contiguous chunk per worker, each worker
-/// walks its chunk with private scratch state, and the chunks merge back in
-/// anchor order so every per-node/per-edge anchor list comes out ascending
-/// — exactly what the sequential reference produces.
-fn identify_territories_parallel(
-    graph: &CallGraph,
-    excluded: &[bool],
-    is_anchor: &[bool],
-    workers: usize,
-    sink: &dyn Telemetry,
-) -> (Vec<Vec<NodeIx>>, Vec<Vec<NodeIx>>) {
-    let n = graph.node_count();
-    let anchors: Vec<NodeIx> = (0..n)
-        .filter(|&i| is_anchor[i])
-        .map(NodeIx::from_index)
-        .collect();
-    let workers = workers.min(anchors.len()).max(1);
-    let chunk_len = anchors.len().div_ceil(workers);
-    let chunks: Vec<&[NodeIx]> = anchors.chunks(chunk_len).collect();
-
-    // One `(anchor, territory nodes, territory edges)` triple per anchor,
-    // grouped by worker chunk.
-    type WalkedChunk = Vec<(NodeIx, Vec<NodeIx>, Vec<EdgeIx>)>;
-    let walked: Vec<WalkedChunk> = std::thread::scope(|scope| {
-        let handles: Vec<_> = chunks
-            .iter()
-            .map(|&chunk| {
-                scope.spawn(move || {
-                    // Worker threads carry their own span: hierarchical
-                    // sinks record one lane per worker and merge them by
-                    // name into the cross-thread profile.
-                    let walk_span = ScopedSpan::enter(sink, names::ALGO2_TERRITORY_WALK);
-                    let mut visited = vec![0u32; n];
-                    let mut stack: Vec<NodeIx> = Vec::new();
-                    let out: WalkedChunk = chunk
-                        .iter()
-                        .enumerate()
-                        .map(|(i, &r)| {
-                            let epoch = i as u32 + 1;
-                            let (nodes, edges) = walk_territory(
-                                graph,
-                                excluded,
-                                is_anchor,
-                                r,
-                                &mut visited,
-                                epoch,
-                                &mut stack,
-                            );
-                            (r, nodes, edges)
-                        })
-                        .collect();
-                    walk_span.finish(&[("anchors", chunk.len() as u64)]);
-                    out
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("territory worker"))
-            .collect()
-    });
-
-    let merge_span = ScopedSpan::enter(sink, names::ALGO2_TERRITORY_MERGE);
-    let mut nanchors: Vec<Vec<NodeIx>> = vec![Vec::new(); n];
-    let mut eanchors: Vec<Vec<NodeIx>> = vec![Vec::new(); graph.edge_count()];
-    for (r, nodes, edges) in walked.into_iter().flatten() {
-        for node in nodes {
-            nanchors[node.index()].push(r);
-        }
-        for e in edges {
-            eanchors[e.index()].push(r);
-        }
-    }
-    merge_span.finish(&[("anchors", anchors.len() as u64)]);
     (nanchors, eanchors)
 }
 
@@ -918,34 +770,6 @@ mod tests {
             assert_eq!(enc.site_av.get(site), a1.site_av.get(site));
         }
         assert_eq!(enc.required_max_id(), a1.max_icc - 1);
-    }
-
-    #[test]
-    fn parallel_territories_match_sequential() {
-        let (g, nodes, _) = figure5();
-        let forced = vec![nodes[2], nodes[3]]; // C and D
-        let sequential = Encoding::analyze(
-            &g,
-            &HashSet::new(),
-            &Algo2Config::new(EncodingWidth::U64).with_forced_anchors(forced.clone()),
-        )
-        .unwrap();
-        for workers in [2, 3, 8] {
-            let parallel = Encoding::analyze(
-                &g,
-                &HashSet::new(),
-                &Algo2Config::new(EncodingWidth::U64)
-                    .with_forced_anchors(forced.clone())
-                    .with_territory_workers(workers),
-            )
-            .unwrap();
-            assert_eq!(parallel.anchors, sequential.anchors);
-            assert_eq!(parallel.nanchors, sequential.nanchors);
-            assert_eq!(parallel.eanchors, sequential.eanchors);
-            assert_eq!(parallel.site_av, sequential.site_av);
-            assert_eq!(parallel.icc, sequential.icc);
-            assert_eq!(parallel.max_icc, sequential.max_icc);
-        }
     }
 
     #[test]

@@ -67,13 +67,6 @@ pub struct PlanConfig {
     /// restart count from O(anchors) to a handful — the mode million-node
     /// planning uses.
     pub batch_overflow: bool,
-    /// Worker threads for Algorithm 2's per-anchor territory tables. `0` or
-    /// `1` (the default) selects the sequential reference implementation;
-    /// larger values fan the independent per-anchor walks out over a scoped
-    /// std-thread pool. Either path produces the identical plan — the
-    /// parallel path is an execution strategy, not a different algorithm
-    /// (see [`Algo2Config::territory_workers`]).
-    pub territory_workers: usize,
     /// Optional territory-overlap cap for Algorithm 2 (see
     /// [`Algo2Config::territory_budget`]). `None` (the default) keeps the
     /// paper's anchor placement; a small budget (8–64) pre-places anchors
@@ -98,7 +91,6 @@ impl Default for PlanConfig {
             cpt_minimal: false,
             anchor_ucp_entries: true,
             batch_overflow: false,
-            territory_workers: 1,
             territory_budget: None,
             extra_anchor_methods: Vec::new(),
         }
@@ -141,13 +133,6 @@ impl PlanConfig {
     /// [`batch_overflow`](PlanConfig::batch_overflow)).
     pub fn with_batch_overflow(mut self) -> Self {
         self.batch_overflow = true;
-        self
-    }
-
-    /// Sets the territory-walk worker count (see
-    /// [`territory_workers`](PlanConfig::territory_workers)).
-    pub fn with_territory_workers(mut self, workers: usize) -> Self {
-        self.territory_workers = workers;
         self
     }
 
@@ -386,9 +371,7 @@ impl EncodingPlan {
             ("back_edges", info.back_edges.len() as u64),
             ("forced_anchors", forced.len() as u64),
         ]);
-        let mut algo2_config = Algo2Config::new(config.width)
-            .with_forced_anchors(forced)
-            .with_territory_workers(config.territory_workers);
+        let mut algo2_config = Algo2Config::new(config.width).with_forced_anchors(forced);
         if config.batch_overflow {
             algo2_config = algo2_config.with_batch_overflow();
         }
@@ -775,10 +758,7 @@ impl EncodingPlan {
     /// the runtime and decoder to do: the graph shape, Algorithm 2's
     /// tables, SIDs, and the per-site/per-entry instructions, with every
     /// unordered container sorted. Two plans with equal fingerprints are
-    /// operationally identical. Execution-strategy knobs
-    /// ([`PlanConfig::territory_workers`]) are deliberately excluded so
-    /// the concurrency tests can pin that the parallel construction path
-    /// is byte-identical to the sequential reference.
+    /// operationally identical.
     pub fn fingerprint(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();

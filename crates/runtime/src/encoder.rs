@@ -116,9 +116,8 @@ pub fn report_op_counts(sink: &dyn Telemetry, technique: &str, counts: &OpCounts
 /// `Work` statements burn).
 ///
 /// The defaults reflect instruction counts of the obvious x86 lowering
-/// (thread-local load + arithmetic + store, etc.); the criterion benches in
-/// `deltapath-bench` measure the real per-op costs so the weights can be
-/// recalibrated.
+/// (thread-local load + arithmetic + store, etc.). They are fixed
+/// constants, not calibrated against wall-clock measurements.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CostModel {
     /// `ID += av`: load TL, add, store.

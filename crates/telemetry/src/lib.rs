@@ -23,13 +23,13 @@
 //! # Example
 //!
 //! ```
-//! use deltapath_telemetry::{Recorder, RunReport, SpanTimer, Telemetry};
+//! use deltapath_telemetry::{Recorder, RunReport, ScopedSpan, Telemetry};
 //!
 //! let sink = Recorder::new();
-//! let timer = SpanTimer::start(&sink);
+//! let span = ScopedSpan::enter(&sink, "vm.run");
 //! sink.counter_add("ops.delta.adds", 3);
 //! sink.gauge_max("encoder.delta.stack_hwm", 12);
-//! timer.finish(&sink, "vm.run", &[("calls", 3)]);
+//! span.finish(&[("calls", 3)]);
 //!
 //! let report = sink.report("example").with_meta("encoder", "delta");
 //! let parsed = RunReport::from_json(&report.to_json())?;
@@ -55,7 +55,7 @@ pub use report::{
     HistogramSnapshot, ReportError, RunReport, DIFF_REPORT_SCHEMA, LINT_REPORT_SCHEMA,
     RUN_REPORT_SCHEMA,
 };
-pub use sink::{NullTelemetry, Recorder, ScopedSpan, SpanTimer, Telemetry};
+pub use sink::{NullTelemetry, Recorder, ScopedSpan, Telemetry};
 pub use spans::{
     FoldedParseError, FoldedStacks, Lane, LaneSnapshot, SpanEvent, SpanNode, SpanProfiler,
     SpanSnapshot, SpanTree, DEFAULT_LANE_CAPACITY, TRACE_SCHEMA,

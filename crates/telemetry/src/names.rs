@@ -60,13 +60,6 @@ pub const ALGO2_ANALYZE: &str = "algo2.analyze";
 /// Anchor territory identification, one per iteration (span).
 pub const ALGO2_TERRITORIES: &str = "algo2.territories";
 
-/// One parallel territory-walk worker chunk (span; emitted from worker
-/// threads, merged cross-thread by name).
-pub const ALGO2_TERRITORY_WALK: &str = "algo2.territory_walk";
-
-/// Merge of per-worker territory results in anchor order (span).
-pub const ALGO2_TERRITORY_MERGE: &str = "algo2.territory_merge";
-
 /// Symbolic CAV/ICC interval propagation over the topological order, one
 /// per iteration (span).
 pub const ALGO2_INTERVAL_WALK: &str = "algo2.interval_walk";
@@ -273,8 +266,6 @@ pub const ALL: &[&str] = &[
     PLAN_DIGESTS,
     ALGO2_ANALYZE,
     ALGO2_TERRITORIES,
-    ALGO2_TERRITORY_WALK,
-    ALGO2_TERRITORY_MERGE,
     ALGO2_INTERVAL_WALK,
     ALGO2_RESTART,
     AUDIT_PLAN,

@@ -207,34 +207,6 @@ impl Telemetry for Recorder {
     }
 }
 
-/// Timing helper for span emission.
-///
-/// [`SpanTimer::start`] reads the clock only when the sink is enabled;
-/// against [`NullTelemetry`] both `start` and `finish` reduce to a branch
-/// on a `None`.
-#[derive(Debug)]
-pub struct SpanTimer {
-    started: Option<Instant>,
-}
-
-impl SpanTimer {
-    /// Starts timing if `sink` is enabled, otherwise records nothing.
-    pub fn start(sink: &dyn Telemetry) -> Self {
-        Self {
-            started: sink.enabled().then(Instant::now),
-        }
-    }
-
-    /// Emits the span `name` with the elapsed time and `attrs`. A no-op if
-    /// the timer never started (disabled sink).
-    pub fn finish(self, sink: &dyn Telemetry, name: &str, attrs: &[(&str, u64)]) {
-        if let Some(started) = self.started {
-            let elapsed = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            sink.span(name, elapsed, attrs);
-        }
-    }
-}
-
 /// RAII guard for *nested* span emission.
 ///
 /// `enter` calls [`Telemetry::span_open`] and starts the clock (only when
@@ -361,19 +333,5 @@ mod tests {
         // Inert against the null sink: no clock, no records.
         let span = ScopedSpan::enter(&NullTelemetry, "x");
         drop(span);
-    }
-
-    #[test]
-    fn span_timer_is_inert_against_null_sink() {
-        let timer = SpanTimer::start(&NullTelemetry);
-        timer.finish(&NullTelemetry, "x", &[]);
-
-        let r = Recorder::new();
-        let timer = SpanTimer::start(&r);
-        timer.finish(&r, "timed", &[("k", 9)]);
-        let events = r.events();
-        assert_eq!(events.len(), 1);
-        assert!(events[0].duration_ns.is_some());
-        assert_eq!(events[0].attrs, vec![("k".to_owned(), 9)]);
     }
 }

@@ -423,6 +423,11 @@ impl FoldedStacks {
         }
     }
 
+    /// The weight of the stack `path`, if it was recorded.
+    pub fn get(&self, path: &str) -> Option<u64> {
+        self.stacks.get(path).copied()
+    }
+
     /// Sorted `(stack, weight)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (&str, u64)> {
         self.stacks.iter().map(|(p, &w)| (p.as_str(), w))
@@ -594,7 +599,6 @@ pub struct SpanProfiler {
     creator: ThreadId,
     inner: Recorder,
     lanes: Mutex<LaneTable>,
-    lane_capacity: usize,
 }
 
 impl Default for SpanProfiler {
@@ -607,17 +611,11 @@ impl SpanProfiler {
     /// A profiler with default lane and trace capacities, its epoch set to
     /// now. The creating thread's lane is labelled `"main"`.
     pub fn new() -> Self {
-        Self::with_lane_capacity(DEFAULT_LANE_CAPACITY)
-    }
-
-    /// A profiler buffering at most `capacity` completed events per lane.
-    pub fn with_lane_capacity(capacity: usize) -> Self {
         Self {
             epoch: Instant::now(),
             creator: std::thread::current().id(),
             inner: Recorder::new(),
             lanes: Mutex::new(LaneTable::default()),
-            lane_capacity: capacity,
         }
     }
 
@@ -645,7 +643,7 @@ impl SpanProfiler {
                     format!("thread-{ix}")
                 };
                 table.by_thread.insert(tid, ix);
-                table.lanes.push(Lane::with_capacity(self.lane_capacity));
+                table.lanes.push(Lane::new());
                 table.labels.push(label);
                 ix
             }
@@ -843,6 +841,8 @@ mod tests {
         let parsed = FoldedStacks::parse(&text).expect("round trip");
         assert_eq!(parsed, f);
         assert_eq!(parsed.total(), 157);
+        assert_eq!(parsed.get("main;vm.run"), Some(150));
+        assert_eq!(parsed.get("main;vm"), None);
 
         assert!(FoldedStacks::parse("no-weight\n").is_err());
         assert!(FoldedStacks::parse(" 12\n").is_err());

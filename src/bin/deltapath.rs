@@ -675,9 +675,9 @@ fn check_flamegraph(p: &Program) -> Result<(), String> {
     }
     if closed {
         if delta != oracle || delta_skipped > 0 || outside > 0 || through_dynamic > 0 {
-            let diff = delta.iter().find(|&(stack, w)| {
-                oracle.iter().find(|&(s, _)| s == stack).map(|(_, ow)| ow) != Some(w)
-            });
+            let diff = delta
+                .iter()
+                .find(|&(stack, w)| oracle.get(stack) != Some(w));
             return Err(format!(
                 "{name}: context flamegraph diverges from the stack-walk oracle \
                  ({delta_skipped} skipped; first difference: {diff:?})"
@@ -685,7 +685,7 @@ fn check_flamegraph(p: &Program) -> Result<(), String> {
         }
     } else {
         for (stack, truth_count) in oracle.iter() {
-            let decoded = delta.iter().find(|&(s, _)| s == stack).map(|(_, w)| w);
+            let decoded = delta.get(stack);
             if decoded.is_none() || decoded < Some(truth_count) {
                 return Err(format!(
                     "{name}: oracle stack {stack:?} has {truth_count} entries but \

@@ -1,17 +1,17 @@
-//! Property tests of the encoding algorithms over randomly generated call
-//! graphs (graph-level, independent of the IR and interpreter).
-//!
-//! Gated behind the non-default `proptest` feature: the offline build
-//! environment cannot fetch the `proptest` crate (see Cargo.toml).
+//! Seeded property tests of the encoding algorithms over randomly generated
+//! call graphs (graph-level, independent of the IR and interpreter). Each
+//! property checks a fixed number of cases drawn from its own fixed seed
+//! (see [`common::check_cases`]).
 
-#![cfg(feature = "proptest")]
+mod common;
 
 use std::collections::{HashMap, HashSet};
 
-use deltapath_callgraph::{back_edges, CallGraph, EdgeIx, NodeIx};
-use deltapath_core::{Algo1Encoding, Algo2Config, Encoding, EncodingWidth, PcceEncoding};
-use deltapath_ir::{MethodId, SiteId};
-use proptest::prelude::*;
+use common::check_cases;
+use deltapath::callgraph::{back_edges, CallGraph, EdgeIx, NodeIx};
+use deltapath::core::{Algo1Encoding, Algo2Config, Encoding, EncodingWidth, PcceEncoding};
+use deltapath::workloads::rng::SplitMix64;
+use deltapath::{MethodId, SiteId};
 
 /// A random layered DAG description: `layers[i]` nodes at depth `i`, plus a
 /// list of (from-layer-index offsets) edges. Virtual sites group edges.
@@ -24,22 +24,20 @@ struct GraphSpec {
     calls: Vec<(usize, usize, usize, bool)>,
 }
 
-fn graph_spec() -> impl Strategy<Value = GraphSpec> {
-    (2usize..6).prop_flat_map(|depth| {
-        let layers = proptest::collection::vec(1usize..5, depth);
-        layers.prop_flat_map(|layers| {
-            let calls = proptest::collection::vec(
-                (
-                    0usize..layers.len() - 1,
-                    0usize..16,
-                    0usize..16,
-                    proptest::bool::ANY,
-                ),
-                1..24,
-            );
-            (Just(layers), calls).prop_map(|(layers, calls)| GraphSpec { layers, calls })
+fn graph_spec(rng: &mut SplitMix64) -> GraphSpec {
+    let depth = rng.gen_range(2usize..6);
+    let layers: Vec<usize> = (0..depth).map(|_| rng.gen_range(1usize..5)).collect();
+    let calls = (0..rng.gen_range(1usize..24))
+        .map(|_| {
+            (
+                rng.gen_range(0..layers.len() - 1),
+                rng.gen_range(0usize..16),
+                rng.gen_range(0usize..16),
+                rng.gen_bool(0.5),
+            )
         })
-    })
+        .collect();
+    GraphSpec { layers, calls }
 }
 
 /// Materializes a spec into a call graph (edges go layer k -> k+1, so the
@@ -108,44 +106,53 @@ fn all_paths(g: &CallGraph) -> Vec<Vec<EdgeIx>> {
     out
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
-
-    /// Algorithm 1's single-AV-per-site encoding is injective per end node,
-    /// and every encoding lies in [0, ICC[end]).
-    #[test]
-    fn algorithm1_is_injective(spec in graph_spec()) {
-        let g = build(&spec);
+/// Algorithm 1's single-AV-per-site encoding is injective per end node,
+/// and every encoding lies in [0, ICC[end]).
+#[test]
+fn algorithm1_is_injective() {
+    check_cases(0x11, 256, graph_spec, |spec| {
+        let g = build(spec);
         let enc = Algo1Encoding::analyze(&g, &HashSet::new()).unwrap();
         let mut seen: HashMap<(NodeIx, u128), usize> = HashMap::new();
         for path in all_paths(&g) {
-            let end = path.last().map(|&e| g.edge(e).callee).unwrap_or_else(|| g.entry().unwrap());
+            let end = path
+                .last()
+                .map(|&e| g.edge(e).callee)
+                .unwrap_or_else(|| g.entry().unwrap());
             let id = enc.encode_path(&g, &path);
-            prop_assert!(id < enc.icc[end.index()].max(1));
+            assert!(id < enc.icc[end.index()].max(1));
             let count = seen.entry((end, id)).or_insert(0);
             *count += 1;
-            prop_assert_eq!(*count, 1, "duplicate encoding at {:?} id {}", end, id);
+            assert_eq!(*count, 1, "duplicate encoding at {:?} id {}", end, id);
         }
-    }
+    });
+}
 
-    /// Without multi-target sites, Algorithm 1's ICC equals PCCE's NC
-    /// (the paper's observation in Section 3.1).
-    #[test]
-    fn icc_equals_nc_without_dispatch(mut spec in graph_spec()) {
+/// Without multi-target sites, Algorithm 1's ICC equals PCCE's NC
+/// (the paper's observation in Section 3.1).
+#[test]
+fn icc_equals_nc_without_dispatch() {
+    let draw = |rng: &mut SplitMix64| {
+        let mut spec = graph_spec(rng);
         for call in &mut spec.calls {
             call.3 = false; // make every site single-target
         }
-        let g = build(&spec);
+        spec
+    };
+    check_cases(0x12, 256, draw, |spec| {
+        let g = build(spec);
         let a1 = Algo1Encoding::analyze(&g, &HashSet::new()).unwrap();
         let pcce = PcceEncoding::analyze(&g, &HashSet::new()).unwrap();
-        prop_assert_eq!(&a1.icc, &pcce.nc);
-    }
+        assert_eq!(&a1.icc, &pcce.nc);
+    });
+}
 
-    /// Algorithm 2 at unbounded width with a single root reproduces
-    /// Algorithm 1 exactly (anchors degenerate to {root}).
-    #[test]
-    fn algorithm2_degenerates_to_algorithm1(spec in graph_spec()) {
-        let g = build(&spec);
+/// Algorithm 2 at unbounded width with a single root reproduces
+/// Algorithm 1 exactly (anchors degenerate to {root}).
+#[test]
+fn algorithm2_degenerates_to_algorithm1() {
+    check_cases(0x13, 256, graph_spec, |spec| {
+        let g = build(spec);
         let a1 = Algo1Encoding::analyze(&g, &HashSet::new()).unwrap();
         let a2 = Encoding::analyze(
             &g,
@@ -153,33 +160,40 @@ proptest! {
             &Algo2Config::new(EncodingWidth::UNBOUNDED),
         )
         .unwrap();
-        prop_assert_eq!(a2.overflow_anchor_count(), 0);
+        assert_eq!(a2.overflow_anchor_count(), 0);
         let root = g.entry().unwrap();
         for node in g.nodes() {
-            let expected = if node == root { 1 } else { a1.icc[node.index()] };
+            let expected = if node == root {
+                1
+            } else {
+                a1.icc[node.index()]
+            };
             if expected > 0 {
-                prop_assert_eq!(a2.icc_of(node, root), Some(expected));
+                assert_eq!(a2.icc_of(node, root), Some(expected));
             }
         }
         for (site, av) in &a1.site_av {
-            prop_assert_eq!(a2.site_av.get(site), Some(av));
+            assert_eq!(a2.site_av.get(site), Some(av));
         }
-    }
+    });
+}
 
-    /// Algorithm 2 at any width: per-(node, anchor) encoding sub-ranges are
-    /// pairwise disjoint — the invariant behind exact decoding (Figure 2).
-    #[test]
-    fn algorithm2_subranges_are_disjoint(spec in graph_spec(), bits in 4u8..64) {
-        let g = build(&spec);
+/// Algorithm 2 at any width: per-(node, anchor) encoding sub-ranges are
+/// pairwise disjoint — the invariant behind exact decoding (Figure 2).
+#[test]
+fn algorithm2_subranges_are_disjoint() {
+    let draw = |rng: &mut SplitMix64| (graph_spec(rng), rng.gen_range(4u32..64) as u8);
+    check_cases(0x14, 256, draw, |(spec, bits)| {
+        let g = build(spec);
         let result = Encoding::analyze(
             &g,
             &HashSet::new(),
-            &Algo2Config::new(EncodingWidth::new(bits)),
+            &Algo2Config::new(EncodingWidth::new(*bits)),
         );
         let Ok(enc) = result else {
-            return Ok(()); // WidthTooSmall is legitimate at tiny widths
+            return; // WidthTooSmall is legitimate at tiny widths
         };
-        prop_assert!(enc.max_icc <= EncodingWidth::new(bits).capacity());
+        assert!(enc.max_icc <= EncodingWidth::new(*bits).capacity());
         for node in g.nodes() {
             // Group incoming edges by reaching anchor; per anchor the
             // ranges [av, av + ICC[pred][r]) must not overlap.
@@ -188,28 +202,35 @@ proptest! {
                 let edge = g.edge(e);
                 let av = enc.edge_av(&g, e);
                 for &r in &enc.eanchors[e.index()] {
-                    let Some(icc) = enc.icc_of(edge.caller, r) else { continue };
+                    let Some(icc) = enc.icc_of(edge.caller, r) else {
+                        continue;
+                    };
                     per_anchor.entry(r).or_default().push((av, av + icc));
                 }
             }
             for (r, mut ranges) in per_anchor {
                 ranges.sort_unstable();
                 for w in ranges.windows(2) {
-                    prop_assert!(
+                    assert!(
                         w[0].1 <= w[1].0,
                         "overlap at node {:?} anchor {:?}: {:?}",
-                        node, r, w
+                        node,
+                        r,
+                        w
                     );
                 }
             }
         }
-    }
+    });
+}
 
-    /// Recursion never breaks the analysis: adding a random back edge (a
-    /// cycle) still yields a valid encoding once back edges are excluded.
-    #[test]
-    fn back_edges_are_handled(spec in graph_spec(), up in 0usize..64) {
-        let mut g = build(&spec);
+/// Recursion never breaks the analysis: adding a random back edge (a
+/// cycle) still yields a valid encoding once back edges are excluded.
+#[test]
+fn back_edges_are_handled() {
+    let draw = |rng: &mut SplitMix64| (graph_spec(rng), rng.gen_range(0usize..64));
+    check_cases(0x15, 256, draw, |(spec, up)| {
+        let mut g = build(spec);
         // Add an upward edge from the last layer to the first to form a
         // cycle.
         let nodes: Vec<NodeIx> = g.nodes().collect();
@@ -223,6 +244,6 @@ proptest! {
             &excluded,
             &Algo2Config::new(EncodingWidth::U64).with_forced_anchors(info.headers.clone()),
         );
-        prop_assert!(enc.is_ok(), "{enc:?}");
-    }
+        assert!(enc.is_ok(), "{enc:?}");
+    });
 }

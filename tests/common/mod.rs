@@ -1,11 +1,45 @@
 //! Shared helpers for the integration tests: running a program under
-//! DeltaPath and under stack walking (ground truth), and comparing the
-//! decoded contexts event by event.
+//! DeltaPath and under stack walking (ground truth), comparing the decoded
+//! contexts event by event, and drawing seeded property-test cases.
 
+use std::fmt::Debug;
+use std::ops::Range;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+
+use deltapath::workloads::rng::SplitMix64;
 use deltapath::{
     Capture, CollectMode, Collector, DeltaEncoder, EncodingPlan, MethodId, Program,
     StackWalkEncoder, Vm, VmConfig,
 };
+
+/// Checks `property` on `cases` inputs drawn by `draw`. Case seeds come
+/// from a SplitMix64 stream seeded with the property's fixed `seed`, and
+/// each case draws its input from its own case seed, so every run checks
+/// the same inputs. A failing case panics with its case seed and the drawn
+/// input, after the failing assertion's own message.
+#[allow(dead_code)] // each test binary compiles its own copy of this module
+pub fn check_cases<T: Debug>(
+    seed: u64,
+    cases: usize,
+    draw: impl Fn(&mut SplitMix64) -> T,
+    property: impl Fn(&T),
+) {
+    let mut seeds = SplitMix64::seed_from_u64(seed);
+    for case in 0..cases {
+        let case_seed = seeds.next_u64();
+        let input = draw(&mut SplitMix64::seed_from_u64(case_seed));
+        if catch_unwind(AssertUnwindSafe(|| property(&input))).is_err() {
+            panic!("case {case} (case seed {case_seed:#x}) failed on input {input:?}");
+        }
+    }
+}
+
+/// A uniform `f64` in `range` (53 random mantissa bits).
+#[allow(dead_code)] // each test binary compiles its own copy of this module
+pub fn gen_f64(rng: &mut SplitMix64, range: Range<f64>) -> f64 {
+    let unit = (rng.next_u64() >> 11) as f64 / (1u64 << 53) as f64;
+    range.start + unit * (range.end - range.start)
+}
 
 /// Records every capture (entries and observes) in execution order.
 #[derive(Default)]
