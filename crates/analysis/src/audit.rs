@@ -29,15 +29,12 @@
 //!
 //! The audit is organised so the expensive part — the territory walk plus
 //! interval check — is a *per-anchor* unit of work with no cross-anchor
-//! data flow. [`audit_plan_full`] exploits that two ways: with
-//! [`AuditOptions::with_workers`] the per-anchor units run on scoped
-//! threads (diagnostics are merged back in ascending anchor order, so the
-//! output is byte-identical at any worker count), and every pass's
-//! diagnostics are captured into an [`AuditBaseline`] so a later
-//! [`audit_delta`](crate::audit_delta) can re-run only the anchors a plan
-//! change actually touches and certify the rest against the baseline.
+//! data flow. With [`AuditOptions::with_workers`], [`audit_plan_full`] runs
+//! those units on scoped threads, each over a contiguous chunk of the
+//! sorted anchor list; diagnostics are merged back in ascending anchor
+//! order, so the output is byte-identical at any worker count.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet};
 
 use deltapath_callgraph::{
     reachable_from, topological_order, CallGraph, EdgeIx, NodeIx, StronglyConnectedComponents,
@@ -46,29 +43,20 @@ use deltapath_core::{CompiledPlan, EncodingPlan, Sid};
 use deltapath_ir::Program;
 use deltapath_telemetry::{names, NullTelemetry, ScopedSpan, Telemetry};
 
-use crate::audit_delta::AuditBaseline;
 use crate::diag::{AuditReport, Diagnostic, LintCode};
 
-/// Tuning knobs for [`audit_plan_full`] and
-/// [`audit_delta`](crate::audit_delta).
+/// Tuning knobs for [`audit_plan_full`].
 #[derive(Clone, Debug)]
 pub struct AuditOptions {
     /// Worker threads for the per-anchor passes. `1` (the default) stays on
     /// the calling thread; larger values use scoped threads. Output is
     /// byte-identical at any count.
     pub workers: usize,
-    /// Capture an [`AuditBaseline`] in the outcome (the default). Skipping
-    /// it avoids the per-anchor fingerprint sweep when no incremental
-    /// re-audit will follow.
-    pub collect_baseline: bool,
 }
 
 impl Default for AuditOptions {
     fn default() -> Self {
-        Self {
-            workers: 1,
-            collect_baseline: true,
-        }
+        Self { workers: 1 }
     }
 }
 
@@ -78,24 +66,6 @@ impl AuditOptions {
         self.workers = workers.max(1);
         self
     }
-
-    /// Disables baseline capture.
-    pub fn without_baseline(mut self) -> Self {
-        self.collect_baseline = false;
-        self
-    }
-}
-
-/// The result of [`audit_plan_full`]: the report plus, when requested, the
-/// baseline a later incremental re-audit certifies against.
-#[derive(Clone, Debug)]
-pub struct AuditOutcome {
-    /// Every finding, in canonical order.
-    pub report: AuditReport,
-    /// The captured per-pass state (present unless
-    /// [`AuditOptions::without_baseline`] was used or the plan's table
-    /// shapes were too corrupt to audit).
-    pub baseline: Option<AuditBaseline>,
 }
 
 /// Audits `plan` against `program`, returning every finding.
@@ -119,23 +89,17 @@ pub fn audit_plan_with(
     plan: &EncodingPlan,
     sink: &dyn Telemetry,
 ) -> AuditReport {
-    audit_plan_full(
-        program,
-        plan,
-        &AuditOptions::default().without_baseline(),
-        sink,
-    )
-    .report
+    audit_plan_full(program, plan, &AuditOptions::default(), sink)
 }
 
-/// The full audit with explicit options: parallel per-anchor passes and
-/// baseline capture for [`audit_delta`](crate::audit_delta).
+/// As [`audit_plan_with`], with explicit options (parallel per-anchor
+/// passes).
 pub fn audit_plan_full(
     program: &Program,
     plan: &EncodingPlan,
     opts: &AuditOptions,
     sink: &dyn Telemetry,
-) -> AuditOutcome {
+) -> AuditReport {
     let total = ScopedSpan::enter(sink, names::AUDIT_PLAN);
     let graph = plan.graph();
     let enc = plan.encoding();
@@ -152,10 +116,7 @@ pub fn audit_plan_full(
     if let Some(diag) = shape_guard(plan) {
         report.diagnostics.push(diag);
         total.finish(&[("diagnostics", 1)]);
-        return AuditOutcome {
-            report: report.finish(),
-            baseline: None,
-        };
+        return report.finish();
     }
 
     // ---- Call-graph hygiene: reachability (DP030/DP032) ----
@@ -181,32 +142,26 @@ pub fn audit_plan_full(
     let mut anchors: Vec<NodeIx> = enc.anchors.clone();
     anchors.sort_unstable();
     anchors.dedup();
-    let owners = OwnerIndex::build(plan, None);
+    let owners = OwnerIndex::build(plan);
     let (anchor_diags, covered) = run_anchor_passes(
         program, plan, &anchors, &owners, topo_ok, &topo_pos, opts, sink,
     );
 
     // ---- Per-node / per-edge table checks, coverage, width ----
     let tables_span = ScopedSpan::enter(sink, names::AUDIT_TABLES);
-    let mut node_diags: BTreeMap<usize, Vec<Diagnostic>> = BTreeMap::new();
-    let mut icc_node_max = vec![0u128; n];
+    let mut table_diags = Vec::new();
+    let mut icc_max = 0u128;
     for node in graph.nodes() {
-        let diags = node_pass(program, plan, node);
-        icc_node_max[node.index()] = enc.icc[node.index()].values().copied().max().unwrap_or(0);
-        if !diags.is_empty() {
-            node_diags.insert(node.index(), diags);
-        }
+        table_diags.extend(node_pass(program, plan, node));
+        let node_max = enc.icc[node.index()].values().copied().max().unwrap_or(0);
+        icc_max = icc_max.max(node_max);
     }
-    let mut edge_diags: BTreeMap<usize, Vec<Diagnostic>> = BTreeMap::new();
     for e in 0..m {
-        let diags = edge_pass(program, plan, EdgeIx::from_index(e));
-        if !diags.is_empty() {
-            edge_diags.insert(e, diags);
-        }
+        table_diags.extend(edge_pass(plan, EdgeIx::from_index(e)));
     }
     let coverage = coverage_pass(program, plan, &live, &covered);
     let width = if topo_ok {
-        width_pass(plan, icc_node_max.iter().copied().max().unwrap_or(0))
+        width_pass(plan, icc_max)
     } else {
         Vec::new()
     };
@@ -230,70 +185,33 @@ pub fn audit_plan_full(
     let compiled = compiled_findings(plan, &plan.compile());
     compiled_span.finish(&[]);
 
-    let baseline = opts.collect_baseline.then(|| AuditBaseline {
-        live: live.clone(),
-        topo_ok,
-        topo_pos: topo_pos.clone(),
-        icc_node_max: icc_node_max.clone(),
-        hygiene: hygiene.clone(),
-        back_edges: back_edges.clone(),
-        instructions: instructions.clone(),
-        sids: sids.clone(),
-        compiled: compiled.clone(),
-        anchor_diags: anchor_diags
-            .iter()
-            .filter(|(_, d)| !d.is_empty())
-            .map(|(r, d)| (r.index(), d.clone()))
-            .collect(),
-        node_diags: node_diags.clone(),
-        edge_diags: edge_diags.clone(),
-        digests: plan.table_digests().clone(),
-    });
-
-    report.diagnostics.extend(hygiene);
-    report.diagnostics.extend(back_edges);
-    report.diagnostics.extend(structure);
-    for (_, diags) in anchor_diags {
-        report.diagnostics.extend(diags);
-    }
-    for diags in node_diags.into_values() {
-        report.diagnostics.extend(diags);
-    }
-    for diags in edge_diags.into_values() {
-        report.diagnostics.extend(diags);
-    }
-    report.diagnostics.extend(coverage);
-    report.diagnostics.extend(width);
-    for diags in instructions.sites.into_values() {
-        report.diagnostics.extend(diags);
-    }
-    for diags in instructions.entries.into_values() {
-        report.diagnostics.extend(diags);
-    }
-    report.diagnostics.extend(sids);
-    report.diagnostics.extend(compiled.global);
-    for diags in compiled.sites.into_values() {
-        report.diagnostics.extend(diags);
-    }
-    for diags in compiled.entries.into_values() {
+    for diags in [
+        hygiene,
+        back_edges,
+        structure,
+        anchor_diags,
+        table_diags,
+        coverage,
+        width,
+        instructions,
+        sids,
+        compiled,
+    ] {
         report.diagnostics.extend(diags);
     }
 
     total.finish(&[("diagnostics", report.diagnostics.len() as u64)]);
-    AuditOutcome {
-        report: report.finish(),
-        baseline,
-    }
+    report.finish()
 }
 
 // ---------------------------------------------------------------------------
-// Pass implementations, shared between the full and incremental audits.
+// Pass implementations.
 // ---------------------------------------------------------------------------
 
 /// Every dependent check indexes the encoding tables by node/edge index, so
 /// a length mismatch is reported once and aborts the audit instead of
 /// panicking half-way through it.
-pub(crate) fn shape_guard(plan: &EncodingPlan) -> Option<Diagnostic> {
+fn shape_guard(plan: &EncodingPlan) -> Option<Diagnostic> {
     let graph = plan.graph();
     let enc = plan.encoding();
     let n = graph.node_count();
@@ -318,14 +236,14 @@ pub(crate) fn shape_guard(plan: &EncodingPlan) -> Option<Diagnostic> {
 }
 
 /// Reachability from the roots and UCP entry candidates.
-pub(crate) fn compute_live(graph: &CallGraph) -> Vec<bool> {
+fn compute_live(graph: &CallGraph) -> Vec<bool> {
     let mut starts: Vec<NodeIx> = graph.roots().to_vec();
     starts.extend_from_slice(graph.ucp_entry_candidates());
     reachable_from(graph, &starts, &HashSet::new())
 }
 
 /// Dense topological positions (`u32::MAX` when no order exists).
-pub(crate) fn topo_positions(n: usize, order: Option<&[NodeIx]>) -> Vec<u32> {
+fn topo_positions(n: usize, order: Option<&[NodeIx]>) -> Vec<u32> {
     let mut pos = vec![u32::MAX; n];
     if let Some(order) = order {
         for (i, &node) in order.iter().enumerate() {
@@ -336,11 +254,7 @@ pub(crate) fn topo_positions(n: usize, order: Option<&[NodeIx]>) -> Vec<u32> {
 }
 
 /// Unreachable nodes (DP030) and dead edges (DP032).
-pub(crate) fn hygiene_pass(
-    program: &Program,
-    plan: &EncodingPlan,
-    live: &[bool],
-) -> Vec<Diagnostic> {
+fn hygiene_pass(program: &Program, plan: &EncodingPlan, live: &[bool]) -> Vec<Diagnostic> {
     let graph = plan.graph();
     let name_of = |node: NodeIx| program.method_name(graph.method_of(node));
     let mut diags = Vec::new();
@@ -374,11 +288,7 @@ pub(crate) fn hygiene_pass(
 /// Back-edge classification (DP031): surviving cycles, non-anchor targets,
 /// needless exclusions, and drift between the excluded edge set and the
 /// per-call back-edge table the runtime consults.
-pub(crate) fn back_edge_pass(
-    program: &Program,
-    plan: &EncodingPlan,
-    topo_ok: bool,
-) -> Vec<Diagnostic> {
+fn back_edge_pass(program: &Program, plan: &EncodingPlan, topo_ok: bool) -> Vec<Diagnostic> {
     let graph = plan.graph();
     let enc = plan.encoding();
     let m = graph.edge_count();
@@ -467,7 +377,7 @@ pub(crate) fn back_edge_pass(
 }
 
 /// Anchor list vs flags vs roots (DP003).
-pub(crate) fn anchor_structure_pass(program: &Program, plan: &EncodingPlan) -> Vec<Diagnostic> {
+fn anchor_structure_pass(program: &Program, plan: &EncodingPlan) -> Vec<Diagnostic> {
     let graph = plan.graph();
     let enc = plan.encoding();
     let name_of = |node: NodeIx| program.method_name(graph.method_of(node));
@@ -510,37 +420,31 @@ pub(crate) fn anchor_structure_pass(program: &Program, plan: &EncodingPlan) -> V
 
 /// The inverted stored-territory index: per anchor, the (deduplicated)
 /// nodes and edges whose stored rows claim membership. One O(mass) sweep
-/// over the rows builds it; restricting to `wanted` keeps the incremental
-/// audit's sweep allocation-light.
-pub(crate) struct OwnerIndex {
+/// over the rows builds it.
+struct OwnerIndex {
     nodes_of: HashMap<usize, Vec<NodeIx>>,
     edges_of: HashMap<usize, Vec<EdgeIx>>,
 }
 
 impl OwnerIndex {
-    pub(crate) fn build(plan: &EncodingPlan, wanted: Option<&[bool]>) -> Self {
+    fn build(plan: &EncodingPlan) -> Self {
         let enc = plan.encoding();
-        let keep = |r: NodeIx| wanted.is_none_or(|w| w.get(r.index()).copied().unwrap_or(false));
         let mut nodes_of: HashMap<usize, Vec<NodeIx>> = HashMap::new();
         for (i, row) in enc.nanchors.iter().enumerate() {
             for &r in row {
-                if keep(r) {
-                    nodes_of
-                        .entry(r.index())
-                        .or_default()
-                        .push(NodeIx::from_index(i));
-                }
+                nodes_of
+                    .entry(r.index())
+                    .or_default()
+                    .push(NodeIx::from_index(i));
             }
         }
         let mut edges_of: HashMap<usize, Vec<EdgeIx>> = HashMap::new();
         for (i, row) in enc.eanchors.iter().enumerate() {
             for &r in row {
-                if keep(r) {
-                    edges_of
-                        .entry(r.index())
-                        .or_default()
-                        .push(EdgeIx::from_index(i));
-                }
+                edges_of
+                    .entry(r.index())
+                    .or_default()
+                    .push(EdgeIx::from_index(i));
             }
         }
         for list in nodes_of.values_mut() {
@@ -567,7 +471,7 @@ impl OwnerIndex {
 /// visit marks (no O(n) clearing between anchors), the DFS stack, the
 /// walked lists, per-node encoding-space values, and the accumulated
 /// covered-by-some-walk marks.
-pub(crate) struct AnchorScratch {
+struct AnchorScratch {
     node_epoch: Vec<u32>,
     edge_epoch: Vec<u32>,
     epoch: u32,
@@ -575,11 +479,11 @@ pub(crate) struct AnchorScratch {
     walked_nodes: Vec<NodeIx>,
     walked_edges: Vec<EdgeIx>,
     space: Vec<u128>,
-    pub(crate) covered: Vec<bool>,
+    covered: Vec<bool>,
 }
 
 impl AnchorScratch {
-    pub(crate) fn new(n: usize, m: usize) -> Self {
+    fn new(n: usize, m: usize) -> Self {
         Self {
             node_epoch: vec![0; n],
             edge_epoch: vec![0; m],
@@ -597,7 +501,7 @@ impl AnchorScratch {
 /// `IdentifyTerritories`), stored-vs-walked membership comparison
 /// (DP002/DP003), and the symbolic interval/ICC check over the walked
 /// region (DP001/DP010, only when a topological order exists).
-pub(crate) fn anchor_pass(
+fn anchor_pass(
     program: &Program,
     plan: &EncodingPlan,
     r: NodeIx,
@@ -807,11 +711,11 @@ pub(crate) fn anchor_pass(
 }
 
 /// Runs the per-anchor passes over `anchors` (ascending), serially or on
-/// `opts.workers` scoped threads, merging diagnostics in anchor order and
-/// OR-merging the covered marks. The result is identical at any worker
-/// count.
+/// `opts.workers` scoped threads, each over one contiguous chunk of
+/// `anchors`, merging diagnostics in anchor order and OR-merging the
+/// covered marks. The result is identical at any worker count.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn run_anchor_passes(
+fn run_anchor_passes(
     program: &Program,
     plan: &EncodingPlan,
     anchors: &[NodeIx],
@@ -820,7 +724,7 @@ pub(crate) fn run_anchor_passes(
     topo_pos: &[u32],
     opts: &AuditOptions,
     sink: &dyn Telemetry,
-) -> (Vec<(NodeIx, Vec<Diagnostic>)>, Vec<bool>) {
+) -> (Vec<Diagnostic>, Vec<bool>) {
     let graph = plan.graph();
     let n = graph.node_count();
     let m = graph.edge_count();
@@ -829,21 +733,16 @@ pub(crate) fn run_anchor_passes(
     if workers <= 1 {
         let span = ScopedSpan::enter(sink, names::AUDIT_ANCHOR_WALK);
         let mut scratch = AnchorScratch::new(n, m);
-        let out: Vec<(NodeIx, Vec<Diagnostic>)> = anchors
+        let out: Vec<Diagnostic> = anchors
             .iter()
-            .map(|&r| {
-                (
-                    r,
-                    anchor_pass(program, plan, r, owners, topo_ok, topo_pos, &mut scratch),
-                )
-            })
+            .flat_map(|&r| anchor_pass(program, plan, r, owners, topo_ok, topo_pos, &mut scratch))
             .collect();
         span.finish(&[("anchors", anchors.len() as u64)]);
         return (out, scratch.covered);
     }
 
     let chunk_len = anchors.len().div_ceil(workers);
-    let mut out: Vec<(NodeIx, Vec<Diagnostic>)> = Vec::with_capacity(anchors.len());
+    let mut out: Vec<Diagnostic> = Vec::new();
     let mut covered = vec![false; n];
     std::thread::scope(|scope| {
         let handles: Vec<_> = anchors
@@ -852,21 +751,10 @@ pub(crate) fn run_anchor_passes(
                 scope.spawn(move || {
                     let span = ScopedSpan::enter(sink, names::AUDIT_ANCHOR_WALK);
                     let mut scratch = AnchorScratch::new(n, m);
-                    let part: Vec<(NodeIx, Vec<Diagnostic>)> = chunk
+                    let part: Vec<Diagnostic> = chunk
                         .iter()
-                        .map(|&r| {
-                            (
-                                r,
-                                anchor_pass(
-                                    program,
-                                    plan,
-                                    r,
-                                    owners,
-                                    topo_ok,
-                                    topo_pos,
-                                    &mut scratch,
-                                ),
-                            )
+                        .flat_map(|&r| {
+                            anchor_pass(program, plan, r, owners, topo_ok, topo_pos, &mut scratch)
                         })
                         .collect();
                     span.finish(&[("anchors", chunk.len() as u64)]);
@@ -891,7 +779,7 @@ pub(crate) fn run_anchor_passes(
 /// node's ICC row discipline (DP001) — an anchor stores exactly
 /// `ICC[self] = 1`; a non-anchor's ICC keys must all be justified by its
 /// stored territory row.
-pub(crate) fn node_pass(program: &Program, plan: &EncodingPlan, node: NodeIx) -> Vec<Diagnostic> {
+fn node_pass(program: &Program, plan: &EncodingPlan, node: NodeIx) -> Vec<Diagnostic> {
     let graph = plan.graph();
     let enc = plan.encoding();
     let name_of = |node: NodeIx| program.method_name(graph.method_of(node));
@@ -938,8 +826,7 @@ pub(crate) fn node_pass(program: &Program, plan: &EncodingPlan, node: NodeIx) ->
 }
 
 /// Edge-local table checks: stored-territory duplicates (DP002).
-pub(crate) fn edge_pass(program: &Program, plan: &EncodingPlan, e: EdgeIx) -> Vec<Diagnostic> {
-    let _ = program;
+fn edge_pass(plan: &EncodingPlan, e: EdgeIx) -> Vec<Diagnostic> {
     let enc = plan.encoding();
     let stored = &enc.eanchors[e.index()];
     let stored_set: BTreeSet<NodeIx> = stored.iter().copied().collect();
@@ -958,7 +845,7 @@ pub(crate) fn edge_pass(program: &Program, plan: &EncodingPlan, e: EdgeIx) -> Ve
 
 /// Coverage completeness (DP003): every live node must be reached by some
 /// anchor's territory walk. `covered` is the OR of all walks' marks.
-pub(crate) fn coverage_pass(
+fn coverage_pass(
     program: &Program,
     plan: &EncodingPlan,
     live: &[bool],
@@ -983,9 +870,8 @@ pub(crate) fn coverage_pass(
 
 /// Width bookkeeping (DP010): recorded vs actual `max_icc`, configured vs
 /// stored width, and per-site addition values against the capacity.
-/// `stored_max` is the maximum over every ICC table (tracked per node by
-/// the callers so the incremental audit can update it in place).
-pub(crate) fn width_pass(plan: &EncodingPlan, stored_max: u128) -> Vec<Diagnostic> {
+/// `stored_max` is the maximum over every ICC table.
+fn width_pass(plan: &EncodingPlan, stored_max: u128) -> Vec<Diagnostic> {
     let enc = plan.encoding();
     let cap = enc.width.capacity();
     let mut diags = Vec::new();
@@ -1038,23 +924,10 @@ fn sorted_icc(table: &HashMap<NodeIx, u128>) -> Vec<(usize, u128)> {
     rows
 }
 
-/// Per-unit instruction findings, keyed by site index / method index
-/// (non-empty units only). The unit granularity is what
-/// [`audit_delta`](crate::audit_delta) reuses: a unit whose table digest is
-/// unchanged re-derives the same diagnostics, so the baseline's entry
-/// stands in for re-running it.
-#[derive(Clone, Debug, Default)]
-pub(crate) struct InstructionFindings {
-    pub(crate) sites: BTreeMap<usize, Vec<Diagnostic>>,
-    pub(crate) entries: BTreeMap<usize, Vec<Diagnostic>>,
-}
-
 /// The site-local slice of the instruction-drift audit: instruction
 /// presence vs the encoded graph, field drift against the encoding table,
-/// and addition values with no instruction to emit them. Reads only the
-/// program (constant), the graph (`node_of`), `plan.site(site)` and
-/// `site_av[site]` — exactly the inputs the site table digest covers.
-pub(crate) fn instructions_site_unit(
+/// and addition values with no instruction to emit them.
+fn instructions_site_unit(
     program: &Program,
     plan: &EncodingPlan,
     site: deltapath_ir::SiteId,
@@ -1140,10 +1013,8 @@ pub(crate) fn instructions_site_unit(
 
 /// The method-local slice of the instruction-drift audit: entry-instruction
 /// presence for encoded methods, anchor-flag agreement, and phantom entries
-/// for methods outside the graph. Reads the graph (`node_of`),
-/// `plan.entry(method)` and `is_anchor[node]` — the inputs the entry and
-/// node digests cover.
-pub(crate) fn instructions_entry_unit(
+/// for methods outside the graph.
+fn instructions_entry_unit(
     program: &Program,
     plan: &EncodingPlan,
     method: deltapath_ir::MethodId,
@@ -1193,7 +1064,7 @@ pub(crate) fn instructions_entry_unit(
 /// Per-site / per-entry instruction drift against the encoding tables
 /// (DP001) and the anchor set (DP003): every site and entry unit, run over
 /// the union of the program's, the plan's, and the encoding's key domains.
-pub(crate) fn instructions_pass(program: &Program, plan: &EncodingPlan) -> InstructionFindings {
+fn instructions_pass(program: &Program, plan: &EncodingPlan) -> Vec<Diagnostic> {
     let graph = plan.graph();
     let enc = plan.encoding();
 
@@ -1207,12 +1078,13 @@ pub(crate) fn instructions_pass(program: &Program, plan: &EncodingPlan) -> Instr
                 .unwrap_or(0),
         )
         .max(enc.site_av.keys().map(|s| s.index() + 1).max().unwrap_or(0));
-    let mut sites = BTreeMap::new();
+    let mut diags = Vec::new();
     for s in 0..site_domain {
-        let diags = instructions_site_unit(program, plan, deltapath_ir::SiteId::from_index(s));
-        if !diags.is_empty() {
-            sites.insert(s, diags);
-        }
+        diags.extend(instructions_site_unit(
+            program,
+            plan,
+            deltapath_ir::SiteId::from_index(s),
+        ));
     }
 
     let mut in_domain = vec![false; 0];
@@ -1228,19 +1100,19 @@ pub(crate) fn instructions_pass(program: &Program, plan: &EncodingPlan) -> Instr
     for (method, _) in plan.entry_instrs() {
         mark(method.index(), &mut in_domain);
     }
-    let mut entries = BTreeMap::new();
     for (m, _) in in_domain.iter().enumerate().filter(|(_, &d)| d) {
-        let diags = instructions_entry_unit(program, plan, deltapath_ir::MethodId::from_index(m));
-        if !diags.is_empty() {
-            entries.insert(m, diags);
-        }
+        diags.extend(instructions_entry_unit(
+            program,
+            plan,
+            deltapath_ir::MethodId::from_index(m),
+        ));
     }
-    InstructionFindings { sites, entries }
+    diags
 }
 
 /// Call-path-tracking soundness: recompute the co-dispatch components with
 /// an independent union-find and compare the SID partition against them.
-pub(crate) fn sids_pass(program: &Program, plan: &EncodingPlan) -> Vec<Diagnostic> {
+fn sids_pass(program: &Program, plan: &EncodingPlan) -> Vec<Diagnostic> {
     let graph = plan.graph();
     let sids = plan.sids();
     let n = graph.node_count();
@@ -1403,32 +1275,6 @@ pub(crate) fn sids_pass(program: &Program, plan: &EncodingPlan) -> Vec<Diagnosti
     diags
 }
 
-/// Per-unit `DP040` findings from the compiled-plan cross-check, keyed by
-/// site index / method index (non-empty units only), plus the global
-/// (non-unit) divergences. [`audit_delta`](crate::audit_delta) reuses a
-/// unit's entry when the corresponding table digest is unchanged — the
-/// lowering of one site/entry is a pure projection of that row, so an
-/// unchanged row re-lowers and re-checks identically.
-#[derive(Clone, Debug, Default)]
-pub(crate) struct CompiledFindings {
-    pub(crate) global: Vec<Diagnostic>,
-    pub(crate) sites: BTreeMap<usize, Vec<Diagnostic>>,
-    pub(crate) entries: BTreeMap<usize, Vec<Diagnostic>>,
-}
-
-impl CompiledFindings {
-    pub(crate) fn flatten(&self) -> Vec<Diagnostic> {
-        let mut out = self.global.clone();
-        for diags in self.sites.values() {
-            out.extend(diags.iter().cloned());
-        }
-        for diags in self.entries.values() {
-            out.extend(diags.iter().cloned());
-        }
-        out
-    }
-}
-
 fn divergence(message: String) -> Diagnostic {
     Diagnostic::error(LintCode::CompiledPlanDivergence, message)
 }
@@ -1436,10 +1282,7 @@ fn divergence(message: String) -> Diagnostic {
 /// The non-unit slice of the compiled cross-check: config scalars and the
 /// back-edge pair set (which the lowering derives from the whole
 /// `back_edge_calls` list, not from any single site/entry row).
-pub(crate) fn compiled_global_unit(
-    plan: &EncodingPlan,
-    compiled: &CompiledPlan,
-) -> Vec<Diagnostic> {
+fn compiled_global_unit(plan: &EncodingPlan, compiled: &CompiledPlan) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
     if compiled.cpt() != plan.config().cpt {
         diags.push(divergence(format!(
@@ -1477,7 +1320,7 @@ pub(crate) fn compiled_global_unit(
 /// One site of the compiled cross-check, both directions: the re-expanded
 /// word must equal the plan's instruction, and no word may be present
 /// without one.
-pub(crate) fn compiled_site_unit(
+fn compiled_site_unit(
     plan: &EncodingPlan,
     compiled: &CompiledPlan,
     site: deltapath_ir::SiteId,
@@ -1500,7 +1343,7 @@ pub(crate) fn compiled_site_unit(
 
 /// One method entry of the compiled cross-check (same shape as
 /// [`compiled_site_unit`]).
-pub(crate) fn compiled_entry_unit(
+fn compiled_entry_unit(
     plan: &EncodingPlan,
     compiled: &CompiledPlan,
     method: deltapath_ir::MethodId,
@@ -1532,11 +1375,8 @@ pub(crate) fn compiled_entry_unit(
 /// each fully covered by the itemized equality and presence checks above.
 /// With every unit empty the two renders are byte-equal by construction,
 /// so the catch-all can never fire when the itemized checks pass.
-pub(crate) fn compiled_findings(plan: &EncodingPlan, compiled: &CompiledPlan) -> CompiledFindings {
-    let mut findings = CompiledFindings {
-        global: compiled_global_unit(plan, compiled),
-        ..Default::default()
-    };
+fn compiled_findings(plan: &EncodingPlan, compiled: &CompiledPlan) -> Vec<Diagnostic> {
+    let mut diags = compiled_global_unit(plan, compiled);
 
     let mut site_domain: Vec<bool> = Vec::new();
     let mut entry_domain: Vec<bool> = Vec::new();
@@ -1560,18 +1400,20 @@ pub(crate) fn compiled_findings(plan: &EncodingPlan, compiled: &CompiledPlan) ->
     }
 
     for (s, _) in site_domain.iter().enumerate().filter(|(_, &d)| d) {
-        let diags = compiled_site_unit(plan, compiled, deltapath_ir::SiteId::from_index(s));
-        if !diags.is_empty() {
-            findings.sites.insert(s, diags);
-        }
+        diags.extend(compiled_site_unit(
+            plan,
+            compiled,
+            deltapath_ir::SiteId::from_index(s),
+        ));
     }
     for (m, _) in entry_domain.iter().enumerate().filter(|(_, &d)| d) {
-        let diags = compiled_entry_unit(plan, compiled, deltapath_ir::MethodId::from_index(m));
-        if !diags.is_empty() {
-            findings.entries.insert(m, diags);
-        }
+        diags.extend(compiled_entry_unit(
+            plan,
+            compiled,
+            deltapath_ir::MethodId::from_index(m),
+        ));
     }
-    findings
+    diags
 }
 
 /// Cross-checks a [`CompiledPlan`] against the map-based plan it claims to
@@ -1583,8 +1425,7 @@ pub(crate) fn compiled_findings(plan: &EncodingPlan, compiled: &CompiledPlan) ->
 /// a compiled plan kept across a re-analysis (dynamic class loading)
 /// diverges from the new plan and must be rebuilt.
 pub fn audit_compiled(plan: &EncodingPlan, compiled: &CompiledPlan) -> Vec<Diagnostic> {
-    let findings = compiled_findings(plan, compiled);
-    let mut diags = findings.flatten();
+    let mut diags = compiled_findings(plan, compiled);
     // Belt-and-braces for external callers holding a stale image: the
     // canonical instruction dumps must match byte for byte. Provably
     // redundant with the itemized checks (see `compiled_findings`), kept
@@ -1694,8 +1535,8 @@ mod tests {
                 &NullTelemetry,
             );
             assert_eq!(
-                par.report.to_json("w"),
-                serial.report.to_json("w"),
+                par.to_json("w"),
+                serial.to_json("w"),
                 "audit output drifted at {workers} workers"
             );
         }

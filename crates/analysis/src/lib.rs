@@ -58,13 +58,9 @@
 #![warn(missing_docs)]
 
 mod audit;
-mod audit_delta;
 mod diag;
 mod diff;
 
-pub use audit::{
-    audit_compiled, audit_plan, audit_plan_full, audit_plan_with, AuditOptions, AuditOutcome,
-};
-pub use audit_delta::{audit_delta, AuditBaseline, DeltaOutcome};
+pub use audit::{audit_compiled, audit_plan, audit_plan_full, audit_plan_with, AuditOptions};
 pub use diag::{AuditReport, Diagnostic, LintCode, Severity};
 pub use diff::{diff_plans, PlanDiff};

@@ -8,28 +8,26 @@
 //! `million()` recipe), then times the full static pipeline — streamed graph
 //! construction + CSR adjacency, SCC/back-edge classification, encoding-plan
 //! analysis (Algorithms 1 and 2 with batched overflow handling),
-//! dispatch-table compilation, plan audits (full and incremental, serial and
-//! 4-worker parallel) — and writes `BENCH_analysis_scale.json` (schema
+//! dispatch-table compilation, and the plan audit (serial and 4-worker
+//! parallel) — and writes `BENCH_analysis_scale.json` (schema
 //! `deltapath.perf.v1`) under `DIR` (default: the current directory).
 //!
 //! Field semantics in this suite: one record per pipeline phase, where
 //! `encoder` is the phase name, `calls` is the node count, `base_cost` is
-//! the phase wall time in nanoseconds (`audit_ns` for the audit phases),
-//! `overhead` is the edge count, and `normalized_speed` is the phase
-//! throughput in nodes per second. `unique_contexts` carries the anchor
-//! count on the `plan` phase and the certified-anchor count on the
-//! `audit_delta_*` phases (zero elsewhere); `max_depth` carries the
-//! back-edge count on the `scc` phase and the re-audited-anchor count on
-//! the `audit_delta_*` phases. The incremental phases audit a surgical
-//! single-anchor mutation (one node's stored ICC bumped for the one anchor
-//! owning it) against the full audit's baseline; `digest_reseal` records
-//! the one-time table-digest recomputation the in-place mutation forces.
+//! the phase wall time in nanoseconds, `overhead` is the edge count, and
+//! `normalized_speed` is the phase throughput in nodes per second.
+//! `unique_contexts` carries the anchor count on the `plan`,
+//! `audit_full_*` and `total` phases (zero elsewhere); `max_depth` carries
+//! the back-edge count on the `scc` phase and the diagnostic count on the
+//! `audit_full_*` phases (zero elsewhere). Both audit phases audit the plan
+//! as analysed, and the run fails if the 4-worker report differs from the
+//! serial one. `total` sums the four phases before the audit.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Instant;
 
-use deltapath_analysis::{audit_delta, audit_plan_full, AuditOptions};
+use deltapath_analysis::{audit_plan_full, AuditOptions};
 use deltapath_bench::perf::{PerfRecord, PerfSuite};
 use deltapath_callgraph::{skeleton_for_graph, ScopeFilter};
 use deltapath_core::{EncodingPlan, PlanConfig};
@@ -143,70 +141,22 @@ fn main() -> ExitCode {
     record("compile", compile_ns, edges, (0, 0));
     let _ = compiled;
 
-    // Phase 5: audit the plan once with baseline capture — this is the
-    // "previous lint run" the incremental phases certify against.
+    // Phase 5/6: full audit of the plan as analysed, serial and 4 workers.
     let t = Instant::now();
-    let base_run = audit_plan_full(&skeleton, &plan, &AuditOptions::default(), &NullTelemetry);
-    record(
-        "audit_baseline",
-        t.elapsed().as_nanos(),
-        edges,
-        (anchors, base_run.report.diagnostics.len() as u64),
-    );
-    let baseline = base_run
-        .baseline
-        .expect("the default audit captures a baseline");
-
-    // Single-anchor mutation, applied surgically: bump one interior node's
-    // stored ICC for the one anchor whose territory holds it. Exactly one
-    // table row changes, so the impacted region is that anchor — the
-    // scenario `--baseline` re-linting exists for (did this one edit break
-    // the plan?). A re-plan with a changed anchor set is *not* used here:
-    // batch-overflow restarts legitimately renumber addition values across
-    // thousands of sites, which is a global change no correct incremental
-    // audit may certify away. The victim is the first non-anchor node
-    // sitting in exactly one territory (deterministic for a fixed seed).
-    let graph = plan.graph();
-    let enc = plan.encoding();
-    let victim_node = graph
-        .nodes()
-        .find(|node| !enc.is_anchor[node.index()] && enc.nanchors[node.index()].len() == 1)
-        .or_else(|| graph.nodes().nth(graph.node_count() / 2))
-        .expect("scale graphs are non-empty");
-    let mut mutated = plan.clone();
-    {
-        let enc_mut = mutated.encoding_mut();
-        let anchor = enc_mut.nanchors[victim_node.index()]
-            .first()
-            .copied()
-            .unwrap_or(victim_node);
-        *enc_mut.icc[victim_node.index()].entry(anchor).or_insert(0) += 1;
-    }
-    // In-place mutation drops the digest cache; re-seal it as its own
-    // phase. Plans coming out of `analyze()` carry sealed digests already —
-    // this cost belongs to plan (re)construction, not to the audit.
-    let t = Instant::now();
-    let _ = mutated.table_digests();
-    record("digest_reseal", t.elapsed().as_nanos(), edges, (0, 0));
-
-    // Phase 6/7: full audit of the mutated plan, serial and 4 workers —
-    // the comparator the incremental phases are measured against.
-    let audit_opts = AuditOptions::default().without_baseline();
-    let t = Instant::now();
-    let full = audit_plan_full(&skeleton, &mutated, &audit_opts, &NullTelemetry);
-    let audit_full_ns = t.elapsed().as_nanos();
+    let serial = audit_plan_full(&skeleton, &plan, &AuditOptions::default(), &NullTelemetry);
+    let audit_serial_ns = t.elapsed().as_nanos();
     record(
         "audit_full_serial",
-        audit_full_ns,
+        audit_serial_ns,
         edges,
-        (anchors, full.report.diagnostics.len() as u64),
+        (anchors, serial.diagnostics.len() as u64),
     );
 
     let t = Instant::now();
-    let full_par = audit_plan_full(
+    let par = audit_plan_full(
         &skeleton,
-        &mutated,
-        &audit_opts.clone().with_workers(4),
+        &plan,
+        &AuditOptions::default().with_workers(4),
         &NullTelemetry,
     );
     let audit_par_ns = t.elapsed().as_nanos();
@@ -214,64 +164,20 @@ fn main() -> ExitCode {
         "audit_full_par4",
         audit_par_ns,
         edges,
-        (anchors, full_par.report.diagnostics.len() as u64),
+        (anchors, par.diagnostics.len() as u64),
     );
 
-    // Phase 8/9: incremental re-audit of the mutation, serial and 4 workers.
-    let t = Instant::now();
-    let delta = audit_delta(
-        &skeleton,
-        &mutated,
-        &plan,
-        &baseline,
-        &audit_opts,
-        &NullTelemetry,
-    );
-    let delta_ns = t.elapsed().as_nanos();
-    record(
-        "audit_delta_serial",
-        delta_ns,
-        edges,
-        (delta.certified as u64, delta.reaudited as u64),
-    );
-
-    let t = Instant::now();
-    let delta_par = audit_delta(
-        &skeleton,
-        &mutated,
-        &plan,
-        &baseline,
-        &audit_opts.clone().with_workers(4),
-        &NullTelemetry,
-    );
-    let delta_par_ns = t.elapsed().as_nanos();
-    record(
-        "audit_delta_par4",
-        delta_par_ns,
-        edges,
-        (delta_par.certified as u64, delta_par.reaudited as u64),
-    );
-
-    if delta.report.to_json(&bench_name) != full.report.to_json(&bench_name) {
-        eprintln!("error: incremental audit diagnostics diverge from the full audit's");
+    if par.to_json(&bench_name) != serial.to_json(&bench_name) {
+        eprintln!("error: the 4-worker audit's diagnostics diverge from the serial audit's");
         return ExitCode::FAILURE;
     }
-    let speedup = if delta_ns > 0 {
-        audit_full_ns as f64 / delta_ns as f64
-    } else {
-        f64::INFINITY
-    };
     let par_speedup = if audit_par_ns > 0 {
-        audit_full_ns as f64 / audit_par_ns as f64
+        audit_serial_ns as f64 / audit_par_ns as f64
     } else {
         f64::INFINITY
     };
     let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
-    eprintln!(
-        "incremental speedup {speedup:.1}x ({} certified, {} re-audited); \
-         4-worker full-audit speedup {par_speedup:.1}x on {cores} core(s)",
-        delta.certified, delta.reaudited
-    );
+    eprintln!("4-worker full-audit speedup {par_speedup:.1}x on {cores} core(s)");
     if cores < 2 {
         eprintln!(
             "note: this host exposes a single core, so the 4-worker audit measures \

@@ -1,18 +1,18 @@
 //! Change sets between two call graphs.
 //!
-//! The incremental auditor (`deltapath-analysis::audit_delta`) needs to know
-//! *which methods moved* between a baseline graph and its successor so it can
-//! restrict re-auditing to the anchor territories those methods touch. This
-//! module computes that set structurally, keyed by [`MethodId`] rather than
-//! node index — node indices are an artifact of construction order and two
-//! graphs that differ only by insertion order describe the same program.
+//! The semantic plan diff (`deltapath-analysis::diff_plans`) reports *which
+//! methods moved* between two plans' call graphs as its graph-shape
+//! findings (`DP051`). This module computes that set structurally, keyed by
+//! [`MethodId`] rather than node index — node indices are an artifact of
+//! construction order and two graphs that differ only by insertion order
+//! describe the same program.
 //!
 //! A method is *changed* when it appears in only one of the graphs, when its
 //! outgoing adjacency (the multiset of `(callee method, site)` labels)
 //! differs, or when it gains or loses a root/UCP/entry designation. Edge
 //! differences mark **both** endpoints changed: an edge feeds the callee's
-//! arrival intervals and the caller's instruction stream, so either side's
-//! audit obligations may shift.
+//! arrival intervals and the caller's instruction stream, so both sides'
+//! encodings may differ.
 
 use std::collections::BTreeSet;
 

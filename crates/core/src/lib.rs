@@ -88,7 +88,7 @@ pub use context::{EncodedContext, Frame, FrameStack, FrameTag};
 pub use decode::{DecodeOptions, Decoder};
 pub use error::{DecodeError, EncodeError};
 pub use pcce::PcceEncoding;
-pub use plan::{EncodingPlan, EntryInstr, PlanConfig, SiteInstr, TableDigests};
+pub use plan::{EncodingPlan, EntryInstr, PlanConfig, SiteInstr};
 pub use plan_compiled::{BatchCounts, BatchState, CompiledPlan};
 pub use plan_io::{
     parse_plan, render_plan, render_plan_string, ImportedPlan, PlanParseError, PLAN_SCHEMA,

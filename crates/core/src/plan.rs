@@ -8,10 +8,9 @@
 //! Rust analog of what the original system's Java agent injects with
 //! Javassist at class-load time.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
-use std::sync::OnceLock;
+use std::collections::{HashMap, HashSet};
 
-use deltapath_callgraph::{back_edges, Analysis, CallGraph, GraphConfig, NodeIx, ScopeFilter};
+use deltapath_callgraph::{back_edges, Analysis, CallGraph, GraphConfig, ScopeFilter};
 use deltapath_ir::{MethodId, Program, SiteId};
 use deltapath_telemetry::{names, NullTelemetry, ScopedSpan, Telemetry};
 
@@ -188,47 +187,6 @@ pub struct EntryInstr {
     pub check_sid: bool,
 }
 
-/// Stable per-row 64-bit content digests over every encoding table the
-/// static auditor reads, computed once per plan and cached (see
-/// [`EncodingPlan::table_digests`]). Differential analysis compares the old
-/// and new plans' digests row by row: equal digests mean the row's audited
-/// content is unchanged, so baseline findings about it can be reused; a
-/// differing digest marks the row dirty for re-audit. The digests are a
-/// content hash, not a semantic judgement — two *different* rows hash
-/// differently (up to 64-bit collision odds), and the delta auditor only
-/// ever uses equality to *skip* work whose inputs are bit-identical.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct TableDigests {
-    /// Per graph node: anchor flag, `nanchors` owner row (ordered), and the
-    /// node's ICC row (order-insensitive).
-    pub nodes: Vec<u64>,
-    /// Per graph edge: exclusion status and `eanchors` owner row (ordered).
-    pub edges: Vec<u64>,
-    /// Per call site (dense by site index over instruction and
-    /// addition-value domains): the site instruction fields and the site's
-    /// addition value. Absent rows digest to 0.
-    pub sites: Vec<u64>,
-    /// Per method (dense by method index): the entry instruction fields.
-    /// Absent rows digest to 0.
-    pub entries: Vec<u64>,
-}
-
-/// Lazily computed, eagerly invalidated [`TableDigests`] cache. Cloning a
-/// plan clones the computed digests (they describe content, which cloning
-/// preserves); taking any `&mut` table accessor clears them.
-#[derive(Debug, Default)]
-struct DigestCache(OnceLock<TableDigests>);
-
-impl Clone for DigestCache {
-    fn clone(&self) -> Self {
-        let cache = OnceLock::new();
-        if let Some(d) = self.0.get() {
-            let _ = cache.set(d.clone());
-        }
-        Self(cache)
-    }
-}
-
 /// The complete instrumentation image of a program: the encoded call graph,
 /// Algorithm 2's tables, SIDs, and the per-site/per-entry instructions.
 #[derive(Clone, Debug)]
@@ -242,7 +200,6 @@ pub struct EncodingPlan {
     /// `(site, callee method)` pairs that are recursion back edges.
     back_edge_calls: HashSet<(SiteId, MethodId)>,
     entry_method: MethodId,
-    digests: DigestCache,
 }
 
 impl EncodingPlan {
@@ -314,7 +271,6 @@ impl EncodingPlan {
             entries,
             back_edge_calls,
             entry_method,
-            digests: DigestCache::default(),
         }
     }
 
@@ -477,17 +433,7 @@ impl EncodingPlan {
             sites,
             entries,
             back_edge_calls,
-            digests: DigestCache::default(),
         };
-        // Seal the table digests while the tables are hot: differential
-        // audits then compare them for free instead of paying a full-table
-        // sweep at delta time.
-        let digest_span = ScopedSpan::enter(sink, names::PLAN_DIGESTS);
-        let digests = plan.table_digests();
-        digest_span.finish(&[
-            ("nodes", digests.nodes.len() as u64),
-            ("edges", digests.edges.len() as u64),
-        ]);
         total.finish(&[
             ("methods", plan.entries.len() as u64),
             ("sites", plan.sites.len() as u64),
@@ -563,28 +509,24 @@ impl EncodingPlan {
     /// assert the static auditor catches each corruption. Production code
     /// never mutates an analyzed plan.
     pub fn encoding_mut(&mut self) -> &mut Encoding {
-        self.digests.0.take();
         &mut self.encoding
     }
 
     /// Mutable access to the SID table (see
     /// [`encoding_mut`](EncodingPlan::encoding_mut) for the intended use).
     pub fn sids_mut(&mut self) -> &mut SidTable {
-        self.digests.0.take();
         &mut self.sids
     }
 
     /// Mutable access to one site instruction (see
     /// [`encoding_mut`](EncodingPlan::encoding_mut) for the intended use).
     pub fn site_instr_mut(&mut self, site: SiteId) -> Option<&mut SiteInstr> {
-        self.digests.0.take();
         self.sites.get_mut(&site)
     }
 
     /// Mutable access to one entry instruction (see
     /// [`encoding_mut`](EncodingPlan::encoding_mut) for the intended use).
     pub fn entry_instr_mut(&mut self, method: MethodId) -> Option<&mut EntryInstr> {
-        self.digests.0.take();
         self.entries.get_mut(&method)
     }
 
@@ -593,134 +535,7 @@ impl EncodingPlan {
     /// fault injection against the compiled image's back-edge lookup
     /// table).
     pub fn back_edge_calls_mut(&mut self) -> &mut HashSet<(SiteId, MethodId)> {
-        self.digests.0.take();
         &mut self.back_edge_calls
-    }
-
-    /// The plan's [`TableDigests`], computed on first use and cached.
-    /// Freshly analysed plans ([`EncodingPlan::from_graph_with`]) seal the
-    /// digests at construction time, so this is free at audit time; parsed
-    /// or mutated plans pay one full-table sweep here. Every `&mut` table
-    /// accessor invalidates the cache, so a stale digest can never describe
-    /// a mutated table.
-    pub fn table_digests(&self) -> &TableDigests {
-        self.digests.0.get_or_init(|| self.compute_table_digests())
-    }
-
-    fn compute_table_digests(&self) -> TableDigests {
-        // The same keyed 64-bit mix anchor_fingerprints uses, seeded per
-        // table so a node row and an edge row never collide trivially.
-        const K: u64 = 0x517c_c1b7_2722_0a95;
-        #[inline]
-        fn mix(h: u64, v: u64) -> u64 {
-            (h ^ v).wrapping_mul(K).rotate_left(5)
-        }
-        #[inline]
-        fn mix128(h: u64, v: u128) -> u64 {
-            mix(mix(h, v as u64), (v >> 64) as u64)
-        }
-        let enc = &self.encoding;
-        let g = &self.graph;
-
-        // Nodes: anchor flag, owner row (ordered — row order is part of the
-        // stored table), ICC row (order-insensitive sum — HashMap iteration
-        // order is not content).
-        let n = g
-            .node_count()
-            .max(enc.is_anchor.len())
-            .max(enc.nanchors.len())
-            .max(enc.icc.len());
-        let mut nodes = vec![0u64; n];
-        for (i, slot) in nodes.iter_mut().enumerate() {
-            let mut h = match enc.is_anchor.get(i) {
-                Some(&a) => mix(0xA1, u64::from(a)),
-                None => 0xA2,
-            };
-            h = match enc.nanchors.get(i) {
-                Some(row) => row.iter().fold(mix(h, 1), |h, r| mix(h, r.index() as u64)),
-                None => mix(h, 2),
-            };
-            let icc_sum = match enc.icc.get(i) {
-                Some(row) => row.iter().fold(1u64, |acc, (r, &v)| {
-                    acc.wrapping_add(mix128(mix(0xB1, r.index() as u64), v))
-                }),
-                None => 0,
-            };
-            *slot = h ^ icc_sum;
-        }
-
-        // Edges: exclusion status and owner row (ordered).
-        let m = g.edge_count().max(enc.eanchors.len()).max(
-            enc.excluded
-                .iter()
-                .map(|e| e.index() + 1)
-                .max()
-                .unwrap_or(0),
-        );
-        let mut excluded = vec![false; m];
-        for e in &enc.excluded {
-            excluded[e.index()] = true;
-        }
-        let mut edges = vec![0u64; m];
-        for (i, slot) in edges.iter_mut().enumerate() {
-            let mut h = mix(0xC1, u64::from(excluded[i]));
-            h = match enc.eanchors.get(i) {
-                Some(row) => row.iter().fold(mix(h, 1), |h, r| mix(h, r.index() as u64)),
-                None => mix(h, 2),
-            };
-            *slot = h;
-        }
-
-        // Sites: instruction fields plus the addition value, combined
-        // order-insensitively (the two come from different maps). Dense over
-        // the union of both key domains; absent sites digest to 0.
-        let max_site = self
-            .sites
-            .keys()
-            .map(|s| s.index() + 1)
-            .chain(enc.site_av.keys().map(|s| s.index() + 1))
-            .max()
-            .unwrap_or(0);
-        let mut sites = vec![0u64; max_site];
-        for (s, i) in &self.sites {
-            let h = mix(
-                mix(
-                    mix(
-                        mix(mix(0xD1, i.av), u64::from(i.encoded)),
-                        u64::from(i.tracked),
-                    ),
-                    u64::from(i.expected_sid.as_u32()),
-                ),
-                i.caller.index() as u64,
-            );
-            sites[s.index()] = sites[s.index()].wrapping_add(h);
-        }
-        for (s, &av) in &enc.site_av {
-            sites[s.index()] = sites[s.index()].wrapping_add(mix128(0xD2, av));
-        }
-
-        // Entries: the entry instruction fields, dense by method index.
-        let max_method = self
-            .entries
-            .keys()
-            .map(|m| m.index() + 1)
-            .max()
-            .unwrap_or(0);
-        let mut entries = vec![0u64; max_method];
-        for (m, i) in &self.entries {
-            let h = mix(
-                mix(mix(0xE1, u64::from(i.sid.as_u32())), u64::from(i.is_anchor)),
-                u64::from(i.check_sid),
-            );
-            entries[m.index()] = entries[m.index()].wrapping_add(h);
-        }
-
-        TableDigests {
-            nodes,
-            edges,
-            sites,
-            entries,
-        }
     }
 
     /// All call sites carrying any instrumentation (ID arithmetic and/or
@@ -826,10 +641,8 @@ impl EncodingPlan {
     }
 
     /// The configuration line of [`EncodingPlan::fingerprint`] alone: the
-    /// semantically relevant knobs plus the entry method. Two plans whose
-    /// config lines differ were produced under different rules, so no
-    /// incremental certification between them is meaningful.
-    pub fn config_line(&self) -> String {
+    /// semantically relevant knobs plus the entry method.
+    fn config_line(&self) -> String {
         format!(
             "width={:?} cpt={} cpt_minimal={} anchor_ucp={} batch={} budget={:?} entry={}",
             self.config.width,
@@ -840,93 +653,6 @@ impl EncodingPlan {
             self.config.territory_budget,
             self.entry_method.index(),
         )
-    }
-
-    /// A 64-bit digest per anchor over everything the per-anchor audit
-    /// passes read about that anchor's stored region: the encoding width,
-    /// the anchor's identity, each covered node's index / anchor flag /
-    /// ICC row entry, and each covered edge's endpoints / site / addition
-    /// value / exclusion status. Every `r` referenced by any `nanchors`,
-    /// `eanchors`, or ICC row gets a digest, so a stray owner entry is
-    /// visible as a key the baseline lacks. Equal digests with an equal
-    /// surrounding graph region mean the per-anchor audit re-derives the
-    /// same result — the certification record `audit_delta` stores per
-    /// baseline anchor.
-    pub fn anchor_fingerprints(&self) -> BTreeMap<NodeIx, u64> {
-        // FNV-1a-style 64-bit stream hash, one u64 word per step. The
-        // rotate spreads entropy faster than byte-at-a-time FNV, which
-        // matters at million-node scale.
-        const K: u64 = 0x517c_c1b7_2722_0a95;
-        fn step(h: &mut u64, v: u64) {
-            *h = (h.rotate_left(5) ^ v).wrapping_mul(K);
-        }
-        fn step128(h: &mut u64, v: u128) {
-            step(h, v as u64);
-            step(h, (v >> 64) as u64);
-        }
-        let enc = &self.encoding;
-        let g = &self.graph;
-        let width_bits = u64::from(enc.width.bits());
-        let seeded = |r: NodeIx| {
-            let mut h = 0xcbf2_9ce4_8422_2325u64;
-            step(&mut h, width_bits);
-            step(&mut h, r.index() as u64);
-            h
-        };
-        let mut fps: BTreeMap<NodeIx, u64> = enc.anchors.iter().map(|&r| (r, seeded(r))).collect();
-        for (n, owners) in enc.nanchors.iter().enumerate() {
-            for &r in owners {
-                let h = fps.entry(r).or_insert_with(|| seeded(r));
-                step(h, 1);
-                step(h, n as u64);
-                step(h, u64::from(*enc.is_anchor.get(n).unwrap_or(&false)));
-                match enc.icc.get(n).and_then(|row| row.get(&r)) {
-                    Some(&v) => {
-                        step(h, 2);
-                        step128(h, v);
-                    }
-                    None => step(h, 3),
-                }
-            }
-        }
-        for (n, row) in enc.icc.iter().enumerate() {
-            let mut keys: Vec<NodeIx> = row.keys().copied().collect();
-            keys.sort_unstable();
-            for r in keys {
-                let h = fps.entry(r).or_insert_with(|| seeded(r));
-                step(h, 4);
-                step(h, n as u64);
-                step128(h, row[&r]);
-            }
-        }
-        for (e, owners) in enc.eanchors.iter().enumerate() {
-            let edge = g.edges().get(e);
-            for &r in owners {
-                let h = fps.entry(r).or_insert_with(|| seeded(r));
-                step(h, 5);
-                step(h, e as u64);
-                if let Some(edge) = edge {
-                    step(h, edge.caller.index() as u64);
-                    step(h, edge.callee.index() as u64);
-                    step(h, edge.site.index() as u64);
-                    match enc.site_av.get(&edge.site) {
-                        Some(&av) => {
-                            step(h, 6);
-                            step128(h, av);
-                        }
-                        None => step(h, 7),
-                    }
-                    step(
-                        h,
-                        u64::from(
-                            enc.excluded
-                                .contains(&deltapath_callgraph::EdgeIx::from_index(e)),
-                        ),
-                    );
-                }
-            }
-        }
-        fps
     }
 
     /// The instruction sections of [`EncodingPlan::fingerprint`] alone: the

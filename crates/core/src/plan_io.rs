@@ -6,8 +6,8 @@
 //! graph's roots/UCP wrapper lines the fingerprint deliberately omits, and
 //! the fingerprint body verbatim — and provides the inverse parser, so
 //! plans travel between processes the way `deltapath.graph.v1` carries call
-//! graphs. `deltapath diff <old> <new>` and `deltapath lint --baseline`
-//! both read this format.
+//! graphs. `deltapath lint --plan-out` and `deltapath import --plan-out`
+//! write this format; `deltapath diff <old> <new>` reads it.
 //!
 //! ```text
 //! deltapath.plan.v1             # header, required first line

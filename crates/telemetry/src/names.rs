@@ -51,9 +51,6 @@ pub const PLAN_SIDS: &str = "plan.sids";
 /// Per-site instruction packaging phase (span).
 pub const PLAN_INSTRUCTIONS: &str = "plan.instructions";
 
-/// Table-digest sealing for differential audits (span).
-pub const PLAN_DIGESTS: &str = "plan.digests";
-
 /// Whole Algorithm 2 run, overflow restarts included (span).
 pub const ALGO2_ANALYZE: &str = "algo2.analyze";
 
@@ -105,13 +102,6 @@ pub const AUDIT_ANCHOR_WALK: &str = "audit.anchor_walk";
 
 /// Merge of per-worker audit diagnostics in anchor order (span).
 pub const AUDIT_ANCHOR_MERGE: &str = "audit.anchor_merge";
-
-/// Whole `audit_delta` incremental re-audit (span; parent of the re-run
-/// passes, carrying certified/re-audited anchor counts).
-pub const AUDIT_DELTA: &str = "audit.delta";
-
-/// Change-set and dirty-region computation of `audit_delta` (span).
-pub const AUDIT_CHANGE_SET: &str = "audit.change_set";
 
 // ---- diff.* — semantic plan diff ----
 
@@ -263,7 +253,6 @@ pub const ALL: &[&str] = &[
     PLAN_BACK_EDGES,
     PLAN_SIDS,
     PLAN_INSTRUCTIONS,
-    PLAN_DIGESTS,
     ALGO2_ANALYZE,
     ALGO2_TERRITORIES,
     ALGO2_INTERVAL_WALK,
@@ -280,8 +269,6 @@ pub const ALL: &[&str] = &[
     AUDIT_TABLES,
     AUDIT_ANCHOR_WALK,
     AUDIT_ANCHOR_MERGE,
-    AUDIT_DELTA,
-    AUDIT_CHANGE_SET,
     DIFF_PLANS,
     COLLECTOR_SHARD_SHARDS,
     COLLECTOR_SHARD_FLUSHES,

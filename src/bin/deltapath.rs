@@ -13,9 +13,9 @@
 //! deltapath flamegraph <benchmark> [--contexts|--spans] [--out FILE]
 //! deltapath flamegraph --all --check               # validate against the stack-walk oracle
 //! deltapath lint <benchmark>|--all [--json] [--deny-warnings] [--scope app|all] [--width BITS]
-//!     [--workers N] [--baseline FILE] [--plan-out FILE]
+//!     [--workers N] [--plan-out FILE]
 //! deltapath import <file> [--lint] [--dot] [--render] [--width BITS] [--budget N]
-//!     [--workers N] [--baseline FILE] [--plan-out FILE]                # deltapath.graph.v1
+//!     [--workers N] [--plan-out FILE]                                  # deltapath.graph.v1
 //! deltapath diff <old.plan> <new.plan> [--json]    # semantic plan diff (deltapath.diff.v1)
 //! deltapath generate [--methods N] [--seed S] [--out FILE]             # scale graph to file
 //! ```
@@ -30,13 +30,13 @@ use deltapath::telemetry::Json;
 use deltapath::workloads::scale::ScaleConfig;
 use deltapath::workloads::specjvm::{program, suite};
 use deltapath::{
-    audit_delta, audit_plan_full, audit_plan_with, diff_plans, parse_graph, parse_plan,
-    render_graph, render_plan, Analysis, AuditBaseline, AuditOptions, AuditReport,
-    BatchedDeltaEncoder, CallGraph, Capture, CollectMode, Collector, ContextEncoder,
-    ContextProfile, ContextStats, DeltaEncoder, EncodingPlan, EncodingWidth, EventLog,
-    FoldedStacks, GraphConfig, GraphStats, ImportError, ImportedPlan, NullCollector, NullEncoder,
-    NullTelemetry, OpCounts, PlanConfig, PlanParseError, Program, RunReport, RunStats, ScopeFilter,
-    SpanProfiler, StackWalkEncoder, Telemetry, Vm, VmConfig,
+    audit_plan_full, audit_plan_with, diff_plans, parse_graph, parse_plan, render_graph,
+    render_plan, Analysis, AuditOptions, AuditReport, BatchedDeltaEncoder, CallGraph, Capture,
+    CollectMode, Collector, ContextEncoder, ContextProfile, ContextStats, DeltaEncoder,
+    EncodingPlan, EncodingWidth, EventLog, FoldedStacks, GraphConfig, GraphStats, ImportError,
+    ImportedPlan, NullCollector, NullEncoder, NullTelemetry, OpCounts, PlanConfig, PlanParseError,
+    Program, RunReport, RunStats, ScopeFilter, SpanProfiler, StackWalkEncoder, Telemetry, Vm,
+    VmConfig,
 };
 
 fn main() -> ExitCode {
@@ -55,63 +55,7 @@ fn main() -> ExitCode {
         Some("diff") => cmd_diff(&args[1..]),
         Some("generate") => cmd_generate(&args[1..]),
         _ => {
-            eprintln!(
-                "usage: deltapath <list|inspect|dot|run|decode|report|trace|flamegraph|lint|import|diff|generate> [benchmark] [options]\n\
-                 \n\
-                 list                      list the bundled SPECjvm2008-like benchmarks\n\
-                 inspect <bench>           static characteristics and encoding plan summary\n\
-                 \x20   --scope app|all    selective vs full encoding (default: app)\n\
-                 \x20   --width BITS       encoding integer width (default: 64)\n\
-                 dot <bench>               print the encoded call graph in Graphviz format\n\
-                 run <bench>               execute under an encoder and report costs\n\
-                 \x20   --encoder NAME     {all}\n\
-                 decode <bench>            run, capture, and decode example contexts\n\
-                 report <bench>            run with telemetry; print a human-readable summary\n\
-                 \x20                      (histograms as p50/p90/p99 upper bounds)\n\
-                 \x20   --json             the full machine-readable report instead\n\
-                 \x20   --encoder NAME     as for `run` (default: deltapath)\n\
-                 \x20   --from FILE        read a saved report (JSON or JSONL) instead of running\n\
-                 trace <bench>             like `report --json`, but printed as JSON lines\n\
-                 \x20   --chrome FILE      write a Chrome trace-event file (deltapath.trace.v2)\n\
-                 \x20                      of the span tree instead of printing JSONL\n\
-                 flamegraph <bench>        folded flamegraph stacks (inferno-compatible) on stdout\n\
-                 \x20   --contexts         decoded calling contexts weighted by entries (default)\n\
-                 \x20   --spans            self-time of the analysis/audit/run span tree\n\
-                 \x20   --encoder NAME     {decodable}\n\
-                 \x20   --scope app|all    selective vs full encoding (default: app)\n\
-                 \x20   --out FILE         write to FILE instead of stdout\n\
-                 \x20   --check [--all]    validate flamegraphs against the stack-walk oracle\n\
-                 lint <bench>|--all        statically audit the encoding plan (DP0xx diagnostics)\n\
-                 \x20   --json             machine-readable report (schema deltapath.lint.v1)\n\
-                 \x20   --deny-warnings    exit with failure on warnings, not just errors\n\
-                 \x20   --scope app|all    selective vs full encoding (default: app)\n\
-                 \x20   --width BITS       encoding integer width (default: 64)\n\
-                 \x20   --workers N        parallel per-anchor audit workers (default: 1)\n\
-                 \x20   --baseline FILE    incremental re-audit against a previously linted\n\
-                 \x20                      deltapath.plan.v1 file (identical diagnostics,\n\
-                 \x20                      only the impacted region re-runs)\n\
-                 \x20   --plan-out FILE    write the audited plan (deltapath.plan.v1)\n\
-                 import <file>             plan an external deltapath.graph.v1 call graph\n\
-                 \x20   --lint             audit the resulting plan (DP0xx diagnostics)\n\
-                 \x20   --dot              print the imported graph in Graphviz format\n\
-                 \x20   --render           re-render the canonical deltapath.graph.v1 form\n\
-                 \x20   --width BITS       encoding integer width (default: 64)\n\
-                 \x20   --budget N         territory budget: bound anchor-free path counts\n\
-                 \x20                      (extra anchors, near-linear planning; try 16-64)\n\
-                 \x20   --workers N        parallel per-anchor audit workers (with --lint)\n\
-                 \x20   --baseline FILE    incremental --lint against a deltapath.plan.v1 file\n\
-                 \x20   --plan-out FILE    write the resulting plan (deltapath.plan.v1)\n\
-                 diff <old> <new>          semantically compare two deltapath.plan.v1 files\n\
-                 \x20                      (DP05x diagnostics; anchors, tables, territories,\n\
-                 \x20                      SIDs, instructions)\n\
-                 \x20   --json             machine-readable report (schema deltapath.diff.v1)\n\
-                 generate                  write a seeded scale graph (deltapath.graph.v1)\n\
-                 \x20   --methods N        graph size (default: 10000)\n\
-                 \x20   --seed S           generator seed (default: 42)\n\
-                 \x20   --out FILE         write to FILE instead of stdout",
-                all = encoder_names(|_| true),
-                decodable = encoder_names(EncoderKind::decodable),
-            );
+            eprintln!("{}", usage());
             return ExitCode::FAILURE;
         }
     };
@@ -122,6 +66,63 @@ fn main() -> ExitCode {
             ExitCode::FAILURE
         }
     }
+}
+
+/// The top-level usage text, printed on a missing or unknown subcommand.
+fn usage() -> String {
+    format!(
+        "usage: deltapath <list|inspect|dot|run|decode|report|trace|flamegraph|lint|import|diff|generate> [benchmark] [options]\n\
+         \n\
+         list                      list the bundled SPECjvm2008-like benchmarks\n\
+         inspect <bench>           static characteristics and encoding plan summary\n\
+         \x20   --scope app|all    selective vs full encoding (default: app)\n\
+         \x20   --width BITS       encoding integer width (default: 64)\n\
+         dot <bench>               print the encoded call graph in Graphviz format\n\
+         run <bench>               execute under an encoder and report costs\n\
+         \x20   --encoder NAME     {all}\n\
+         decode <bench>            run, capture, and decode example contexts\n\
+         report <bench>            run with telemetry; print a human-readable summary\n\
+         \x20                      (histograms as p50/p90/p99 upper bounds)\n\
+         \x20   --json             the full machine-readable report instead\n\
+         \x20   --encoder NAME     as for `run` (default: deltapath)\n\
+         \x20   --from FILE        read a saved report (JSON or JSONL) instead of running\n\
+         trace <bench>             like `report --json`, but printed as JSON lines\n\
+         \x20   --chrome FILE      write a Chrome trace-event file (deltapath.trace.v2)\n\
+         \x20                      of the span tree instead of printing JSONL\n\
+         flamegraph <bench>        folded flamegraph stacks (inferno-compatible) on stdout\n\
+         \x20   --contexts         decoded calling contexts weighted by entries (default)\n\
+         \x20   --spans            self-time of the analysis/audit/run span tree\n\
+         \x20   --encoder NAME     {decodable}\n\
+         \x20   --scope app|all    selective vs full encoding (default: app)\n\
+         \x20   --out FILE         write to FILE instead of stdout\n\
+         \x20   --check [--all]    validate flamegraphs against the stack-walk oracle\n\
+         lint <bench>|--all        statically audit the encoding plan (DP0xx diagnostics)\n\
+         \x20   --json             machine-readable report (schema deltapath.lint.v1)\n\
+         \x20   --deny-warnings    exit with failure on warnings, not just errors\n\
+         \x20   --scope app|all    selective vs full encoding (default: app)\n\
+         \x20   --width BITS       encoding integer width (default: 64)\n\
+         \x20   --workers N        parallel per-anchor audit workers (default: 1)\n\
+         \x20   --plan-out FILE    write the audited plan (deltapath.plan.v1)\n\
+         import <file>             plan an external deltapath.graph.v1 call graph\n\
+         \x20   --lint             audit the resulting plan (DP0xx diagnostics)\n\
+         \x20   --dot              print the imported graph in Graphviz format\n\
+         \x20   --render           re-render the canonical deltapath.graph.v1 form\n\
+         \x20   --width BITS       encoding integer width (default: 64)\n\
+         \x20   --budget N         territory budget: bound anchor-free path counts\n\
+         \x20                      (extra anchors, near-linear planning; try 16-64)\n\
+         \x20   --workers N        parallel per-anchor audit workers (with --lint)\n\
+         \x20   --plan-out FILE    write the resulting plan (deltapath.plan.v1)\n\
+         diff <old> <new>          semantically compare two deltapath.plan.v1 files\n\
+         \x20                      (DP05x diagnostics; anchors, tables, territories,\n\
+         \x20                      SIDs, instructions)\n\
+         \x20   --json             machine-readable report (schema deltapath.diff.v1)\n\
+         generate                  write a seeded scale graph (deltapath.graph.v1)\n\
+         \x20   --methods N        graph size (default: 10000)\n\
+         \x20   --seed S           generator seed (default: 42)\n\
+         \x20   --out FILE         write to FILE instead of stdout",
+        all = encoder_names(|_| true),
+        decodable = encoder_names(EncoderKind::decodable),
+    )
 }
 
 fn load(args: &[String]) -> Result<Program, String> {
@@ -807,9 +808,9 @@ fn write_plan(plan: &EncodingPlan, name: &str, path: &str) -> Result<(), String>
     render_plan(plan, name, &mut out).map_err(|e| format!("cannot write {path:?}: {e}"))
 }
 
-/// Parses `--workers N` into [`AuditOptions`] (no baseline capture — the
-/// CLI re-derives baselines from plan files instead of holding them).
-fn audit_options_of(args: &[String]) -> Result<AuditOptions, String> {
+/// Audits `plan` with [`audit_plan_full`] on `--workers N` per-anchor
+/// workers (default: 1).
+fn audit_report(p: &Program, plan: &EncodingPlan, args: &[String]) -> Result<AuditReport, String> {
     let workers = match flag(args, "--workers") {
         None => 1,
         Some(w) => w
@@ -818,36 +819,41 @@ fn audit_options_of(args: &[String]) -> Result<AuditOptions, String> {
             .filter(|&w| w >= 1)
             .ok_or_else(|| format!("bad --workers value {w:?} (use an integer >= 1)"))?,
     };
-    Ok(AuditOptions::default()
-        .with_workers(workers)
-        .without_baseline())
+    let opts = AuditOptions::default().with_workers(workers);
+    Ok(audit_plan_full(p, plan, &opts, &NullTelemetry))
 }
 
-/// Audits `plan` fully, or incrementally against `--baseline FILE` (a
-/// previously linted `deltapath.plan.v1` — the file's clean lint is the
-/// certification the delta audit builds on). Prints the certified /
-/// re-audited split in incremental mode.
-fn audited_report(
-    p: &Program,
-    plan: &EncodingPlan,
-    args: &[String],
-    quiet: bool,
-) -> Result<AuditReport, String> {
-    let opts = audit_options_of(args)?;
-    match flag(args, "--baseline") {
-        Some(path) => {
-            let old = load_plan(&path)?;
-            let baseline = AuditBaseline::assume_clean(&old.plan);
-            let outcome = audit_delta(p, plan, &old.plan, &baseline, &opts, &NullTelemetry);
-            if !quiet {
-                eprintln!(
-                    "incremental audit vs {path}: {} anchors certified, {} re-audited",
-                    outcome.certified, outcome.reaudited
-                );
-            }
-            Ok(outcome.report)
-        }
-        None => Ok(audit_plan_full(p, plan, &opts, &NullTelemetry).report),
+/// The options `lint` accepts (see [`usage`]).
+const LINT_OPTIONS: &[&str] = &[
+    "--all",
+    "--json",
+    "--deny-warnings",
+    "--scope",
+    "--width",
+    "--workers",
+    "--plan-out",
+];
+
+/// The options `import` accepts (see [`usage`]).
+const IMPORT_OPTIONS: &[&str] = &[
+    "--lint",
+    "--dot",
+    "--render",
+    "--width",
+    "--budget",
+    "--workers",
+    "--plan-out",
+];
+
+/// Rejects any `--` argument outside `known`, so a mistyped gate flag
+/// (`--deny-warnigns`) fails instead of silently weakening the command.
+fn reject_unknown_options(command: &str, args: &[String], known: &[&str]) -> Result<(), String> {
+    match args
+        .iter()
+        .find(|a| a.starts_with("--") && !known.contains(&a.as_str()))
+    {
+        Some(a) => Err(format!("unknown option {a:?} for {command}")),
+        None => Ok(()),
     }
 }
 
@@ -856,6 +862,7 @@ fn audited_report(
 /// Exits with failure on any error-severity finding, or on any finding at
 /// all under `--deny-warnings`.
 fn cmd_lint(args: &[String]) -> Result<(), String> {
+    reject_unknown_options("lint", args, LINT_OPTIONS)?;
     let json = args.iter().any(|a| a == "--json");
     let deny_warnings = args.iter().any(|a| a == "--deny-warnings");
     let scope = scope_of(args)?;
@@ -879,7 +886,7 @@ fn cmd_lint(args: &[String]) -> Result<(), String> {
     for p in &programs {
         let plan = EncodingPlan::analyze(p, &config)
             .map_err(|e| format!("{}: plan analysis failed: {e}", p.name()))?;
-        let report = audited_report(p, &plan, args, json)?;
+        let report = audit_report(p, &plan, args)?;
         errors += report.errors();
         warnings += report.warnings();
         if json {
@@ -955,6 +962,7 @@ fn cmd_diff(args: &[String]) -> Result<(), String> {
 /// graph, plan it end to end against a skeleton program, and summarize (or
 /// `--lint` / `--dot` / `--render` it).
 fn cmd_import(args: &[String]) -> Result<(), String> {
+    reject_unknown_options("import", args, IMPORT_OPTIONS)?;
     let path = args
         .first()
         .filter(|a| !a.starts_with("--"))
@@ -1040,7 +1048,7 @@ fn cmd_import(args: &[String]) -> Result<(), String> {
         println!("  wrote plan ({}) to {path}", deltapath::PLAN_SCHEMA);
     }
     if lint {
-        let report = audited_report(&p, &plan, args, false)?;
+        let report = audit_report(&p, &plan, args)?;
         for d in &report.diagnostics {
             println!("{}: {d}", imported.name);
         }
@@ -1185,5 +1193,46 @@ mod tests {
     fn load_rejects_unknown_benchmarks() {
         assert!(load(&args(&["not-a-benchmark"])).is_err());
         assert!(load(&[]).is_err());
+    }
+
+    /// The `--` options the usage text documents for `command`: its header
+    /// line and the indented option lines below it.
+    fn documented_options(command: &str) -> std::collections::BTreeSet<String> {
+        let text = usage();
+        let mut lines = text.lines().skip_while(|l| !l.starts_with(command));
+        let header = lines.next().expect("command is in the usage text");
+        std::iter::once(header)
+            .chain(lines.take_while(|l| l.starts_with(' ')))
+            .flat_map(|l| l.split(|c: char| !(c.is_ascii_lowercase() || c == '-')))
+            .filter(|w| w.starts_with("--"))
+            .map(str::to_owned)
+            .collect()
+    }
+
+    #[test]
+    fn lint_and_import_reject_a_mistyped_option() {
+        let err = cmd_lint(&args(&["compress", "--deny-warnigns", "--bogus-flag"])).unwrap_err();
+        assert_eq!(err, r#"unknown option "--deny-warnigns" for lint"#);
+        let err = cmd_import(&args(&["g.graph", "--lint", "--budgte", "32"])).unwrap_err();
+        assert_eq!(err, r#"unknown option "--budgte" for import"#);
+    }
+
+    #[test]
+    fn lint_and_import_reject_the_baseline_option() {
+        let err = cmd_lint(&args(&["compress", "--baseline", "old.plan"])).unwrap_err();
+        assert_eq!(err, r#"unknown option "--baseline" for lint"#);
+        let err = cmd_import(&args(&["g.graph", "--lint", "--baseline", "old.plan"])).unwrap_err();
+        assert_eq!(err, r#"unknown option "--baseline" for import"#);
+    }
+
+    #[test]
+    fn lint_and_import_accept_every_documented_option() {
+        for (command, known) in [("lint ", LINT_OPTIONS), ("import ", IMPORT_OPTIONS)] {
+            let documented = documented_options(command);
+            let accepted = known.iter().map(|o| o.to_string()).collect();
+            assert_eq!(documented, accepted, "{command}options");
+            let all: Vec<String> = documented.into_iter().collect();
+            assert_eq!(reject_unknown_options(command, &all, known), Ok(()));
+        }
     }
 }

@@ -91,9 +91,8 @@ pub use deltapath_telemetry as telemetry;
 pub use deltapath_workloads as workloads;
 
 pub use deltapath_analysis::{
-    audit_compiled, audit_delta, audit_plan, audit_plan_full, audit_plan_with, diff_plans,
-    AuditBaseline, AuditOptions, AuditOutcome, AuditReport, DeltaOutcome, Diagnostic, LintCode,
-    PlanDiff, Severity,
+    audit_compiled, audit_plan, audit_plan_full, audit_plan_with, diff_plans, AuditOptions,
+    AuditReport, Diagnostic, LintCode, PlanDiff, Severity,
 };
 pub use deltapath_baselines::{
     BreadcrumbsDecoder, BreadcrumbsEncoder, CctEncoder, PccEncoder, PccWidth,

@@ -1,24 +1,19 @@
-//! Differential-analysis properties, at integration scope:
+//! Plan export, plan diff and parallel-audit properties, at integration
+//! scope:
 //!
 //! * plan render → parse round-trips are pinned by `EncodingPlan::fingerprint`
 //!   across sampled scale shapes;
 //! * `diff_plans` is empty exactly on semantically identical plans and
 //!   classifies real mutations;
-//! * `audit_delta` emits **byte-identical** diagnostics to a full
-//!   `audit_plan` across sampled `ScaleConfig` shapes × localized
-//!   mutations (territory-budget promotion, call-edge addition, territory
-//!   split via anchor promotion), on clean and corrupt plans, serial and
-//!   parallel, including chained incremental audits.
+//! * `audit_plan_full` reports the same findings at any worker count, on
+//!   corrupt plans whose reports are not empty.
 
 use deltapath::callgraph::skeleton_for_graph;
 use deltapath::workloads::scale::ScaleConfig;
 use deltapath::{
-    audit_delta, audit_plan_full, diff_plans, parse_plan, render_plan_string, AuditBaseline,
-    AuditOptions, CallGraph, EncodingPlan, NullTelemetry, PlanConfig, Program, ScopeFilter, SiteId,
+    audit_plan_full, diff_plans, parse_plan, render_plan_string, AuditOptions, CallGraph,
+    EncodingPlan, NullTelemetry, PlanConfig, Program, ScopeFilter,
 };
-
-/// Sampled `ScaleConfig` shapes the equivalence sweep covers.
-const SHAPES: usize = 20;
 
 fn plan_config() -> PlanConfig {
     PlanConfig::default()
@@ -30,41 +25,6 @@ fn shape(i: usize) -> (Program, CallGraph) {
     let g = ScaleConfig::sampled(i).build_graph();
     let p = skeleton_for_graph(&format!("shape-{i}"), &g);
     (p, g)
-}
-
-fn full_json(p: &Program, plan: &EncodingPlan) -> String {
-    audit_plan_full(
-        p,
-        plan,
-        &AuditOptions::default().without_baseline(),
-        &NullTelemetry,
-    )
-    .report
-    .to_json("x")
-}
-
-fn delta_json(
-    p: &Program,
-    plan: &EncodingPlan,
-    old: &EncodingPlan,
-    baseline: &AuditBaseline,
-    opts: &AuditOptions,
-) -> (String, usize, usize) {
-    let out = audit_delta(p, plan, old, baseline, opts, &NullTelemetry);
-    (out.report.to_json("x"), out.certified, out.reaudited)
-}
-
-/// Adds one forward call edge (fresh site) to a clone of `g` and rebuilds
-/// the matching skeleton program.
-fn with_added_edge(g: &CallGraph, name: &str) -> (Program, CallGraph) {
-    let mut g2 = g.clone();
-    let n = g2.node_count();
-    let caller = g2.nodes().nth(n / 3).unwrap();
-    let callee = g2.nodes().nth(2 * n / 3).unwrap();
-    let site = SiteId::from_index(g2.edges().iter().map(|e| e.site.index()).max().unwrap_or(0) + 1);
-    g2.add_edge(caller, callee, site);
-    let p2 = skeleton_for_graph(name, &g2);
-    (p2, g2)
 }
 
 #[test]
@@ -137,177 +97,49 @@ fn diff_is_empty_exactly_on_identical_plans() {
     );
 }
 
+/// Every other worker-count check audits a clean plan and so compares two
+/// empty reports. Clearing stored territory rows makes the per-anchor
+/// walks, which the workers split into chunks, report findings, so the
+/// merged report is compared with the serial one where it is not empty.
 #[test]
-fn delta_audit_is_byte_identical_to_full_audit_across_shapes_and_mutations() {
-    let opts = AuditOptions::default();
-    let mut certified_total = 0usize;
-    for i in 0..SHAPES {
+fn parallel_audits_match_the_serial_report_on_corrupt_plans() {
+    for i in [2usize, 7, 13] {
         let (p, g) = shape(i);
-        let config = plan_config();
-        let old_plan = EncodingPlan::from_graph(&p, g.clone(), &config).unwrap();
-        let baseline = audit_plan_full(&p, &old_plan, &opts, &NullTelemetry)
-            .baseline
-            .expect("baseline requested");
-
-        // Mutation 1: territory-budget promotion. The config line changes,
-        // so the delta takes its full-audit fallback — still exact.
-        let budgeted =
-            EncodingPlan::from_graph(&p, g.clone(), &config.clone().with_territory_budget(24))
-                .unwrap();
-        let (dj, certified, _) = delta_json(&p, &budgeted, &old_plan, &baseline, &opts);
-        assert_eq!(dj, full_json(&p, &budgeted), "shape {i}: budget mutation");
-        assert_eq!(certified, 0, "shape {i}: config change certifies nothing");
-
-        // Mutation 2: one added call edge (graph + skeleton rebuilt).
-        let (p2, g2) = with_added_edge(&g, &format!("shape-{i}"));
-        let edged = EncodingPlan::from_graph(&p2, g2, &config).unwrap();
-        let (dj, certified, reaudited) = delta_json(&p2, &edged, &old_plan, &baseline, &opts);
-        assert_eq!(dj, full_json(&p2, &edged), "shape {i}: edge-add mutation");
-        assert_eq!(
-            certified + reaudited,
-            {
-                let mut a = edged.encoding().anchors.clone();
-                a.sort_unstable();
-                a.dedup();
-                a.len()
-            },
-            "shape {i}: every anchor is either certified or re-audited"
+        let mut plan = EncodingPlan::from_graph(&p, g, &plan_config()).unwrap();
+        assert!(
+            plan.encoding().anchors.len() >= 8,
+            "shape {i}: too few anchors to give 8 workers a chunk each"
         );
-        certified_total += certified;
+        let owned: Vec<usize> = (0..plan.graph().node_count())
+            .filter(|&v| !plan.encoding().nanchors[v].is_empty())
+            .collect();
+        let cleared = [owned[0], owned[owned.len() / 2], owned[owned.len() - 1]];
+        for &v in &cleared {
+            plan.encoding_mut().nanchors[v].clear();
+        }
 
-        // Mutation 3: territory split — promote a mid-graph method to an
-        // anchor. Same config line, so this exercises the incremental path
-        // with an `is_anchor` delta.
-        let victim = g.method_of(g.nodes().nth(g.node_count() / 2).unwrap());
-        let split = EncodingPlan::from_graph(
-            &p,
-            g.clone(),
-            &config.clone().with_extra_anchor_method(victim),
-        )
-        .unwrap();
-        let (dj, certified, _) = delta_json(&p, &split, &old_plan, &baseline, &opts);
-        assert_eq!(dj, full_json(&p, &split), "shape {i}: split mutation");
-        certified_total += certified;
+        let serial = audit_plan_full(&p, &plan, &AuditOptions::default(), &NullTelemetry);
+        for v in cleared {
+            let node = format!("(n{v})");
+            assert!(
+                serial.diagnostics.iter().any(|d| d.message.contains(&node)),
+                "shape {i}: cleared row of node {v} went unreported: {:?}",
+                serial.diagnostics
+            );
+        }
+        let serial = serial.to_json("x");
+        for workers in [2usize, 4, 8] {
+            let par = audit_plan_full(
+                &p,
+                &plan,
+                &AuditOptions::default().with_workers(workers),
+                &NullTelemetry,
+            );
+            assert_eq!(
+                par.to_json("x"),
+                serial,
+                "shape {i}: the {workers}-worker report differs from the serial one"
+            );
+        }
     }
-    assert!(
-        certified_total > 0,
-        "localized mutations must certify some anchors without re-auditing"
-    );
-}
-
-#[test]
-fn delta_audit_matches_full_audit_on_corrupt_plans() {
-    let opts = AuditOptions::default();
-    let (p, g) = shape(2);
-    let config = plan_config();
-    let old_plan = EncodingPlan::from_graph(&p, g.clone(), &config).unwrap();
-
-    // A corrupt *new* plan against a clean baseline: the cleared territory
-    // row is a dirty node, so its owners re-audit and the damage is found.
-    let mut corrupt_new = old_plan.clone();
-    let victim = (0..corrupt_new.graph().node_count())
-        .find(|&i| !corrupt_new.encoding().nanchors[i].is_empty())
-        .expect("some node has a territory");
-    corrupt_new.encoding_mut().nanchors[victim].clear();
-    let baseline = audit_plan_full(&p, &old_plan, &opts, &NullTelemetry)
-        .baseline
-        .unwrap();
-    let (dj, _, _) = delta_json(&p, &corrupt_new, &old_plan, &baseline, &opts);
-    let fj = full_json(&p, &corrupt_new);
-    assert_eq!(dj, fj, "corrupt new plan");
-    assert!(fj.contains("DP00"), "corruption must be reported: {fj}");
-
-    // A corrupt *baseline* plan: its recorded findings must survive into
-    // every delta, certified or not.
-    let corrupt_old = corrupt_new;
-    let corrupt_baseline = audit_plan_full(&p, &corrupt_old, &opts, &NullTelemetry)
-        .baseline
-        .unwrap();
-    let (p2, g2) = with_added_edge(&g, "shape-2");
-    let edged = EncodingPlan::from_graph(&p2, g2, &config).unwrap();
-    let (dj, _, _) = delta_json(&p2, &edged, &corrupt_old, &corrupt_baseline, &opts);
-    assert_eq!(dj, full_json(&p2, &edged), "corrupt baseline plan");
-}
-
-#[test]
-fn delta_audit_is_worker_count_independent_and_chains() {
-    let (p, g) = shape(7);
-    let config = plan_config();
-    let old_plan = EncodingPlan::from_graph(&p, g.clone(), &config).unwrap();
-    let baseline = audit_plan_full(&p, &old_plan, &AuditOptions::default(), &NullTelemetry)
-        .baseline
-        .unwrap();
-
-    let victim = g.method_of(g.nodes().nth(g.node_count() / 2).unwrap());
-    let split_config = config.clone().with_extra_anchor_method(victim);
-    let split = EncodingPlan::from_graph(&p, g.clone(), &split_config).unwrap();
-
-    let serial = audit_delta(
-        &p,
-        &split,
-        &old_plan,
-        &baseline,
-        &AuditOptions::default(),
-        &NullTelemetry,
-    );
-    for workers in [2usize, 4, 8] {
-        let par = audit_delta(
-            &p,
-            &split,
-            &old_plan,
-            &baseline,
-            &AuditOptions::default().with_workers(workers),
-            &NullTelemetry,
-        );
-        assert_eq!(
-            par.report.to_json("x"),
-            serial.report.to_json("x"),
-            "delta audit with {workers} workers must be byte-identical"
-        );
-    }
-
-    // Chain: the delta's own baseline certifies a further mutation.
-    let chained_baseline = serial.baseline.expect("delta baselines chain");
-    let victim2 = g.method_of(g.nodes().nth(g.node_count() / 3).unwrap());
-    let split2 =
-        EncodingPlan::from_graph(&p, g, &split_config.with_extra_anchor_method(victim2)).unwrap();
-    let (dj, _, _) = delta_json(
-        &p,
-        &split2,
-        &split,
-        &chained_baseline,
-        &AuditOptions::default(),
-    );
-    assert_eq!(dj, full_json(&p, &split2), "chained incremental audit");
-}
-
-#[test]
-fn assume_clean_baseline_matches_a_captured_one() {
-    // A plan that linted clean yields the same delta results whether the
-    // baseline was captured from the audit or reconstructed from the plan
-    // file alone (the CLI `--baseline` path).
-    let (p, g) = shape(4);
-    let config = plan_config();
-    let old_plan = EncodingPlan::from_graph(&p, g.clone(), &config).unwrap();
-    let full = audit_plan_full(&p, &old_plan, &AuditOptions::default(), &NullTelemetry);
-    assert!(
-        full.report.is_clean(),
-        "shape 4 plans clean: {:?}",
-        full.report.diagnostics
-    );
-    let captured = full.baseline.unwrap();
-    let assumed = AuditBaseline::assume_clean(&old_plan);
-    assert_eq!(
-        captured.table_digests(),
-        assumed.table_digests(),
-        "assume_clean re-derives the captured table digests"
-    );
-
-    let (p2, g2) = with_added_edge(&g, "shape-4");
-    let edged = EncodingPlan::from_graph(&p2, g2, &config).unwrap();
-    let opts = AuditOptions::default();
-    let (from_captured, c1, r1) = delta_json(&p2, &edged, &old_plan, &captured, &opts);
-    let (from_assumed, c2, r2) = delta_json(&p2, &edged, &old_plan, &assumed, &opts);
-    assert_eq!(from_captured, from_assumed);
-    assert_eq!((c1, r1), (c2, r2));
 }
