@@ -38,6 +38,23 @@ else
     step cargo run --quiet --bin deltapath -- lint --all --deny-warnings
 fi
 
+# Unknown options: every subcommand must reject an option it does not
+# know (exit 1 with an `error: unknown option` line) instead of silently
+# running with its defaults — `--encodr pcc` would otherwise run the
+# default encoder.
+if [ "${1:-}" != "fast" ]; then
+    echo
+    echo "==> deltapath run compress --encodr pcc (must be rejected)"
+    status=0
+    cargo run --quiet --release --bin deltapath -- run compress --encodr pcc \
+        > target/unknown-option.out 2>&1 || status=$?
+    cat target/unknown-option.out
+    if [ "$status" -ne 1 ] || ! grep -q '^error: unknown option' target/unknown-option.out; then
+        echo "the unknown option was not rejected (exit status $status)"
+        exit 1
+    fi
+fi
+
 # Flamegraph oracle gate: decoded context flamegraphs must agree with the
 # shadow-stack oracle (exact equality on closed-world programs,
 # conservation plus per-stack lower bounds across dynamic loading) and the

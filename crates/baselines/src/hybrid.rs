@@ -31,9 +31,7 @@
 use std::collections::{HashMap, HashSet};
 
 use deltapath_callgraph::{Analysis, CallGraph, GraphConfig, ScopeFilter};
-use deltapath_core::{
-    DecodeError, DeltaState, EncodeError, EncodingPlan, EntryOutcome, PlanConfig,
-};
+use deltapath_core::{DecodeError, DeltaState, EncodeError, EncodingPlan, PlanConfig};
 use deltapath_ir::{MethodId, Program, SiteId};
 use deltapath_runtime::{Capture, Collector, ContextEncoder, OpCounts, Vm, VmConfig};
 
@@ -306,10 +304,18 @@ impl HybridDictionary {
 pub struct HybridEncoder<'p> {
     plan: &'p HybridPlan,
     v: u64,
-    /// `(v at boundary, DeltaPath state since the boundary)` — one level per
-    /// active trunk exit.
-    regions: Vec<(u64, DeltaState)>,
-    counts: OpCounts,
+    /// The PCC value at the trunk exit while a DeltaPath region is open.
+    /// A region opens only from the trunk, so at most one is open.
+    boundary_v: Option<u64>,
+    /// The DeltaPath state of the open region, restarted at every trunk
+    /// exit; its tallies accumulate over every region.
+    region: DeltaState,
+    /// PCC hash mixes in the trunk.
+    hashes: u64,
+    /// Boundary frames pushed at trunk exits.
+    boundary_pushes: u64,
+    /// Boundary frames popped when a region closes.
+    boundary_pops: u64,
 }
 
 /// Caller-saved state for [`HybridEncoder`] calls.
@@ -317,8 +323,9 @@ pub struct HybridEncoder<'p> {
 pub enum HybridCallToken {
     /// Trunk-internal call: the saved PCC value.
     TrunkHash(u64),
-    /// DeltaPath-region call: the saved DeltaPath token.
-    Delta(deltapath_core::CallToken),
+    /// A call inside a DeltaPath region (the region's state keeps its
+    /// record).
+    Delta,
     /// Uninstrumented call.
     Nothing,
 }
@@ -330,8 +337,9 @@ pub enum HybridEntryToken {
     Trunk,
     /// A trunk-exit boundary: a fresh DeltaPath region was opened.
     Boundary,
-    /// A normal entry inside the current DeltaPath region.
-    Delta(EntryOutcome),
+    /// An entry inside the current DeltaPath region (the region's state
+    /// keeps whether it pushed a frame).
+    Delta,
 }
 
 impl<'p> HybridEncoder<'p> {
@@ -340,13 +348,12 @@ impl<'p> HybridEncoder<'p> {
         Self {
             plan,
             v: 0,
-            regions: Vec::new(),
-            counts: OpCounts::default(),
+            boundary_v: None,
+            region: DeltaState::start(plan.delta_plan.entry_method()),
+            hashes: 0,
+            boundary_pushes: 0,
+            boundary_pops: 0,
         }
-    }
-
-    fn in_trunk_region(&self) -> bool {
-        self.regions.is_empty()
     }
 }
 
@@ -356,12 +363,16 @@ impl ContextEncoder for HybridEncoder<'_> {
 
     fn thread_start(&mut self, _entry: MethodId) {
         self.v = 0;
-        self.regions.clear();
+        self.boundary_v = None;
     }
 
     fn on_call(&mut self, site: SiteId) -> HybridCallToken {
-        if self.plan.is_trunk_site(site) && self.in_trunk_region() {
-            self.counts.hashes += 1;
+        if self.boundary_v.is_some() {
+            self.region.on_call(&self.plan.delta_plan, site);
+            return HybridCallToken::Delta;
+        }
+        if self.plan.is_trunk_site(site) {
+            self.hashes += 1;
             let saved = self.v;
             self.v = self
                 .v
@@ -369,29 +380,13 @@ impl ContextEncoder for HybridEncoder<'_> {
                 .wrapping_add(PccEncoder::site_constant(site));
             return HybridCallToken::TrunkHash(saved);
         }
-        if let Some((_, state)) = self.regions.last_mut() {
-            if let Some(instr) = self.plan.delta_plan.site(site) {
-                if instr.encoded {
-                    self.counts.adds += 1;
-                }
-                if self.plan.delta_plan.config().cpt {
-                    self.counts.pending_saves += 1;
-                }
-                return HybridCallToken::Delta(state.on_call(&self.plan.delta_plan, site));
-            }
-        }
         HybridCallToken::Nothing
     }
 
     fn on_return(&mut self, _site: SiteId, token: HybridCallToken) {
         match token {
             HybridCallToken::TrunkHash(saved) => self.v = saved,
-            HybridCallToken::Delta(t) => {
-                if let Some((_, state)) = self.regions.last_mut() {
-                    self.counts.subs += 1;
-                    state.on_return(t);
-                }
-            }
+            HybridCallToken::Delta => self.region.on_return(),
             HybridCallToken::Nothing => {}
         }
     }
@@ -400,50 +395,34 @@ impl ContextEncoder for HybridEncoder<'_> {
         if self.plan.in_trunk(method) {
             return HybridEntryToken::Trunk;
         }
-        if self.in_trunk_region() {
+        if self.boundary_v.is_none() {
             // Trunk-exit boundary: open a DeltaPath region rooted here.
-            self.counts.pushes += 1;
-            self.regions.push((self.v, DeltaState::start(method)));
+            self.boundary_pushes += 1;
+            self.boundary_v = Some(self.v);
+            self.region.restart(method);
             return HybridEntryToken::Boundary;
         }
-        let (_, state) = self.regions.last_mut().expect("delta region active");
-        if self.plan.delta_plan.entry(method).is_none() {
-            return HybridEntryToken::Delta(EntryOutcome::Plain);
-        }
-        if self.plan.delta_plan.config().cpt {
-            self.counts.sid_checks += 1;
-        }
-        let via = via_site.filter(|&s| self.plan.delta_plan.site(s).is_some());
-        let outcome = state.on_entry(&self.plan.delta_plan, method, via);
-        if outcome.pushed() {
-            self.counts.pushes += 1;
-        }
-        HybridEntryToken::Delta(outcome)
+        self.region
+            .on_entry(&self.plan.delta_plan, method, via_site);
+        HybridEntryToken::Delta
     }
 
     fn on_exit(&mut self, _method: MethodId, token: HybridEntryToken) {
         match token {
             HybridEntryToken::Trunk => {}
             HybridEntryToken::Boundary => {
-                self.counts.pops += 1;
-                self.regions.pop();
+                self.boundary_pops += 1;
+                self.boundary_v = None;
             }
-            HybridEntryToken::Delta(outcome) => {
-                if outcome.pushed() {
-                    self.counts.pops += 1;
-                }
-                if let Some((_, state)) = self.regions.last_mut() {
-                    state.on_exit(outcome);
-                }
-            }
+            HybridEntryToken::Delta => self.region.on_exit(),
         }
     }
 
     fn observe(&mut self, at: MethodId) -> Capture {
-        match self.regions.last() {
-            Some((v, state)) => Capture::Hybrid {
-                trunk_v: *v,
-                ctx: state.snapshot(at),
+        match self.boundary_v {
+            Some(v) => Capture::Hybrid {
+                trunk_v: v,
+                ctx: self.region.snapshot(at),
             },
             None => Capture::Hybrid {
                 trunk_v: self.v,
@@ -453,7 +432,13 @@ impl ContextEncoder for HybridEncoder<'_> {
     }
 
     fn counts(&self) -> OpCounts {
-        self.counts
+        let region = OpCounts::from(self.region.counts());
+        OpCounts {
+            hashes: self.hashes,
+            pushes: self.boundary_pushes + region.pushes,
+            pops: self.boundary_pops + region.pops,
+            ..region
+        }
     }
 
     fn name(&self) -> &'static str {
@@ -655,6 +640,31 @@ mod tests {
         // caller/callee/location triples): 3 distinct trunk site-paths, each
         // captured once inside the trunk and once at the cold leaf.
         assert_eq!(unique.len(), 6);
+    }
+
+    #[test]
+    fn minimal_cpt_meters_only_the_tracking_regions_perform() {
+        // Only the static call cold1 -> cold2 reaches cold2, so under
+        // minimal call-path tracking that site saves no expectation and
+        // cold2's entry checks no SID.
+        let p = program();
+        let trunk: HashSet<MethodId> = ["main", "dispatch", "hot"]
+            .iter()
+            .map(|n| method(&p, n))
+            .collect();
+        let config = PlanConfig::default().with_cpt_minimal();
+        let plan = HybridPlan::analyze(&p, trunk, &config).unwrap();
+        let cold2 = method(&p, "cold2");
+        assert!(!plan.delta_plan().entry(cold2).unwrap().check_sid);
+
+        let mut vm = Vm::new(&p, VmConfig::default());
+        let mut enc = HybridEncoder::new(&plan);
+        vm.run(&mut enc, &mut EventLog::default()).unwrap();
+        let counts = enc.counts();
+        // Three hot invocations each open a region that calls cold2 once.
+        assert_eq!((counts.adds, counts.subs), (3, 3));
+        assert_eq!((counts.pending_saves, counts.sid_checks), (0, 0));
+        assert_eq!((counts.pushes, counts.pops), (3, 3), "boundary frames");
     }
 
     #[test]

@@ -549,17 +549,17 @@ mod tests {
         for (outer, inner, expected) in cases {
             let mid = if outer == sites[3] { mid1 } else { mid2 };
             let mut st = DeltaState::start(main);
-            let t1 = st.on_call(&plan, outer);
-            let o1 = st.on_entry(&plan, mid, Some(outer));
-            let t2 = st.on_call(&plan, inner);
-            let o2 = st.on_entry(&plan, leaf, Some(inner));
+            st.on_call(&plan, outer);
+            st.on_entry(&plan, mid, Some(outer));
+            st.on_call(&plan, inner);
+            st.on_entry(&plan, leaf, Some(inner));
             let ctx = st.snapshot(leaf);
             ids.push(ctx.id);
             assert_eq!(decoder.decode(&ctx).unwrap(), expected);
-            st.on_exit(o2);
-            st.on_return(t2);
-            st.on_exit(o1);
-            st.on_return(t1);
+            st.on_exit();
+            st.on_return();
+            st.on_exit();
+            st.on_return();
         }
         ids.sort_unstable();
         ids.dedup();

@@ -29,7 +29,8 @@
 //!   with per-hook methods that apply them to a [`BatchState`] with
 //!   branchless mask arithmetic;
 //! * [`DeltaState`] — the per-thread reference state machine (ID, stack,
-//!   pending expectation) that the instrumentation hooks drive;
+//!   pending expectation, [`StateCounts`]) that the instrumentation hooks
+//!   drive;
 //! * [`Decoder`] — precise decoding of encoded contexts, piece by piece;
 //! * [`verify`] — exhaustive context enumeration and uniqueness checking
 //!   used by the test suite;
@@ -89,12 +90,12 @@ pub use decode::{DecodeOptions, Decoder};
 pub use error::{DecodeError, EncodeError};
 pub use pcce::PcceEncoding;
 pub use plan::{EncodingPlan, EntryInstr, PlanConfig, SiteInstr};
-pub use plan_compiled::{BatchCounts, BatchState, CompiledPlan};
+pub use plan_compiled::{BatchState, CompiledPlan};
 pub use plan_io::{
     parse_plan, render_plan, render_plan_string, ImportedPlan, PlanParseError, PLAN_SCHEMA,
 };
 pub use pruned::prune_to_targets;
 pub use relative::{RelativeEntry, RelativeLog};
 pub use sid::{Sid, SidTable};
-pub use state::{CallToken, DeltaState, EntryOutcome, ResolvedEntry, ResolvedSite};
+pub use state::{DeltaState, StateCounts};
 pub use width::EncodingWidth;

@@ -71,12 +71,6 @@ pub struct PlanConfig {
     /// paper's anchor placement; a small budget (8–64) pre-places anchors
     /// so million-node planning stays linear in the graph.
     pub territory_budget: Option<u64>,
-    /// Methods to promote to anchors beyond what the analysis forces
-    /// (recursion headers, roots, UCP entry candidates). Methods not in the
-    /// encoded graph are ignored. Splitting a long territory at a chosen
-    /// method is how plan-transformation tooling (and the differential-audit
-    /// test suite) models a localized anchor-placement change.
-    pub extra_anchor_methods: Vec<MethodId>,
 }
 
 impl Default for PlanConfig {
@@ -91,7 +85,6 @@ impl Default for PlanConfig {
             anchor_ucp_entries: true,
             batch_overflow: false,
             territory_budget: None,
-            extra_anchor_methods: Vec::new(),
         }
     }
 }
@@ -139,13 +132,6 @@ impl PlanConfig {
     /// [`territory_budget`](PlanConfig::territory_budget)).
     pub fn with_territory_budget(mut self, budget: u64) -> Self {
         self.territory_budget = Some(budget.max(1));
-        self
-    }
-
-    /// Adds a method to promote to an anchor (see
-    /// [`extra_anchor_methods`](PlanConfig::extra_anchor_methods)).
-    pub fn with_extra_anchor_method(mut self, method: MethodId) -> Self {
-        self.extra_anchor_methods.push(method);
         self
     }
 }
@@ -317,11 +303,6 @@ impl EncodingPlan {
         let mut forced = info.headers.clone();
         if config.anchor_ucp_entries {
             forced.extend_from_slice(graph.ucp_entry_candidates());
-        }
-        for &method in &config.extra_anchor_methods {
-            if let Some(node) = graph.node_of(method) {
-                forced.push(node);
-            }
         }
         back_edge_span.finish(&[
             ("back_edges", info.back_edges.len() as u64),

@@ -45,6 +45,7 @@ use deltapath_ir::{MethodId, SiteId};
 use crate::context::{EncodedContext, Frame, FrameStack, FrameTag};
 use crate::plan::{render_instructions, EncodingPlan, EntryInstr, SiteInstr};
 use crate::sid::Sid;
+use crate::state::StateCounts;
 
 /// Bit layout shared by both word kinds: the low 32 bits hold a raw SID.
 const SID_MASK: u64 = 0xFFFF_FFFF;
@@ -414,46 +415,10 @@ impl CompiledPlan {
     }
 }
 
-/// Raw operation tallies of a [`BatchState`] — the batched state machine's
-/// flat counter block, incremented by mask arithmetic (never by a branch) on
-/// the straight-line path. `deltapath-runtime` maps the shared subset into
-/// its `OpCounts`; the extras (`backedge_probes`, `stack_hwm`, the
-/// snapshot tallies) feed the `encoder.backedge.*` / `encoder.batched.*`
-/// telemetry.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct BatchCounts {
-    /// `ID += av` operations.
-    pub adds: u64,
-    /// `ID -= av` operations.
-    pub subs: u64,
-    /// Pending-expectation saves around calls.
-    pub pending_saves: u64,
-    /// SID comparisons at entries.
-    pub sid_checks: u64,
-    /// Encoding-stack pushes.
-    pub pushes: u64,
-    /// Encoding-stack pops.
-    pub pops: u64,
-    /// Hazardous unexpected call paths detected.
-    pub ucp_detections: u64,
-    /// Back-edge lookup-table probes taken.
-    pub backedge_probes: u64,
-    /// Deepest the encoding stack has grown (lifetime high-water mark,
-    /// not reset by [`BatchState::restart`]).
-    pub stack_hwm: u64,
-    /// Snapshots that reused the cached [`FrameStack`] of an unchanged
-    /// stack (a reference-count increment).
-    pub snapshots_shared: u64,
-    /// Snapshots that built a fresh [`FrameStack`] after a push, a pop or
-    /// a restart.
-    pub snapshots_built: u64,
-}
-
 /// One open call's caller-saved record: what the matching return must
 /// subtract and restore. Pushed unconditionally per call hook — masked
-/// stores replace the `Option` dance of the reference state machine's
-/// [`CallToken`](crate::CallToken), keeping the call/return pair
-/// branch-free.
+/// stores replace the `Option` fields of the reference state machine's
+/// call record, keeping the call/return pair branch-free.
 #[derive(Clone, Copy, Debug, Default)]
 struct BatchCallRec {
     /// The amount added (zero for non-encoded sites).
@@ -468,13 +433,13 @@ struct BatchCallRec {
 }
 
 /// Per-thread encoding state of the batched state machine: the mirror of
-/// [`DeltaState`](crate::DeltaState) with the pending expectation held as
-/// mask-selectable raw words and the caller-saved tokens on internal LIFO
-/// stacks (the hooks have no native caller frame to keep them in).
+/// [`DeltaState`](crate::DeltaState), with the pending expectation held as
+/// mask-selectable raw words and the caller-saved records as fixed-size
+/// masked words.
 ///
-/// Equality with the reference state machine — ID, depth, captures,
-/// counts and UCP detections after every hook — is pinned by the
-/// `batched_encoder` differential suite.
+/// Equality with the reference state machine — ID, depth, captures and
+/// [`StateCounts`] after every hook — is pinned by the `batched_encoder`
+/// differential suite.
 #[derive(Clone, Debug)]
 pub struct BatchState {
     /// The current encoding ID.
@@ -497,7 +462,7 @@ pub struct BatchState {
     /// Entry outcomes of open entries (1 = pushed a frame), innermost last.
     outcomes: Vec<u8>,
     /// Operation tallies, cumulative across [`BatchState::restart`].
-    counts: BatchCounts,
+    counts: StateCounts,
 }
 
 impl BatchState {
@@ -519,13 +484,13 @@ impl BatchState {
             pend_id: 0,
             calls: Vec::with_capacity(256),
             outcomes: Vec::with_capacity(256),
-            counts: BatchCounts::default(),
+            counts: StateCounts::default(),
         }
     }
 
     /// Resets the encoding state for a new thread/replay at `entry`,
     /// keeping the cumulative counts — the batched analog of
-    /// [`DeltaState::start`](crate::DeltaState::start).
+    /// [`DeltaState::restart`](crate::DeltaState::restart).
     pub fn restart(&mut self, entry: MethodId) {
         self.id = 0;
         self.frames.clear();
@@ -555,7 +520,7 @@ impl BatchState {
     }
 
     /// The operation tallies so far.
-    pub fn counts(&self) -> &BatchCounts {
+    pub fn counts(&self) -> &StateCounts {
         &self.counts
     }
 

@@ -16,7 +16,7 @@ use deltapath_core::{BatchState, CompiledPlan};
 use deltapath_ir::{MethodId, SiteId};
 use deltapath_telemetry::{names, Telemetry};
 
-use crate::encoder::{report_op_counts, Capture, ContextEncoder, OpCounts};
+use crate::encoder::{report_state_counts, Capture, ContextEncoder, OpCounts};
 
 /// DeltaPath over compiled dispatch tables and the branchless batched
 /// state machine, one hook at a time (see the module docs).
@@ -97,16 +97,7 @@ impl ContextEncoder for BatchedDeltaEncoder<'_> {
     }
 
     fn counts(&self) -> OpCounts {
-        let c = self.state.counts();
-        OpCounts {
-            adds: c.adds,
-            subs: c.subs,
-            pending_saves: c.pending_saves,
-            sid_checks: c.sid_checks,
-            pushes: c.pushes,
-            pops: c.pops,
-            ..OpCounts::default()
-        }
+        OpCounts::from(self.state.counts())
     }
 
     fn name(&self) -> &'static str {
@@ -120,13 +111,7 @@ impl ContextEncoder for BatchedDeltaEncoder<'_> {
     fn report_telemetry(&self, sink: &dyn Telemetry) {
         let name = self.name();
         let c = self.state.counts();
-        report_op_counts(sink, name, &self.counts());
-        sink.gauge_max(&format!("encoder.{name}.stack_hwm"), c.stack_hwm);
-        sink.counter_add(&format!("encoder.{name}.ucp_detections"), c.ucp_detections);
-        sink.counter_add(
-            &format!("encoder.{name}.push_pop_imbalance"),
-            c.pushes.saturating_sub(c.pops),
-        );
+        report_state_counts(sink, name, c);
         sink.gauge_max(
             &format!("encoder.{name}.table_bytes"),
             self.compiled.table_bytes() as u64,
@@ -186,14 +171,14 @@ mod tests {
         map.thread_start(main);
         batched.thread_start(main);
         for _ in 0..5 {
-            let tm = map.on_call(site);
+            map.on_call(site);
             batched.on_call(site);
-            let em = map.on_entry(leaf, Some(site));
+            map.on_entry(leaf, Some(site));
             batched.on_entry(leaf, Some(site));
             assert_eq!(map.observe(leaf), batched.observe(leaf));
-            map.on_exit(leaf, em);
+            map.on_exit(leaf, ());
             batched.on_exit(leaf, ());
-            map.on_return(site, tm);
+            map.on_return(site, ());
             batched.on_return(site, ());
         }
         assert_eq!(map.counts(), batched.counts());

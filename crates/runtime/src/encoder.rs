@@ -9,7 +9,7 @@
 
 use std::sync::Arc;
 
-use deltapath_core::EncodedContext;
+use deltapath_core::{EncodedContext, StateCounts};
 use deltapath_ir::{MethodId, SiteId};
 use deltapath_telemetry::Telemetry;
 
@@ -110,6 +110,40 @@ pub fn report_op_counts(sink: &dyn Telemetry, technique: &str, counts: &OpCounts
     ] {
         sink.counter_add(&format!("ops.{technique}.{op}"), value);
     }
+}
+
+impl From<&StateCounts> for OpCounts {
+    /// The DeltaPath operations a state machine tallied.
+    fn from(c: &StateCounts) -> Self {
+        Self {
+            adds: c.adds,
+            subs: c.subs,
+            pending_saves: c.pending_saves,
+            sid_checks: c.sid_checks,
+            pushes: c.pushes,
+            pops: c.pops,
+            ..Self::default()
+        }
+    }
+}
+
+/// Emits a DeltaPath state machine's tallies into `sink`: the op counters
+/// of [`report_op_counts`], plus the `encoder.<technique>.stack_hwm`
+/// gauge and the `ucp_detections` and `push_pop_imbalance` counters. Both
+/// DeltaPath encoders report through it.
+pub(crate) fn report_state_counts(sink: &dyn Telemetry, technique: &str, c: &StateCounts) {
+    report_op_counts(sink, technique, &OpCounts::from(c));
+    sink.gauge_max(&format!("encoder.{technique}.stack_hwm"), c.stack_hwm);
+    sink.counter_add(
+        &format!("encoder.{technique}.ucp_detections"),
+        c.ucp_detections,
+    );
+    // A nonzero imbalance means the run ended mid-call-tree (error or
+    // abort): pushes without their matching pops.
+    sink.counter_add(
+        &format!("encoder.{technique}.push_pop_imbalance"),
+        c.pushes.saturating_sub(c.pops),
+    );
 }
 
 /// Per-operation weights, in abstract work units (the same units the IR's

@@ -5,11 +5,11 @@
 
 use std::sync::Arc;
 
-use deltapath_core::{DeltaState, EncodingPlan, EntryOutcome, ResolvedEntry, ResolvedSite};
+use deltapath_core::{DeltaState, EncodingPlan};
 use deltapath_ir::{MethodId, SiteId};
 use deltapath_telemetry::Telemetry;
 
-use crate::encoder::{report_op_counts, Capture, ContextEncoder, OpCounts};
+use crate::encoder::{report_state_counts, Capture, ContextEncoder, OpCounts};
 
 /// The native baseline: no instrumentation at all.
 #[derive(Clone, Copy, Debug, Default)]
@@ -39,15 +39,12 @@ impl ContextEncoder for NullEncoder {
 }
 
 /// The DeltaPath encoder: drives a [`DeltaState`] according to an
-/// [`EncodingPlan`] and meters every abstract operation the injected code
-/// would execute.
+/// [`EncodingPlan`]. The state meters every abstract operation the
+/// injected code would execute.
 #[derive(Debug)]
 pub struct DeltaEncoder<'p> {
     plan: &'p EncodingPlan,
     state: DeltaState,
-    counts: OpCounts,
-    stack_hwm: usize,
-    ucp_detections: u64,
 }
 
 impl<'p> DeltaEncoder<'p> {
@@ -57,9 +54,6 @@ impl<'p> DeltaEncoder<'p> {
         Self {
             plan,
             state: DeltaState::start(plan.entry_method()),
-            counts: OpCounts::default(),
-            stack_hwm: 0,
-            ucp_detections: 0,
         }
     }
 
@@ -78,76 +72,38 @@ impl<'p> DeltaEncoder<'p> {
     /// encoder's whole lifetime — like the op counts, it is not reset by
     /// [`thread_start`](ContextEncoder::thread_start)).
     pub fn stack_high_water(&self) -> usize {
-        self.stack_hwm
+        self.state.counts().stack_hwm as usize
     }
 
     /// Number of hazardous unexpected call paths detected (failed SID
     /// checks at method entries, each of which pushed a UCP frame).
     pub fn ucp_detections(&self) -> u64 {
-        self.ucp_detections
+        self.state.counts().ucp_detections
     }
 }
 
 impl ContextEncoder for DeltaEncoder<'_> {
-    type CallToken = Option<deltapath_core::CallToken>;
-    type EntryToken = EntryOutcome;
+    type CallToken = ();
+    type EntryToken = ();
 
     fn thread_start(&mut self, entry: MethodId) {
-        self.state = DeltaState::start(entry);
+        self.state.restart(entry);
     }
 
-    fn on_call(&mut self, site: SiteId) -> Self::CallToken {
-        let instr = self.plan.site(site)?;
-        let r = ResolvedSite::of(instr, self.plan.config().cpt);
-        if r.encoded {
-            self.counts.adds += 1;
-        }
-        if r.save_pending {
-            self.counts.pending_saves += 1;
-        }
-        Some(self.state.on_call_resolved(site, r))
+    fn on_call(&mut self, site: SiteId) {
+        self.state.on_call(self.plan, site);
     }
 
-    fn on_return(&mut self, _site: SiteId, token: Self::CallToken) {
-        let Some(token) = token else { return };
-        // The matching `ID -= av` of the call — emitted only where the
-        // addition was (encoded sites). The token carries the resolved
-        // instruction, so the return side needs no plan lookup at all.
-        if token.encoded() {
-            self.counts.subs += 1;
-        }
-        self.state.on_return(token);
+    fn on_return(&mut self, _site: SiteId, _token: ()) {
+        self.state.on_return();
     }
 
-    fn on_entry(&mut self, method: MethodId, via_site: Option<SiteId>) -> EntryOutcome {
-        let Some(entry) = self.plan.entry(method) else {
-            return EntryOutcome::Plain;
-        };
-        // Only instrumented dispatching sites count as "via" — a site in an
-        // uninstrumented caller has no injected code, so the entry hook sees
-        // only the thread-local expectation.
-        let via = via_site.filter(|&s| self.plan.site(s).is_some());
-        let back_edge = via.is_some_and(|s| self.plan.is_back_edge_call(s, method));
-        let r = ResolvedEntry::of(entry, self.plan.config().cpt, back_edge);
-        if r.do_check {
-            self.counts.sid_checks += 1;
-        }
-        let outcome = self.state.on_entry_resolved(method, via, r);
-        if outcome.pushed() {
-            self.counts.pushes += 1;
-            self.stack_hwm = self.stack_hwm.max(self.state.depth());
-            if outcome == EntryOutcome::PushedUcp {
-                self.ucp_detections += 1;
-            }
-        }
-        outcome
+    fn on_entry(&mut self, method: MethodId, via_site: Option<SiteId>) {
+        self.state.on_entry(self.plan, method, via_site);
     }
 
-    fn on_exit(&mut self, _method: MethodId, token: EntryOutcome) {
-        if token.pushed() {
-            self.counts.pops += 1;
-        }
-        self.state.on_exit(token);
+    fn on_exit(&mut self, _method: MethodId, _token: ()) {
+        self.state.on_exit();
     }
 
     fn observe(&mut self, at: MethodId) -> Capture {
@@ -155,7 +111,7 @@ impl ContextEncoder for DeltaEncoder<'_> {
     }
 
     fn counts(&self) -> OpCounts {
-        self.counts
+        OpCounts::from(self.state.counts())
     }
 
     fn name(&self) -> &'static str {
@@ -167,19 +123,7 @@ impl ContextEncoder for DeltaEncoder<'_> {
     }
 
     fn report_telemetry(&self, sink: &dyn Telemetry) {
-        let name = self.name();
-        report_op_counts(sink, name, &self.counts);
-        sink.gauge_max(&format!("encoder.{name}.stack_hwm"), self.stack_hwm as u64);
-        sink.counter_add(
-            &format!("encoder.{name}.ucp_detections"),
-            self.ucp_detections,
-        );
-        // A nonzero imbalance means the run ended mid-call-tree (error or
-        // abort): pushes without their matching pops.
-        sink.counter_add(
-            &format!("encoder.{name}.push_pop_imbalance"),
-            self.counts.pushes.saturating_sub(self.counts.pops),
-        );
+        report_state_counts(sink, self.name(), self.state.counts());
     }
 }
 

@@ -78,12 +78,6 @@ pub const AUDIT_BACK_EDGES: &str = "audit.back_edges";
 /// Anchor structure pass, DP003 (span).
 pub const AUDIT_ANCHORS: &str = "audit.anchors";
 
-/// Territory recomputation pass, DP002/DP003 (span).
-pub const AUDIT_TERRITORIES: &str = "audit.territories";
-
-/// Symbolic CAV/ICC soundness pass, DP001/DP010 (span).
-pub const AUDIT_INTERVALS: &str = "audit.intervals";
-
 /// Instruction drift pass, DP001/DP003 (span).
 pub const AUDIT_INSTRUCTIONS: &str = "audit.instructions";
 
@@ -102,11 +96,6 @@ pub const AUDIT_ANCHOR_WALK: &str = "audit.anchor_walk";
 
 /// Merge of per-worker audit diagnostics in anchor order (span).
 pub const AUDIT_ANCHOR_MERGE: &str = "audit.anchor_merge";
-
-// ---- diff.* — semantic plan diff ----
-
-/// Whole `diff_plans` structural comparison (span).
-pub const DIFF_PLANS: &str = "diff.plans";
 
 // ---- collector.* — event collection ----
 
@@ -261,15 +250,12 @@ pub const ALL: &[&str] = &[
     AUDIT_HYGIENE,
     AUDIT_BACK_EDGES,
     AUDIT_ANCHORS,
-    AUDIT_TERRITORIES,
-    AUDIT_INTERVALS,
     AUDIT_INSTRUCTIONS,
     AUDIT_SIDS,
     AUDIT_COMPILED,
     AUDIT_TABLES,
     AUDIT_ANCHOR_WALK,
     AUDIT_ANCHOR_MERGE,
-    DIFF_PLANS,
     COLLECTOR_SHARD_SHARDS,
     COLLECTOR_SHARD_FLUSHES,
     COLLECTOR_SHARD_EVENTS,

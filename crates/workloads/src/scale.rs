@@ -117,47 +117,6 @@ impl ScaleConfig {
         self
     }
 
-    /// Sets the layer (depth) count.
-    pub fn with_layers(mut self, layers: usize) -> Self {
-        self.layers = layers;
-        self
-    }
-
-    /// Sets the mean extra forward out-degree.
-    pub fn with_extra_edge_factor(mut self, factor: f64) -> Self {
-        self.extra_edge_factor = factor;
-        self
-    }
-
-    /// Sets the polymorphic-site probability.
-    pub fn with_poly_site_prob(mut self, p: f64) -> Self {
-        self.poly_site_prob = p;
-        self
-    }
-
-    /// Sets the maximum polymorphic fan-out.
-    pub fn with_max_fanout(mut self, fanout: usize) -> Self {
-        self.max_fanout = fanout.max(2);
-        self
-    }
-
-    /// Sets the back-edge probability.
-    pub fn with_back_edge_prob(mut self, p: f64) -> Self {
-        self.back_edge_prob = p;
-        self
-    }
-
-    /// Sets the UCP-candidate fraction.
-    pub fn with_dynamic_fraction(mut self, p: f64) -> Self {
-        self.dynamic_fraction = p;
-        self
-    }
-
-    /// The 100k-method CI smoke recipe.
-    pub fn smoke_100k() -> Self {
-        Self::default().with_methods(100_000).with_layers(128)
-    }
-
     /// The million-method benchmark recipe.
     pub fn million() -> Self {
         Self {

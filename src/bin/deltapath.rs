@@ -78,6 +78,7 @@ fn usage() -> String {
          \x20   --scope app|all    selective vs full encoding (default: app)\n\
          \x20   --width BITS       encoding integer width (default: 64)\n\
          dot <bench>               print the encoded call graph in Graphviz format\n\
+         \x20   --scope app|all    selective vs full encoding (default: app)\n\
          run <bench>               execute under an encoder and report costs\n\
          \x20   --encoder NAME     {all}\n\
          decode <bench>            run, capture, and decode example contexts\n\
@@ -87,6 +88,7 @@ fn usage() -> String {
          \x20   --encoder NAME     as for `run` (default: deltapath)\n\
          \x20   --from FILE        read a saved report (JSON or JSONL) instead of running\n\
          trace <bench>             like `report --json`, but printed as JSON lines\n\
+         \x20   --encoder NAME     as for `run` (default: deltapath)\n\
          \x20   --chrome FILE      write a Chrome trace-event file (deltapath.trace.v2)\n\
          \x20                      of the span tree instead of printing JSONL\n\
          flamegraph <bench>        folded flamegraph stacks (inferno-compatible) on stdout\n\
@@ -173,6 +175,7 @@ fn cmd_list() -> Result<(), String> {
 }
 
 fn cmd_inspect(args: &[String]) -> Result<(), String> {
+    reject_unknown_options("inspect", args, INSPECT_OPTIONS)?;
     let p = load(args)?;
     let scope = scope_of(args)?;
     let config = PlanConfig::default()
@@ -220,6 +223,7 @@ fn cmd_inspect(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_dot(args: &[String]) -> Result<(), String> {
+    reject_unknown_options("dot", args, DOT_OPTIONS)?;
     let p = load(args)?;
     let scope = scope_of(args)?;
     let graph = CallGraph::build(
@@ -359,6 +363,7 @@ impl Encoder {
 }
 
 fn cmd_run(args: &[String]) -> Result<(), String> {
+    reject_unknown_options("run", args, RUN_OPTIONS)?;
     let p = load(args)?;
     let encoder = Encoder::of_args(args)?;
     let plan = if encoder.kind.needs_plan() {
@@ -404,6 +409,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_decode(args: &[String]) -> Result<(), String> {
+    reject_unknown_options("decode", args, DECODE_OPTIONS)?;
     let p = load(args)?;
     let plan = EncodingPlan::analyze(
         &p,
@@ -500,6 +506,7 @@ fn parse_report(text: &str) -> Result<RunReport, String> {
 }
 
 fn cmd_report(args: &[String]) -> Result<(), String> {
+    reject_unknown_options("report", args, REPORT_OPTIONS)?;
     let json = args.iter().any(|a| a == "--json");
     let report = if let Some(path) = flag(args, "--from") {
         let text =
@@ -556,6 +563,7 @@ fn print_report_summary(r: &RunReport) {
 }
 
 fn cmd_trace(args: &[String]) -> Result<(), String> {
+    reject_unknown_options("trace", args, TRACE_OPTIONS)?;
     let chrome = flag(args, "--chrome");
     let (p, encoder_name, profiler) = profiled_run(args)?;
     if let Some(path) = chrome {
@@ -743,6 +751,7 @@ fn check_flamegraph(p: &Program) -> Result<(), String> {
 /// `--check` validation of the whole pipeline against the stack-walk
 /// oracle (the CI gate, usually with `--all`).
 fn cmd_flamegraph(args: &[String]) -> Result<(), String> {
+    reject_unknown_options("flamegraph", args, FLAMEGRAPH_OPTIONS)?;
     let spans_mode = args.iter().any(|a| a == "--spans");
     let contexts_mode = args.iter().any(|a| a == "--contexts");
     if spans_mode && contexts_mode {
@@ -823,6 +832,35 @@ fn audit_report(p: &Program, plan: &EncodingPlan, args: &[String]) -> Result<Aud
     Ok(audit_plan_full(p, plan, &opts, &NullTelemetry))
 }
 
+/// The options `inspect` accepts (see [`usage`]).
+const INSPECT_OPTIONS: &[&str] = &["--scope", "--width"];
+
+/// The options `dot` accepts (see [`usage`]).
+const DOT_OPTIONS: &[&str] = &["--scope"];
+
+/// The options `run` accepts (see [`usage`]).
+const RUN_OPTIONS: &[&str] = &["--encoder"];
+
+/// The options `decode` accepts (see [`usage`]): none.
+const DECODE_OPTIONS: &[&str] = &[];
+
+/// The options `report` accepts (see [`usage`]).
+const REPORT_OPTIONS: &[&str] = &["--json", "--encoder", "--from"];
+
+/// The options `trace` accepts (see [`usage`]).
+const TRACE_OPTIONS: &[&str] = &["--encoder", "--chrome"];
+
+/// The options `flamegraph` accepts (see [`usage`]).
+const FLAMEGRAPH_OPTIONS: &[&str] = &[
+    "--contexts",
+    "--spans",
+    "--encoder",
+    "--scope",
+    "--out",
+    "--check",
+    "--all",
+];
+
 /// The options `lint` accepts (see [`usage`]).
 const LINT_OPTIONS: &[&str] = &[
     "--all",
@@ -844,6 +882,12 @@ const IMPORT_OPTIONS: &[&str] = &[
     "--workers",
     "--plan-out",
 ];
+
+/// The options `diff` accepts (see [`usage`]).
+const DIFF_OPTIONS: &[&str] = &["--json"];
+
+/// The options `generate` accepts (see [`usage`]).
+const GENERATE_OPTIONS: &[&str] = &["--methods", "--seed", "--out"];
 
 /// Rejects any `--` argument outside `known`, so a mistyped gate flag
 /// (`--deny-warnigns`) fails instead of silently weakening the command.
@@ -924,6 +968,7 @@ fn cmd_lint(args: &[String]) -> Result<(), String> {
 /// Differences are informational — the exit status only reflects whether
 /// the files could be read and compared.
 fn cmd_diff(args: &[String]) -> Result<(), String> {
+    reject_unknown_options("diff", args, DIFF_OPTIONS)?;
     let json = args.iter().any(|a| a == "--json");
     let files: Vec<&String> = args.iter().filter(|a| !a.starts_with("--")).collect();
     let [old_path, new_path] = files[..] else {
@@ -1070,6 +1115,7 @@ fn cmd_import(args: &[String]) -> Result<(), String> {
 /// `deltapath generate`: write a seeded scale call graph in
 /// `deltapath.graph.v1` form, ready for `deltapath import`.
 fn cmd_generate(args: &[String]) -> Result<(), String> {
+    reject_unknown_options("generate", args, GENERATE_OPTIONS)?;
     let methods = match flag(args, "--methods") {
         None => 10_000,
         Some(m) => m
@@ -1196,15 +1242,20 @@ mod tests {
     }
 
     /// The `--` options the usage text documents for `command`: its header
-    /// line and the indented option lines below it.
+    /// line and the indented option lines below it. An option is a whole
+    /// word, or one `|` alternative of a word, with `[`/`]` stripped; an
+    /// option quoted in prose (`` `report --json`, ``) is not one.
     fn documented_options(command: &str) -> std::collections::BTreeSet<String> {
         let text = usage();
         let mut lines = text.lines().skip_while(|l| !l.starts_with(command));
         let header = lines.next().expect("command is in the usage text");
         std::iter::once(header)
             .chain(lines.take_while(|l| l.starts_with(' ')))
-            .flat_map(|l| l.split(|c: char| !(c.is_ascii_lowercase() || c == '-')))
-            .filter(|w| w.starts_with("--"))
+            .flat_map(str::split_whitespace)
+            .flat_map(|w| w.trim_matches(|c| c == '[' || c == ']').split('|'))
+            .filter(|w| {
+                w.starts_with("--") && w.chars().all(|c| c.is_ascii_lowercase() || c == '-')
+            })
             .map(str::to_owned)
             .collect()
     }
@@ -1225,14 +1276,42 @@ mod tests {
         assert_eq!(err, r#"unknown option "--baseline" for import"#);
     }
 
+    /// A subcommand's handler.
+    type Handler = fn(&[String]) -> Result<(), String>;
+
+    /// Every subcommand that takes arguments, with its option list and its
+    /// handler.
+    const COMMANDS: [(&str, &[&str], Handler); 11] = [
+        ("inspect", INSPECT_OPTIONS, cmd_inspect),
+        ("dot", DOT_OPTIONS, cmd_dot),
+        ("run", RUN_OPTIONS, cmd_run),
+        ("decode", DECODE_OPTIONS, cmd_decode),
+        ("report", REPORT_OPTIONS, cmd_report),
+        ("trace", TRACE_OPTIONS, cmd_trace),
+        ("flamegraph", FLAMEGRAPH_OPTIONS, cmd_flamegraph),
+        ("lint", LINT_OPTIONS, cmd_lint),
+        ("import", IMPORT_OPTIONS, cmd_import),
+        ("diff", DIFF_OPTIONS, cmd_diff),
+        ("generate", GENERATE_OPTIONS, cmd_generate),
+    ];
+
     #[test]
     fn lint_and_import_accept_every_documented_option() {
-        for (command, known) in [("lint ", LINT_OPTIONS), ("import ", IMPORT_OPTIONS)] {
-            let documented = documented_options(command);
+        for (command, known, _) in COMMANDS {
+            let documented = documented_options(&format!("{command} "));
             let accepted = known.iter().map(|o| o.to_string()).collect();
-            assert_eq!(documented, accepted, "{command}options");
+            assert_eq!(documented, accepted, "{command} options");
             let all: Vec<String> = documented.into_iter().collect();
             assert_eq!(reject_unknown_options(command, &all, known), Ok(()));
+        }
+    }
+
+    #[test]
+    fn every_subcommand_rejects_an_unknown_option() {
+        // The check runs before anything else, so no benchmark runs here.
+        for (command, _, handler) in COMMANDS {
+            let err = handler(&args(&["compress", "--encodr", "pcc"])).unwrap_err();
+            assert_eq!(err, format!(r#"unknown option "--encodr" for {command}"#));
         }
     }
 }

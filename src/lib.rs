@@ -103,9 +103,9 @@ pub use deltapath_callgraph::{
     GRAPH_SCHEMA,
 };
 pub use deltapath_core::{
-    parse_plan, render_plan, render_plan_string, BatchCounts, BatchState, CompiledPlan,
-    DecodeError, DecodeOptions, Decoder, DeltaState, EncodeError, EncodedContext, EncodingPlan,
-    EncodingWidth, Frame, FrameStack, FrameTag, ImportedPlan, PlanConfig, PlanParseError, Sid,
+    parse_plan, render_plan, render_plan_string, BatchState, CompiledPlan, DecodeError,
+    DecodeOptions, Decoder, DeltaState, EncodeError, EncodedContext, EncodingPlan, EncodingWidth,
+    Frame, FrameStack, FrameTag, ImportedPlan, PlanConfig, PlanParseError, Sid, StateCounts,
     PLAN_SCHEMA,
 };
 pub use deltapath_ir::{

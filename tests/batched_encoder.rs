@@ -1,105 +1,33 @@
 //! Batched-encoder differential suite: the deployment path,
-//! [`BatchedDeltaEncoder`] over a compiled plan's dense tables, replayed
-//! against two scalar references — the reference state machine
-//! ([`DeltaState`]) driven by the instructions the compiled image
-//! re-expands, and the map-based [`DeltaEncoder`] driven by the plan
-//! itself.
+//! [`BatchedDeltaEncoder`] over a compiled plan's dense tables, against
+//! the map-based reference [`DeltaEncoder`].
 //!
-//! The first runs hook by hook over every harvested stream across
-//! workloads × scopes × CPT modes × encoding widths, so the branchless
-//! state machine must agree with the scalar one after every single hook
-//! (ID, depth, UCP detections, and every capture byte for byte); the
-//! fused `save_pending` / `do_check` bits are exercised under dynamic
-//! loading. The second pins captures, abstract operation counts and UCP
-//! detections under the deterministic VM and after every hook. The full
-//! VM-driven matrix against the map-based encoder, with the DP040
-//! round-trip audit of every lowered image, lives in the `compiled_plan`
-//! suite.
+//! The first test replays every harvested stream across workloads ×
+//! scopes × CPT modes × encoding widths hook by hook: the branchless state
+//! machine must agree with the reference after every single hook — ID,
+//! depth, operation tallies (UCP detections and the stack high-water mark
+//! included) and every capture byte for byte. The fused `save_pending` /
+//! `do_check` bits and the via-site filter are exercised under dynamic
+//! loading. The same matrix then restarts both encoders in the middle of
+//! a thread, and the deterministic VM checks that the two encoders'
+//! telemetry reports agree metric for metric. The VM-driven matrix, with
+//! the DP040 round-trip audit of every lowered image, lives in the
+//! `compiled_plan` suite.
 
 mod common;
 
-use std::collections::HashSet;
+use std::collections::BTreeMap;
 
-use common::CaptureLog;
-use deltapath::workloads::synthetic::{generate, SyntheticConfig};
+use common::{configs, programs, run_log};
 use deltapath::{
-    ArgExpr, BatchedDeltaEncoder, Capture, ClassId, CollectMode, ContextEncoder, DeltaEncoder,
-    DeltaState, EncodingPlan, EncodingWidth, FrameStack, MethodKind, PlanConfig, Program,
-    ProgramBuilder, ScopeFilter, Vm, VmConfig,
+    ArgExpr, BatchedDeltaEncoder, Capture, ClassId, ContextEncoder, DeltaEncoder, EncodingPlan,
+    FrameStack, MethodKind, PlanConfig, ProgramBuilder, Recorder, ScopeFilter, StateCounts,
 };
-use deltapath_bench::hooks::{harvest, Hook};
-use deltapath_core::{CallToken, EntryOutcome, ResolvedEntry, ResolvedSite};
-
-/// Workload shapes: two open worlds with dynamic subclass loading and
-/// cross-scope calls (UCP recoveries on the hot path) and one closed world
-/// (every hook hits a present table slot).
-fn programs() -> Vec<Program> {
-    let open = |seed: u64| {
-        generate(&SyntheticConfig {
-            name: format!("batched{seed}"),
-            seed,
-            main_loop_iters: 2,
-            observe_events: 3,
-            ..SyntheticConfig::default()
-        })
-    };
-    let closed = generate(&SyntheticConfig {
-        name: "batched_closed".into(),
-        seed: 7,
-        lib_families: 0,
-        lib_methods_per_layer: 0,
-        cross_scope_prob: 0.0,
-        dynamic_subclass_prob: 0.0,
-        main_loop_iters: 2,
-        observe_events: 3,
-        ..SyntheticConfig::default()
-    });
-    vec![open(11), open(42), closed]
-}
-
-/// The plan-configuration matrix: both scopes, all three CPT modes, and
-/// three widths including one narrow enough to force anchor insertion.
-fn configs() -> Vec<(String, PlanConfig)> {
-    let mut out = Vec::new();
-    for (scope_name, scope) in [
-        ("app", ScopeFilter::ApplicationOnly),
-        ("all", ScopeFilter::All),
-    ] {
-        for (cpt_name, make_cpt) in [
-            ("cpt", (|c: PlanConfig| c) as fn(PlanConfig) -> PlanConfig),
-            ("nocpt", |c| c.with_cpt(false)),
-            ("minimal", |c| c.with_cpt_minimal()),
-        ] {
-            for width in [
-                EncodingWidth::U64,
-                EncodingWidth::U32,
-                EncodingWidth::new(12),
-            ] {
-                let config = make_cpt(PlanConfig::default().with_scope(scope)).with_width(width);
-                out.push((format!("{scope_name}/{cpt_name}/w{}", width.bits()), config));
-            }
-        }
-    }
-    out
-}
-
-/// Runs `program` once under `encoder`, collecting every capture.
-fn run_log(program: &Program, encoder: &mut impl ContextEncoder) -> CaptureLog {
-    let mut log = CaptureLog::default();
-    let mut vm = Vm::new(
-        program,
-        VmConfig::default().with_collect(CollectMode::Entries),
-    );
-    vm.run(encoder, &mut log).expect("run");
-    log
-}
+use deltapath_bench::hooks::{harvest, replay, Hook};
+use deltapath_telemetry::names;
 
 #[test]
-fn batched_encoder_matches_compiled_everywhere() {
-    // The scalar reference state machine reads the compiled image only —
-    // `site_instr` / `entry_instr` re-expand each word and the back-edge
-    // pairs come from the lookup table the entry hook probes — so any
-    // divergence is the branchless machine's, not the lowering's.
+fn state_is_exact_after_every_hook() {
     let mut pairs = 0usize;
     for program in programs() {
         let hooks = harvest(&program).expect("harvest");
@@ -109,158 +37,37 @@ fn batched_encoder_matches_compiled_everywhere() {
             let Ok(plan) = EncodingPlan::analyze(&program, &config) else {
                 continue;
             };
-            let fingerprint_before = plan.fingerprint();
             let compiled = plan.compile();
-            let cpt = compiled.cpt();
-            let back_edges: HashSet<_> = compiled.back_edge_call_pairs().collect();
             let tag = format!("{}/{label}", program.name());
-
-            let mut scalar = DeltaState::start(program.entry());
-            let mut scalar_ucps = 0u64;
-            let mut enc = BatchedDeltaEncoder::new(&compiled);
-            enc.thread_start(program.entry());
-            let mut open_calls = Vec::new();
-            let mut open_entries = Vec::new();
-            let mut observes = 0usize;
-            for (i, &hook) in hooks.iter().enumerate() {
-                match hook {
-                    Hook::Call(site) => {
-                        let token = match compiled.site_instr(site) {
-                            Some(instr) => {
-                                scalar.on_call_resolved(site, ResolvedSite::of(&instr, cpt))
-                            }
-                            None => CallToken::inert(),
-                        };
-                        open_calls.push((site, token));
-                        enc.on_call(site);
-                    }
-                    Hook::Return => {
-                        let (site, token) = open_calls.pop().expect("balanced stream");
-                        scalar.on_return(token);
-                        enc.on_return(site, ());
-                    }
-                    Hook::Entry(method, via) => {
-                        let outcome = match compiled.entry_instr(method) {
-                            Some(instr) => {
-                                // Only an instrumented dispatching site
-                                // counts as "via".
-                                let via = via.filter(|&s| compiled.site_instr(s).is_some());
-                                let back_edge =
-                                    via.is_some_and(|site| back_edges.contains(&(site, method)));
-                                let r = ResolvedEntry::of(&instr, cpt, back_edge);
-                                scalar.on_entry_resolved(method, via, r)
-                            }
-                            None => EntryOutcome::Plain,
-                        };
-                        scalar_ucps += u64::from(outcome == EntryOutcome::PushedUcp);
-                        open_entries.push(outcome);
-                        enc.on_entry(method, via);
-                    }
-                    Hook::Exit(method) => {
-                        scalar.on_exit(open_entries.pop().expect("balanced stream"));
-                        enc.on_exit(method, ());
-                    }
-                    Hook::Observe(at) => {
-                        observes += 1;
-                        assert_eq!(
-                            enc.observe(at),
-                            Capture::Delta(scalar.snapshot(at)),
-                            "{tag}: capture at hook {i}"
-                        );
-                    }
-                }
-                assert_eq!(enc.state().id(), scalar.id(), "{tag}: ID after hook {i}");
-                assert_eq!(
-                    enc.state().depth(),
-                    scalar.depth(),
-                    "{tag}: depth after hook {i}"
-                );
-                assert_eq!(
-                    enc.ucp_detections(),
-                    scalar_ucps,
-                    "{tag}: UCP detections after hook {i}"
-                );
-            }
-            assert!(observes > 0, "{tag}: workload must observe");
-
-            // Replay is read-only on the plan and its image.
-            assert_eq!(plan.fingerprint(), fingerprint_before, "{tag}");
-            assert_eq!(
-                plan.instruction_fingerprint(),
-                compiled.instruction_fingerprint(),
-                "{tag}: lowered image renders different instructions"
-            );
-            pairs += 1;
-        }
-    }
-    assert!(pairs >= 30, "the matrix collapsed: only {pairs} pairs ran");
-}
-
-#[test]
-fn map_based_encoder_agrees_with_batched() {
-    // The map-based reference against the batched encoder on the default
-    // configuration of every workload, under the deterministic VM: the
-    // direct pin between the two encoders this suite's per-hook tests
-    // compare.
-    for program in programs() {
-        let config = PlanConfig::default().with_scope(ScopeFilter::ApplicationOnly);
-        let plan = EncodingPlan::analyze(&program, &config).expect("plan");
-        let compiled = plan.compile();
-        let mut map_enc = DeltaEncoder::new(&plan);
-        let map_log = run_log(&program, &mut map_enc);
-        let mut bat_enc = BatchedDeltaEncoder::new(&compiled);
-        let bat_log = run_log(&program, &mut bat_enc);
-        assert_eq!(map_log.records, bat_log.records, "{}", program.name());
-        assert_eq!(map_enc.counts(), bat_enc.counts(), "{}", program.name());
-        assert_eq!(
-            map_enc.ucp_detections(),
-            bat_enc.ucp_detections(),
-            "{}",
-            program.name()
-        );
-    }
-}
-
-#[test]
-fn state_is_exact_after_every_hook() {
-    // The batched encoder buffers nothing, so every cut point of a stream
-    // is exact: after each hook its state must equal the reference state
-    // machine driven by the same hook.
-    for program in programs() {
-        for scope in [ScopeFilter::ApplicationOnly, ScopeFilter::All] {
-            let config = PlanConfig::default().with_scope(scope);
-            let plan = EncodingPlan::analyze(&program, &config).expect("plan");
-            let compiled = plan.compile();
-            let hooks = harvest(&program).expect("harvest");
-            let tag = format!("{}/{scope:?}", program.name());
 
             let mut map = DeltaEncoder::new(&plan);
             let mut enc = BatchedDeltaEncoder::new(&compiled);
             map.thread_start(program.entry());
             enc.thread_start(program.entry());
             let mut open_calls = Vec::new();
-            let mut open_entries = Vec::new();
+            let mut observes = 0usize;
             for (i, &hook) in hooks.iter().enumerate() {
                 match hook {
                     Hook::Call(site) => {
-                        open_calls.push((site, map.on_call(site)));
+                        open_calls.push(site);
+                        map.on_call(site);
                         enc.on_call(site);
                     }
                     Hook::Return => {
-                        let (site, token) = open_calls.pop().expect("balanced stream");
-                        map.on_return(site, token);
+                        let site = open_calls.pop().expect("balanced stream");
+                        map.on_return(site, ());
                         enc.on_return(site, ());
                     }
                     Hook::Entry(method, via) => {
-                        open_entries.push(map.on_entry(method, via));
+                        map.on_entry(method, via);
                         enc.on_entry(method, via);
                     }
                     Hook::Exit(method) => {
-                        let token = open_entries.pop().expect("balanced stream");
-                        map.on_exit(method, token);
+                        map.on_exit(method, ());
                         enc.on_exit(method, ());
                     }
                     Hook::Observe(at) => {
+                        observes += 1;
                         assert_eq!(enc.observe(at), map.observe(at), "{tag}: capture {i}");
                     }
                 }
@@ -274,14 +81,134 @@ fn state_is_exact_after_every_hook() {
                     map.state().depth(),
                     "{tag}: depth after hook {i}"
                 );
-                assert_eq!(enc.counts(), map.counts(), "{tag}: counts after hook {i}");
                 assert_eq!(
-                    enc.ucp_detections(),
-                    map.ucp_detections(),
-                    "{tag}: UCP detections after hook {i}"
+                    reference_view(enc.state().counts()),
+                    *map.state().counts(),
+                    "{tag}: tallies after hook {i}"
                 );
             }
+            assert!(observes > 0, "{tag}: workload must observe");
+            pairs += 1;
         }
+    }
+    assert!(pairs >= 30, "the matrix collapsed: only {pairs} pairs ran");
+}
+
+#[test]
+fn batched_encoder_matches_compiled_everywhere() {
+    // Everywhere includes a restart in the middle of a thread. Each stream
+    // is cut at its midpoint, with calls still open, and both encoders are
+    // restarted there with `thread_start`. Replayed in full after the
+    // restart, the stream must capture exactly what it captures on a fresh
+    // batched encoder, on the batched encoder and on the reference alike,
+    // and the tallies must keep counting across the restart.
+    let mut pairs = 0usize;
+    for program in programs() {
+        let hooks = harvest(&program).expect("harvest");
+        let entry = program.entry();
+        let prefix = &hooks[..hooks.len() / 2];
+        let open_at_cut = prefix
+            .iter()
+            .map(|hook| match hook {
+                Hook::Call(_) => 1,
+                Hook::Return => -1,
+                _ => 0,
+            })
+            .sum::<i64>();
+        assert!(
+            open_at_cut > 0,
+            "{}: the cut must interrupt calls",
+            program.name()
+        );
+        for (label, config) in configs() {
+            let Ok(plan) = EncodingPlan::analyze(&program, &config) else {
+                continue;
+            };
+            let compiled = plan.compile();
+            let tag = format!("{}/{label}", program.name());
+
+            let mut fresh = BatchedDeltaEncoder::new(&compiled);
+            let mut expected = Vec::new();
+            replay(entry, &hooks, &mut fresh, &mut expected);
+            assert!(!expected.is_empty(), "{tag}: workload must observe");
+
+            let mut enc = BatchedDeltaEncoder::new(&compiled);
+            let mut map = DeltaEncoder::new(&plan);
+            replay(entry, prefix, &mut enc, &mut Vec::new());
+            replay(entry, prefix, &mut map, &mut Vec::new());
+            let at_cut = *enc.state().counts();
+            let (mut captured, mut map_captured) = (Vec::new(), Vec::new());
+            replay(entry, &hooks, &mut enc, &mut captured);
+            replay(entry, &hooks, &mut map, &mut map_captured);
+            assert_eq!(
+                captured, expected,
+                "{tag}: batched captures after the restart"
+            );
+            assert_eq!(
+                map_captured, expected,
+                "{tag}: reference captures after the restart"
+            );
+            assert_eq!(
+                *enc.state().counts(),
+                consecutive(&at_cut, fresh.state().counts()),
+                "{tag}: batched tallies across the restart"
+            );
+            assert_eq!(
+                *map.state().counts(),
+                reference_view(enc.state().counts()),
+                "{tag}: reference tallies across the restart"
+            );
+            pairs += 1;
+        }
+    }
+    assert!(pairs >= 30, "the matrix collapsed: only {pairs} pairs ran");
+}
+
+#[test]
+fn map_based_encoder_agrees_with_batched() {
+    // Both encoders report their tallies through one function, so under
+    // the deterministic VM every metric of the map-based report reappears
+    // in the batched report with its value, `deltapath` renamed to
+    // `batched`; the batched encoder adds only its table, snapshot and
+    // back-edge metrics.
+    let batched_only = [
+        "encoder.batched.table_bytes",
+        names::ENCODER_BATCHED_SNAPSHOTS_SHARED,
+        names::ENCODER_BATCHED_SNAPSHOTS_BUILT,
+        names::ENCODER_BACKEDGE_PAIRS,
+        names::ENCODER_BACKEDGE_SITES,
+        names::ENCODER_BACKEDGE_PROBES,
+    ];
+    for program in programs() {
+        let config = PlanConfig::default().with_scope(ScopeFilter::ApplicationOnly);
+        let plan = EncodingPlan::analyze(&program, &config).expect("plan");
+        let compiled = plan.compile();
+        let mut map_enc = DeltaEncoder::new(&plan);
+        let map_log = run_log(&program, &mut map_enc);
+        let mut bat_enc = BatchedDeltaEncoder::new(&compiled);
+        let bat_log = run_log(&program, &mut bat_enc);
+        let tag = program.name();
+        assert_eq!(map_log.records, bat_log.records, "{tag}: captures");
+
+        let renamed: BTreeMap<_, _> = metrics(&map_enc)
+            .into_iter()
+            .map(|(name, value)| (name.replacen(".deltapath.", ".batched.", 1), value))
+            .collect();
+        let (shared, extra): (BTreeMap<_, _>, BTreeMap<_, _>) = metrics(&bat_enc)
+            .into_iter()
+            .partition(|(name, _)| renamed.contains_key(name));
+        assert_eq!(shared, renamed, "{tag}: shared metrics");
+        let mut expected_extra = batched_only.map(String::from);
+        expected_extra.sort();
+        assert_eq!(
+            extra.into_keys().collect::<Vec<_>>(),
+            expected_extra,
+            "{tag}: batched-only metrics"
+        );
+        assert!(
+            renamed["ops.batched.adds"] > 0 && renamed["ops.batched.pushes"] > 0,
+            "{tag}: workload must encode"
+        );
     }
 }
 
@@ -354,4 +281,43 @@ fn unchanged_stacks_share_one_snapshot() {
 
     let counts = enc.state().counts();
     assert_eq!((counts.snapshots_built, counts.snapshots_shared), (3, 1));
+}
+
+/// `counts` with the batched-only tallies zeroed: what the reference
+/// state machine, which probes no back-edge table and shares no
+/// snapshots, keeps for the same hooks.
+fn reference_view(counts: &StateCounts) -> StateCounts {
+    StateCounts {
+        backedge_probes: 0,
+        snapshots_shared: 0,
+        snapshots_built: 0,
+        ..*counts
+    }
+}
+
+/// The tallies of two consecutive threads on one state machine: every
+/// counter adds up, and the stack high-water mark is the larger one.
+fn consecutive(first: &StateCounts, second: &StateCounts) -> StateCounts {
+    StateCounts {
+        adds: first.adds + second.adds,
+        subs: first.subs + second.subs,
+        pending_saves: first.pending_saves + second.pending_saves,
+        sid_checks: first.sid_checks + second.sid_checks,
+        pushes: first.pushes + second.pushes,
+        pops: first.pops + second.pops,
+        ucp_detections: first.ucp_detections + second.ucp_detections,
+        backedge_probes: first.backedge_probes + second.backedge_probes,
+        stack_hwm: first.stack_hwm.max(second.stack_hwm),
+        snapshots_shared: first.snapshots_shared + second.snapshots_shared,
+        snapshots_built: first.snapshots_built + second.snapshots_built,
+    }
+}
+
+/// Every counter and gauge `encoder` reports, by name.
+fn metrics(encoder: &impl ContextEncoder) -> BTreeMap<String, u64> {
+    let recorder = Recorder::new();
+    encoder.report_telemetry(&recorder);
+    let mut all: BTreeMap<_, _> = recorder.counter_values().into_iter().collect();
+    all.extend(recorder.gauge_values());
+    all
 }

@@ -1,15 +1,17 @@
 //! Shared helpers for the integration tests: running a program under
 //! DeltaPath and under stack walking (ground truth), comparing the decoded
-//! contexts event by event, and drawing seeded property-test cases.
+//! contexts event by event, the encoder differential suites' workload ×
+//! configuration matrix, and drawing seeded property-test cases.
 
 use std::fmt::Debug;
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use deltapath::workloads::rng::SplitMix64;
+use deltapath::workloads::synthetic::{generate, SyntheticConfig};
 use deltapath::{
-    Capture, CollectMode, Collector, DeltaEncoder, EncodingPlan, MethodId, Program,
-    StackWalkEncoder, Vm, VmConfig,
+    Capture, CollectMode, Collector, ContextEncoder, DeltaEncoder, EncodingPlan, EncodingWidth,
+    MethodId, PlanConfig, Program, ScopeFilter, StackWalkEncoder, Vm, VmConfig,
 };
 
 /// Checks `property` on `cases` inputs drawn by `draw`. Case seeds come
@@ -39,6 +41,74 @@ pub fn check_cases<T: Debug>(
 pub fn gen_f64(rng: &mut SplitMix64, range: Range<f64>) -> f64 {
     let unit = (rng.next_u64() >> 11) as f64 / (1u64 << 53) as f64;
     range.start + unit * (range.end - range.start)
+}
+
+/// The encoder differential suites' workload shapes: two open worlds with
+/// dynamic subclass loading and cross-scope calls (UCP recoveries on the
+/// hot path) and one closed world (every hook hits a present table slot).
+#[allow(dead_code)] // each test binary compiles its own copy of this module
+pub fn programs() -> Vec<Program> {
+    let open = |seed: u64| {
+        generate(&SyntheticConfig {
+            name: format!("matrix{seed}"),
+            seed,
+            main_loop_iters: 2,
+            observe_events: 3,
+            ..SyntheticConfig::default()
+        })
+    };
+    let closed = generate(&SyntheticConfig {
+        name: "matrix_closed".into(),
+        seed: 7,
+        lib_families: 0,
+        lib_methods_per_layer: 0,
+        cross_scope_prob: 0.0,
+        dynamic_subclass_prob: 0.0,
+        main_loop_iters: 2,
+        observe_events: 3,
+        ..SyntheticConfig::default()
+    });
+    vec![open(11), open(42), closed]
+}
+
+/// The plan-configuration matrix: both scopes, all three CPT modes, and
+/// three widths including one narrow enough to force anchor insertion.
+#[allow(dead_code)] // each test binary compiles its own copy of this module
+pub fn configs() -> Vec<(String, PlanConfig)> {
+    let mut out = Vec::new();
+    for (scope_name, scope) in [
+        ("app", ScopeFilter::ApplicationOnly),
+        ("all", ScopeFilter::All),
+    ] {
+        for (cpt_name, make_cpt) in [
+            ("cpt", (|c: PlanConfig| c) as fn(PlanConfig) -> PlanConfig),
+            ("nocpt", |c| c.with_cpt(false)),
+            ("minimal", |c| c.with_cpt_minimal()),
+        ] {
+            for width in [
+                EncodingWidth::U64,
+                EncodingWidth::U32,
+                EncodingWidth::new(12),
+            ] {
+                let config = make_cpt(PlanConfig::default().with_scope(scope)).with_width(width);
+                out.push((format!("{scope_name}/{cpt_name}/w{}", width.bits()), config));
+            }
+        }
+    }
+    out
+}
+
+/// Runs `program` once under `encoder`, recording every entry and observe
+/// capture in execution order.
+#[allow(dead_code)] // each test binary compiles its own copy of this module
+pub fn run_log(program: &Program, encoder: &mut impl ContextEncoder) -> CaptureLog {
+    let mut log = CaptureLog::default();
+    let mut vm = Vm::new(
+        program,
+        VmConfig::default().with_collect(CollectMode::Entries),
+    );
+    vm.run(encoder, &mut log).expect("run");
+    log
 }
 
 /// Records every capture (entries and observes) in execution order.
@@ -96,17 +166,8 @@ impl Comparison {
 /// this implementation.
 #[allow(dead_code)] // each test binary compiles its own copy of this module
 pub fn compare_against_ground_truth(program: &Program, plan: &EncodingPlan) -> Comparison {
-    let vm_config = VmConfig::default().with_collect(CollectMode::Entries);
-
-    let mut delta_log = CaptureLog::default();
-    let mut vm = Vm::new(program, vm_config.clone());
-    let mut delta = DeltaEncoder::new(plan);
-    vm.run(&mut delta, &mut delta_log).expect("delta run");
-
-    let mut walk_log = CaptureLog::default();
-    let mut vm = Vm::new(program, vm_config);
-    let mut walk = StackWalkEncoder::full();
-    vm.run(&mut walk, &mut walk_log).expect("walk run");
+    let delta_log = run_log(program, &mut DeltaEncoder::new(plan));
+    let walk_log = run_log(program, &mut StackWalkEncoder::full());
 
     assert_eq!(
         delta_log.records.len(),

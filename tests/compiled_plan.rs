@@ -21,76 +21,11 @@
 
 mod common;
 
-use common::CaptureLog;
-use deltapath::workloads::synthetic::{generate, SyntheticConfig};
+use common::{configs, programs, run_log};
 use deltapath::{
-    audit_compiled, BatchedDeltaEncoder, CollectMode, ContextEncoder, DeltaEncoder, EncodingPlan,
-    EncodingWidth, PlanConfig, Program, ScopeFilter, Vm, VmConfig,
+    audit_compiled, BatchedDeltaEncoder, ContextEncoder, DeltaEncoder, EncodingPlan, PlanConfig,
+    ScopeFilter,
 };
-
-/// Workload shapes: two open worlds with dynamic subclass loading and
-/// cross-scope calls (UCP recoveries on the hot path) and one closed
-/// world (every hook hits a present table slot).
-fn programs() -> Vec<Program> {
-    let open = |seed: u64| {
-        generate(&SyntheticConfig {
-            name: format!("compiled{seed}"),
-            seed,
-            main_loop_iters: 2,
-            observe_events: 3,
-            ..SyntheticConfig::default()
-        })
-    };
-    let closed = generate(&SyntheticConfig {
-        name: "compiled_closed".into(),
-        seed: 7,
-        lib_families: 0,
-        lib_methods_per_layer: 0,
-        cross_scope_prob: 0.0,
-        dynamic_subclass_prob: 0.0,
-        main_loop_iters: 2,
-        observe_events: 3,
-        ..SyntheticConfig::default()
-    });
-    vec![open(11), open(42), closed]
-}
-
-/// The plan-configuration matrix: both scopes, all three CPT modes, and
-/// three widths including one narrow enough to force anchor insertion.
-fn configs() -> Vec<(String, PlanConfig)> {
-    let mut out = Vec::new();
-    for (scope_name, scope) in [
-        ("app", ScopeFilter::ApplicationOnly),
-        ("all", ScopeFilter::All),
-    ] {
-        for (cpt_name, make_cpt) in [
-            ("cpt", (|c: PlanConfig| c) as fn(PlanConfig) -> PlanConfig),
-            ("nocpt", |c| c.with_cpt(false)),
-            ("minimal", |c| c.with_cpt_minimal()),
-        ] {
-            for width in [
-                EncodingWidth::U64,
-                EncodingWidth::U32,
-                EncodingWidth::new(12),
-            ] {
-                let config = make_cpt(PlanConfig::default().with_scope(scope)).with_width(width);
-                out.push((format!("{scope_name}/{cpt_name}/w{}", width.bits()), config));
-            }
-        }
-    }
-    out
-}
-
-/// Runs `program` once under `encoder`, collecting every capture.
-fn run_log(program: &Program, encoder: &mut impl ContextEncoder) -> CaptureLog {
-    let mut log = CaptureLog::default();
-    let mut vm = Vm::new(
-        program,
-        VmConfig::default().with_collect(CollectMode::Entries),
-    );
-    vm.run(encoder, &mut log).expect("run");
-    log
-}
 
 #[test]
 fn compiled_encoder_matches_map_based_everywhere() {

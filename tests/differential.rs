@@ -24,7 +24,7 @@ mod common;
 
 use std::collections::{HashMap, HashSet};
 
-use common::CaptureLog;
+use common::run_log;
 use deltapath::baselines::BreadcrumbsOutcome;
 use deltapath::core::prune_to_targets;
 use deltapath::workloads::synthetic::{generate, SyntheticConfig};
@@ -52,18 +52,6 @@ fn closed_world(seed: u64) -> SyntheticConfig {
         observe_events: 3,
         ..SyntheticConfig::default()
     }
-}
-
-/// Runs `program` once under `encoder`, recording every entry and observe
-/// capture in execution order.
-fn run_log(program: &Program, encoder: &mut impl ContextEncoder) -> CaptureLog {
-    let mut log = CaptureLog::default();
-    let mut vm = Vm::new(
-        program,
-        VmConfig::default().with_collect(CollectMode::Entries),
-    );
-    vm.run(encoder, &mut log).expect("run");
-    log
 }
 
 /// Runs `program` once under `encoder`, logging the observe events only.
