@@ -22,9 +22,11 @@ fi
 step cargo test -q --workspace
 
 # Encoder differential suites in release: the debug run above keeps the
-# batched encoder's `debug_assert!` overflow checks live, but perfbench and
+# state machine's `debug_assert!` overflow checks live, but perfbench and
 # `deltapath run` execute release builds, where those checks are compiled
-# out and arithmetic wraps. The encoders must agree there too.
+# out and arithmetic wraps. The one DeltaPath state machine must agree with
+# itself over both instruction sources (compiled tables, plan hash maps)
+# there too, and its captures must match the shadow-stack oracle.
 if [ "${1:-}" != "fast" ]; then
     step cargo test --release -q --test batched_encoder --test compiled_plan --test differential
 fi
@@ -55,6 +57,23 @@ if [ "${1:-}" != "fast" ]; then
     fi
 fi
 
+# Missing values: an option that takes a value must not fall back to its
+# default when the value is missing (exit 1 with an `error: missing value`
+# line) — `--encoder` as the last argument would otherwise run the
+# default encoder.
+if [ "${1:-}" != "fast" ]; then
+    echo
+    echo "==> deltapath run compress --encoder (must be rejected)"
+    status=0
+    cargo run --quiet --release --bin deltapath -- run compress --encoder \
+        > target/missing-value.out 2>&1 || status=$?
+    cat target/missing-value.out
+    if [ "$status" -ne 1 ] || ! grep -q '^error: missing value' target/missing-value.out; then
+        echo "the missing value was not rejected (exit status $status)"
+        exit 1
+    fi
+fi
+
 # Flamegraph oracle gate: decoded context flamegraphs must agree with the
 # shadow-stack oracle (exact equality on closed-world programs,
 # conservation plus per-stack lower bounds across dynamic loading) and the
@@ -74,11 +93,12 @@ if [ "${1:-}" != "fast" ]; then
     step python3 perfbench/run.py --self-test
 fi
 
-# Encoder hot-path smoke: replay identical hook streams through the
-# map-based reference and the batched encoder; the run fails if the
-# batched encoder is slower than map-based, and fails hard on any
-# batched-vs-map divergence — captures, op counts and UCP detections are
-# pinned equal before any throughput number is believed (full numbers:
+# Encoder hot-path smoke: replay identical hook streams through the one
+# DeltaPath state machine over its two instruction sources, the plan's
+# hash maps (map-based) and the compiled tables (batched); the run fails
+# if the tables are slower than the hash maps, and fails hard if the two
+# sources diverge — captures, op counts and UCP detections are pinned
+# equal before any throughput number is believed (full numbers:
 # `encoder_hotpath --out results`).
 # `cargo bench --no-run` builds every target of the workspace under the
 # bench profile.

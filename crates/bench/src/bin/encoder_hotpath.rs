@@ -2,6 +2,11 @@
 //! and the deployment path, the hook-at-a-time [`BatchedDeltaEncoder`],
 //! hook for hook.
 //!
+//! Both encoders drive the same `DeltaState` machine; they differ only in
+//! where it finds its instructions (the plan's hash maps, lowered per
+//! hook, or the compiled tables). So the ratio of the two rows measures
+//! instruction lookup alone, not two implementations of the machine.
+//!
 //! ```text
 //! encoder_hotpath [--out DIR] [--repeat N] [--smoke]
 //! ```
@@ -115,12 +120,7 @@ fn workloads(smoke: bool) -> Vec<Workload> {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let flag = |name: &str| {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
+    let flag = |name: &str| deltapath_bench::flag(&args, name);
     let smoke = args.iter().any(|a| a == "--smoke");
     let out_dir = flag("--out")
         .map(PathBuf::from)

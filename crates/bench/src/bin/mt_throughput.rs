@@ -118,12 +118,7 @@ fn measure(
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let flag = |name: &str| {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
+    let flag = |name: &str| deltapath_bench::flag(&args, name);
     let out_dir = flag("--out")
         .map(PathBuf::from)
         .unwrap_or_else(|| ".".into());

@@ -25,12 +25,11 @@
 //!   every call site and method entry/exit (consumed by
 //!   `deltapath-runtime`);
 //! * [`CompiledPlan`] — the plan lowered into dense dispatch tables for
-//!   the deployment hot path (one array load per hook, zero hashing),
-//!   with per-hook methods that apply them to a [`BatchState`] with
-//!   branchless mask arithmetic;
-//! * [`DeltaState`] — the per-thread reference state machine (ID, stack,
-//!   pending expectation, [`StateCounts`]) that the instrumentation hooks
-//!   drive;
+//!   the deployment hot path (one array load per hook, zero hashing);
+//! * [`DeltaState`] — the per-thread state machine (ID, stack, pending
+//!   expectation, [`StateCounts`]) that the instrumentation hooks drive,
+//!   with branchless mask arithmetic over either instruction source: a
+//!   [`CompiledPlan`]'s tables or an [`EncodingPlan`]'s hash maps;
 //! * [`Decoder`] — precise decoding of encoded contexts, piece by piece;
 //! * [`verify`] — exhaustive context enumeration and uniqueness checking
 //!   used by the test suite;
@@ -90,7 +89,7 @@ pub use decode::{DecodeOptions, Decoder};
 pub use error::{DecodeError, EncodeError};
 pub use pcce::PcceEncoding;
 pub use plan::{EncodingPlan, EntryInstr, PlanConfig, SiteInstr};
-pub use plan_compiled::{BatchState, CompiledPlan};
+pub use plan_compiled::CompiledPlan;
 pub use plan_io::{
     parse_plan, render_plan, render_plan_string, ImportedPlan, PlanParseError, PLAN_SCHEMA,
 };

@@ -1,5 +1,5 @@
 //! Dense dispatch tables lowered from an [`EncodingPlan`], and the
-//! branchless per-hook state machine that runs over them.
+//! instruction words the DeltaPath state machine runs on.
 //!
 //! The plan proper stores its per-site and per-entry instructions in hash
 //! maps — the right shape for analysis, auditing and decoding, but not for
@@ -24,12 +24,12 @@
 //! table (per-site offsets over a flat callee array), the only stored form
 //! of the plan's back-edge pair set.
 //!
-//! The four per-hook methods ([`CompiledPlan::batch_call`],
-//! [`CompiledPlan::batch_return`], [`CompiledPlan::batch_entry`],
-//! [`CompiledPlan::batch_exit`]) apply those words to a [`BatchState`]
-//! with mask arithmetic: the CPT/check/track decisions are bit-selects,
-//! not branches, and only the genuinely rare events (a frame push at an
-//! entry, a pop at an exit) leave the straight-line path.
+//! [`InstructionSource`] is where [`DeltaState`](crate::DeltaState) finds
+//! those words. [`CompiledPlan`] hands them out of its tables (the
+//! deployment path); [`EncodingPlan`] probes its hash maps and lowers what
+//! it finds through the same [`SiteWord::lower`] and [`EntryWord::lower`]
+//! (the paper-literal reference). Neither the trait nor the word types are
+//! re-exported, so no other crate can add a source.
 //!
 //! The compiled image is a pure projection of the plan it was lowered
 //! from: it can always be re-derived, carries a copy of nothing mutable,
@@ -42,46 +42,60 @@
 
 use deltapath_ir::{MethodId, SiteId};
 
-use crate::context::{EncodedContext, Frame, FrameStack, FrameTag};
 use crate::plan::{render_instructions, EncodingPlan, EntryInstr, SiteInstr};
 use crate::sid::Sid;
-use crate::state::StateCounts;
 
 /// Bit layout shared by both word kinds: the low 32 bits hold a raw SID.
-const SID_MASK: u64 = 0xFFFF_FFFF;
+pub(crate) const SID_MASK: u64 = 0xFFFF_FFFF;
 
 /// The slot holds an instruction at all (the site/method is instrumented).
-const SITE_PRESENT: u64 = 1 << 32;
+pub(crate) const SITE_PRESENT: u64 = 1 << 32;
 /// The site's ID arithmetic is emitted.
-const SITE_ENCODED: u64 = 1 << 33;
+pub(crate) const SITE_ENCODED: u64 = 1 << 33;
 /// The raw `tracked` flag from the plan (config-independent).
 const SITE_TRACKED: u64 = 1 << 34;
 /// `cpt && tracked`, pre-fused: the hook saves the pending expectation.
-const SITE_SAVE_PENDING: u64 = 1 << 35;
-/// At least one `(this site, callee)` pair is a recursion back edge, so a
-/// dispatch through this site must consult the back-edge table.
-const SITE_MAY_BACK_EDGE: u64 = 1 << 36;
+pub(crate) const SITE_SAVE_PENDING: u64 = 1 << 35;
+/// At least one `(this site, callee)` pair may be a recursion back edge,
+/// so a dispatch through this site must probe the source's back edges.
+pub(crate) const SITE_MAY_BACK_EDGE: u64 = 1 << 36;
 
 /// The slot holds an entry instruction (the method is instrumented).
-const ENTRY_PRESENT: u64 = 1 << 32;
+pub(crate) const ENTRY_PRESENT: u64 = 1 << 32;
 /// The method is an anchor: its entry pushes and resets the ID.
-const ENTRY_ANCHOR: u64 = 1 << 33;
+pub(crate) const ENTRY_ANCHOR: u64 = 1 << 33;
 /// The raw `check_sid` flag from the plan (config-independent).
 const ENTRY_CHECK: u64 = 1 << 34;
 /// `cpt && check_sid`, pre-fused: the hook performs the SID comparison.
-const ENTRY_DO_CHECK: u64 = 1 << 35;
+pub(crate) const ENTRY_DO_CHECK: u64 = 1 << 35;
 
 /// One call site's fused action word: the addition value alongside a
 /// packed word of flags and the expected SID.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-struct SiteWord {
-    av: u64,
-    word: u64,
+pub struct SiteWord {
+    pub(crate) av: u64,
+    pub(crate) word: u64,
 }
 
 impl SiteWord {
     /// The word of an uninstrumented site: no flags, no arithmetic.
     const ABSENT: SiteWord = SiteWord { av: 0, word: 0 };
+
+    /// Lowers one site instruction under the plan-wide call-path-tracking
+    /// switch `cpt`. The may-back-edge bit is the source's to add.
+    fn lower(instr: &SiteInstr, cpt: bool) -> Self {
+        let mut word = SITE_PRESENT | u64::from(instr.expected_sid.as_u32());
+        if instr.encoded {
+            word |= SITE_ENCODED;
+        }
+        if instr.tracked {
+            word |= SITE_TRACKED;
+            if cpt {
+                word |= SITE_SAVE_PENDING;
+            }
+        }
+        SiteWord { av: instr.av, word }
+    }
 
     /// Whether the site carries any instrumentation.
     fn present(self) -> bool {
@@ -106,13 +120,29 @@ impl SiteWord {
 
 /// One method entry's fused action word.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-struct EntryWord {
-    word: u64,
+pub struct EntryWord {
+    pub(crate) word: u64,
 }
 
 impl EntryWord {
     /// The word of an uninstrumented method.
     const ABSENT: EntryWord = EntryWord { word: 0 };
+
+    /// Lowers one entry instruction under the plan-wide call-path-tracking
+    /// switch `cpt`.
+    fn lower(instr: &EntryInstr, cpt: bool) -> Self {
+        let mut word = ENTRY_PRESENT | u64::from(instr.sid.as_u32());
+        if instr.is_anchor {
+            word |= ENTRY_ANCHOR;
+        }
+        if instr.check_sid {
+            word |= ENTRY_CHECK;
+            if cpt {
+                word |= ENTRY_DO_CHECK;
+            }
+        }
+        EntryWord { word }
+    }
 
     /// Whether the method entry carries any instrumentation.
     fn present(self) -> bool {
@@ -132,6 +162,91 @@ impl EntryWord {
     /// The method's SID.
     fn sid(self) -> Sid {
         Sid::from_raw((self.word & SID_MASK) as u32)
+    }
+}
+
+/// Where the DeltaPath state machine finds its instructions: a site word,
+/// an entry word and a back-edge probe, each looked up by raw index. An
+/// index the source holds no instruction for yields the absent word.
+pub trait InstructionSource {
+    /// The action word of the site with index `site`.
+    fn site_word(&self, site: usize) -> SiteWord;
+
+    /// The action word of the entry of the method with index `method`.
+    fn entry_word(&self, method: usize) -> EntryWord;
+
+    /// 1 when dispatching site `site` to method `callee` takes a recursion
+    /// back edge, 0 otherwise. Asked only for a site whose word carries
+    /// the may-back-edge bit.
+    fn back_edge(&self, site: usize, callee: u32) -> u64;
+}
+
+/// The deployment source: one bounds-checked load per word, no hashing.
+impl InstructionSource for CompiledPlan {
+    #[inline(always)]
+    fn site_word(&self, site: usize) -> SiteWord {
+        self.sites.get(site).copied().unwrap_or(SiteWord::ABSENT)
+    }
+
+    #[inline(always)]
+    fn entry_word(&self, method: usize) -> EntryWord {
+        self.entries
+            .get(method)
+            .copied()
+            .unwrap_or(EntryWord::ABSENT)
+    }
+
+    /// The back-edge lookup as mask arithmetic. Two array loads bound the
+    /// site's callee slice in the two-level table; the slice is scanned
+    /// with a branchless OR-fold (it holds the recursive targets of *one*
+    /// site — almost always a single element).
+    #[inline(always)]
+    fn back_edge(&self, site: usize, callee: u32) -> u64 {
+        // Sites past the offset array have no back edges; a site with the
+        // MAY_BACK_EDGE bit set is always in range, so the hot (guarded)
+        // path takes this branch predictably.
+        if site + 1 >= self.back_edge_off.len() {
+            return 0;
+        }
+        let lo = self.back_edge_off[site] as usize;
+        let hi = self.back_edge_off[site + 1] as usize;
+        let mut hit = 0u64;
+        for &c in &self.back_edge_callees[lo..hi] {
+            hit |= u64::from(c == callee);
+        }
+        hit
+    }
+}
+
+/// The reference source: the plan's hash maps, probed per hook and lowered
+/// on the spot. Every instrumented site carries the may-back-edge bit, so
+/// every dispatch through one probes the back-edge pair set.
+impl InstructionSource for EncodingPlan {
+    fn site_word(&self, site: usize) -> SiteWord {
+        // The entry hook asks for `usize::MAX` when no site dispatched.
+        if site > u32::MAX as usize {
+            return SiteWord::ABSENT;
+        }
+        self.site(SiteId::from_index(site))
+            .map_or(SiteWord::ABSENT, |instr| {
+                let mut w = SiteWord::lower(instr, self.config().cpt);
+                w.word |= SITE_MAY_BACK_EDGE;
+                w
+            })
+    }
+
+    fn entry_word(&self, method: usize) -> EntryWord {
+        self.entry(MethodId::from_index(method))
+            .map_or(EntryWord::ABSENT, |instr| {
+                EntryWord::lower(instr, self.config().cpt)
+            })
+    }
+
+    fn back_edge(&self, site: usize, callee: u32) -> u64 {
+        u64::from(self.is_back_edge_call(
+            SiteId::from_index(site),
+            MethodId::from_index(callee as usize),
+        ))
     }
 }
 
@@ -170,17 +285,7 @@ impl CompiledPlan {
         let mut sites = vec![SiteWord::ABSENT; site_slots];
         let mut site_callers = vec![u32::MAX; site_slots];
         for (site, instr) in plan.site_instrs() {
-            let mut word = SITE_PRESENT | u64::from(instr.expected_sid.as_u32());
-            if instr.encoded {
-                word |= SITE_ENCODED;
-            }
-            if instr.tracked {
-                word |= SITE_TRACKED;
-                if cpt {
-                    word |= SITE_SAVE_PENDING;
-                }
-            }
-            sites[site.index()] = SiteWord { av: instr.av, word };
+            sites[site.index()] = SiteWord::lower(instr, cpt);
             site_callers[site.index()] = instr.caller.as_u32();
         }
 
@@ -191,17 +296,7 @@ impl CompiledPlan {
             .unwrap_or(0);
         let mut entries = vec![EntryWord::ABSENT; entry_slots];
         for (method, instr) in plan.entry_instrs() {
-            let mut word = ENTRY_PRESENT | u64::from(instr.sid.as_u32());
-            if instr.is_anchor {
-                word |= ENTRY_ANCHOR;
-            }
-            if instr.check_sid {
-                word |= ENTRY_CHECK;
-                if cpt {
-                    word |= ENTRY_DO_CHECK;
-                }
-            }
-            entries[method.index()] = EntryWord { word };
+            entries[method.index()] = EntryWord::lower(instr, cpt);
         }
 
         let mut back_edge_calls: Vec<(u32, u32)> = plan
@@ -258,53 +353,11 @@ impl CompiledPlan {
         self.entry_method
     }
 
-    /// The action word of `site` — the absent word when the site is
-    /// uninstrumented or out of range. One bounds-checked load, no hashing.
-    #[inline]
-    fn site(&self, site: SiteId) -> SiteWord {
-        self.sites
-            .get(site.index())
-            .copied()
-            .unwrap_or(SiteWord::ABSENT)
-    }
-
-    /// The action word of the entry of `method` — the absent word when the
-    /// method is uninstrumented or out of range.
-    #[inline]
-    fn entry(&self, method: MethodId) -> EntryWord {
-        self.entries
-            .get(method.index())
-            .copied()
-            .unwrap_or(EntryWord::ABSENT)
-    }
-
-    /// The back-edge lookup as mask arithmetic: 1 when `(site, callee)` is
-    /// a recursion back edge, 0 otherwise. Two array loads bound the
-    /// site's callee slice in the two-level table; the slice is scanned
-    /// with a branchless OR-fold (it holds the recursive targets of *one*
-    /// site — almost always a single element).
-    #[inline(always)]
-    fn back_edge_probe(&self, site: usize, callee: u32) -> u64 {
-        // Sites past the offset array have no back edges; a site with the
-        // MAY_BACK_EDGE bit set is always in range, so the hot (guarded)
-        // path takes this branch predictably.
-        if site + 1 >= self.back_edge_off.len() {
-            return 0;
-        }
-        let lo = self.back_edge_off[site] as usize;
-        let hi = self.back_edge_off[site + 1] as usize;
-        let mut hit = 0u64;
-        for &c in &self.back_edge_callees[lo..hi] {
-            hit |= u64::from(c == callee);
-        }
-        hit
-    }
-
     /// Re-expands the action word of `site` into the plan's instruction
     /// form, or `None` for an absent slot. Exact inverse of the lowering —
     /// pinned by the round-trip tests and the `DP040` audit.
     pub fn site_instr(&self, site: SiteId) -> Option<SiteInstr> {
-        let w = self.site(site);
+        let w = self.site_word(site.index());
         if !w.present() {
             return None;
         }
@@ -322,7 +375,7 @@ impl CompiledPlan {
     /// Re-expands the action word of `method` into the plan's instruction
     /// form, or `None` for an absent slot.
     pub fn entry_instr(&self, method: MethodId) -> Option<EntryInstr> {
-        let w = self.entry(method);
+        let w = self.entry_word(method.index());
         if !w.present() {
             return None;
         }
@@ -415,317 +468,6 @@ impl CompiledPlan {
     }
 }
 
-/// One open call's caller-saved record: what the matching return must
-/// subtract and restore. Pushed unconditionally per call hook — masked
-/// stores replace the `Option` fields of the reference state machine's
-/// call record, keeping the call/return pair branch-free.
-#[derive(Clone, Copy, Debug, Default)]
-struct BatchCallRec {
-    /// The amount added (zero for non-encoded sites).
-    add: u64,
-    /// bit 0 = encoded, bit 1 = restore pending, bit 2 = saved pending
-    /// validity.
-    flags: u64,
-    /// Saved pending site (high 32) and expected SID (low 32).
-    saved_pair: u64,
-    /// Saved pending ID-at-call.
-    saved_id: u64,
-}
-
-/// Per-thread encoding state of the batched state machine: the mirror of
-/// [`DeltaState`](crate::DeltaState), with the pending expectation held as
-/// mask-selectable raw words and the caller-saved records as fixed-size
-/// masked words.
-///
-/// Equality with the reference state machine — ID, depth, captures and
-/// [`StateCounts`] after every hook — is pinned by the `batched_encoder`
-/// differential suite.
-#[derive(Clone, Debug)]
-pub struct BatchState {
-    /// The current encoding ID.
-    id: u64,
-    /// The encoding stack, bootstrap frame included.
-    frames: Vec<Frame>,
-    /// The last snapshot of `frames`, shared by every capture until the
-    /// next push, pop or restart invalidates it.
-    shared: Option<FrameStack>,
-    /// Pending-expectation validity: 0 or 1.
-    pend_valid: u64,
-    /// Pending site index (meaningful only when `pend_valid == 1`).
-    pend_site: u64,
-    /// Pending expected SID.
-    pend_expected: u64,
-    /// Pending ID-at-call.
-    pend_id: u64,
-    /// Caller-saved records of open calls, innermost last.
-    calls: Vec<BatchCallRec>,
-    /// Entry outcomes of open entries (1 = pushed a frame), innermost last.
-    outcomes: Vec<u8>,
-    /// Operation tallies, cumulative across [`BatchState::restart`].
-    counts: StateCounts,
-}
-
-impl BatchState {
-    /// The state of a thread entering the program at `entry`: the stack
-    /// holds the bootstrap anchor frame and the ID is zero.
-    pub fn start(entry: MethodId) -> Self {
-        Self {
-            id: 0,
-            frames: vec![Frame {
-                tag: FrameTag::Anchor,
-                node: entry,
-                site: None,
-                saved_id: 0,
-            }],
-            shared: None,
-            pend_valid: 0,
-            pend_site: 0,
-            pend_expected: 0,
-            pend_id: 0,
-            calls: Vec::with_capacity(256),
-            outcomes: Vec::with_capacity(256),
-            counts: StateCounts::default(),
-        }
-    }
-
-    /// Resets the encoding state for a new thread/replay at `entry`,
-    /// keeping the cumulative counts — the batched analog of
-    /// [`DeltaState::restart`](crate::DeltaState::restart).
-    pub fn restart(&mut self, entry: MethodId) {
-        self.id = 0;
-        self.frames.clear();
-        self.frames.push(Frame {
-            tag: FrameTag::Anchor,
-            node: entry,
-            site: None,
-            saved_id: 0,
-        });
-        self.shared = None;
-        self.pend_valid = 0;
-        self.pend_site = 0;
-        self.pend_expected = 0;
-        self.pend_id = 0;
-        self.calls.clear();
-        self.outcomes.clear();
-    }
-
-    /// The current encoding ID.
-    pub fn id(&self) -> u64 {
-        self.id
-    }
-
-    /// The current encoding-stack depth (bootstrap frame included).
-    pub fn depth(&self) -> usize {
-        self.frames.len()
-    }
-
-    /// The operation tallies so far.
-    pub fn counts(&self) -> &StateCounts {
-        &self.counts
-    }
-
-    /// Captures the current calling context as an encoded value. Captures
-    /// under an unchanged stack share one [`FrameStack`]: only the first
-    /// after a push, pop or restart copies the frames.
-    pub fn snapshot(&mut self, at: MethodId) -> EncodedContext {
-        let frames = match &self.shared {
-            Some(stack) => {
-                self.counts.snapshots_shared += 1;
-                stack.clone()
-            }
-            None => {
-                self.counts.snapshots_built += 1;
-                self.shared.insert(self.frames.as_slice().into()).clone()
-            }
-        };
-        EncodedContext {
-            frames,
-            id: self.id,
-            at,
-        }
-    }
-}
-
-/// `(a & mask) | (b & !mask)` — the branchless select the hooks use for
-/// every conditional state update (`mask` is all-ones or all-zeros).
-#[inline(always)]
-fn select(mask: u64, a: u64, b: u64) -> u64 {
-    (a & mask) | (b & !mask)
-}
-
-impl CompiledPlan {
-    /// Applies an `on_call` hook at `site` to `state`: masked `ID += av`,
-    /// masked pending install, unconditional caller-record push. No
-    /// branches.
-    #[inline(always)]
-    pub fn batch_call(&self, state: &mut BatchState, site: SiteId) {
-        let site = site.index();
-        let w = self.sites.get(site).copied().unwrap_or(SiteWord::ABSENT);
-        let encoded = (w.word >> 33) & 1; // SITE_ENCODED
-        let save = (w.word >> 35) & 1; // SITE_SAVE_PENDING
-        let add = w.av & encoded.wrapping_neg();
-        debug_assert!(
-            state.id.checked_add(add).is_some(),
-            "encoding ID overflow outside a corrupted-path scenario"
-        );
-        state.id = state.id.wrapping_add(add);
-        state.counts.adds += encoded;
-        state.counts.pending_saves += save;
-        state.calls.push(BatchCallRec {
-            add,
-            flags: encoded | save << 1 | state.pend_valid << 2,
-            saved_pair: state.pend_site << 32 | state.pend_expected,
-            saved_id: state.pend_id,
-        });
-        let m = save.wrapping_neg();
-        state.pend_valid = select(m, 1, state.pend_valid);
-        state.pend_site = select(m, site as u64, state.pend_site);
-        state.pend_expected = select(m, w.word & SID_MASK, state.pend_expected);
-        state.pend_id = select(m, state.id, state.pend_id);
-    }
-
-    /// Applies the `on_return` hook matching the innermost open call:
-    /// masked `ID -= av`, masked pending restore. No branches beyond the
-    /// record pop.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no call is open on `state`.
-    #[inline(always)]
-    pub fn batch_return(&self, state: &mut BatchState) {
-        let rec = state.calls.pop().expect("balanced hook stream prefix");
-        debug_assert!(
-            state.id >= rec.add,
-            "encoding ID underflow outside a corrupted-path scenario"
-        );
-        state.id = state.id.wrapping_sub(rec.add);
-        state.counts.subs += rec.flags & 1;
-        let m = ((rec.flags >> 1) & 1).wrapping_neg();
-        state.pend_valid = select(m, (rec.flags >> 2) & 1, state.pend_valid);
-        state.pend_site = select(m, rec.saved_pair >> 32, state.pend_site);
-        state.pend_expected = select(m, rec.saved_pair & 0xFFFF_FFFF, state.pend_expected);
-        state.pend_id = select(m, rec.saved_id, state.pend_id);
-    }
-
-    /// Applies an `on_entry` hook of `method` to `state`, dispatched via
-    /// `via` (`None` when control arrived from uninstrumented code): the
-    /// UCP / back-edge / anchor decision computed as mask bits; only an
-    /// entry that actually pushes a frame (rare) leaves the straight-line
-    /// path.
-    #[inline(always)]
-    pub fn batch_entry(&self, state: &mut BatchState, method: MethodId, via: Option<SiteId>) {
-        let method = method.index();
-        let via_plus_1 = via.map_or(0, |s| s.index() + 1);
-        let e = self
-            .entries
-            .get(method)
-            .copied()
-            .unwrap_or(EntryWord::ABSENT);
-        let present = (e.word >> 32) & 1; // ENTRY_PRESENT
-        let do_check = (e.word >> 35) & 1; // ENTRY_DO_CHECK
-        let anchor = (e.word >> 33) & 1; // ENTRY_ANCHOR
-        state.counts.sid_checks += do_check;
-        // `via_plus_1 == 0` wraps to an out-of-range index and loads the
-        // absent word, so the no-via entry needs no separate path.
-        let vw = self
-            .sites
-            .get(via_plus_1.wrapping_sub(1))
-            .copied()
-            .unwrap_or(SiteWord::ABSENT);
-        let via_present = (vw.word >> 32) & 1; // SITE_PRESENT
-        let mismatch = (state.pend_valid ^ 1) | u64::from(state.pend_expected != e.word & SID_MASK);
-        let ucp = do_check & mismatch & 1;
-        // The MAY_BACK_EDGE bit gates the table probe: almost never set,
-        // so the branch predicts; the probe itself is two loads plus a
-        // branchless fold over a tiny slice.
-        let back = if vw.word & SITE_MAY_BACK_EDGE != 0 {
-            state.counts.backedge_probes += 1;
-            self.back_edge_probe(via_plus_1.wrapping_sub(1), method as u32) & present
-        } else {
-            0
-        };
-        let pushed = ucp | back | anchor;
-        state.outcomes.push(pushed as u8);
-        if pushed != 0 {
-            self.batch_entry_push(state, method, via_plus_1, via_present, ucp, back);
-        }
-    }
-
-    /// The rare push path of an entry hook: reproduces the reference state
-    /// machine's UCP > recursion > anchor priority and frame contents
-    /// exactly (normal branches are fine here — pushes are off the
-    /// straight-line path by construction).
-    fn batch_entry_push(
-        &self,
-        state: &mut BatchState,
-        method: usize,
-        via_plus_1: usize,
-        via_present: u64,
-        ucp: u64,
-        back: u64,
-    ) {
-        let node = MethodId::from_index(method);
-        let via = (via_present != 0).then(|| SiteId::from_index(via_plus_1 - 1));
-        let frame = if ucp != 0 {
-            state.counts.ucp_detections += 1;
-            let (site, saved_id) = if state.pend_valid != 0 {
-                (
-                    Some(SiteId::from_index(state.pend_site as usize)),
-                    state.pend_id,
-                )
-            } else {
-                (None, state.id)
-            };
-            Frame {
-                tag: FrameTag::Ucp,
-                node,
-                site,
-                saved_id,
-            }
-        } else if back != 0 {
-            Frame {
-                tag: FrameTag::Recursion,
-                node,
-                site: via,
-                saved_id: state.id,
-            }
-        } else {
-            Frame {
-                tag: FrameTag::Anchor,
-                node,
-                site: via,
-                saved_id: state.id,
-            }
-        };
-        state.frames.push(frame);
-        state.shared = None;
-        state.id = 0;
-        state.counts.pushes += 1;
-        state.counts.stack_hwm = state.counts.stack_hwm.max(state.frames.len() as u64);
-    }
-
-    /// Applies the `on_exit` hook matching the innermost open entry: pop
-    /// the entry's outcome; restore the saved ID when the entry pushed
-    /// (rare, predictable branch).
-    ///
-    /// # Panics
-    ///
-    /// Panics if no entry is open on `state`.
-    #[inline(always)]
-    pub fn batch_exit(&self, state: &mut BatchState) {
-        let outcome = state.outcomes.pop().expect("balanced hook stream prefix");
-        if outcome != 0 {
-            let frame = state
-                .frames
-                .pop()
-                .expect("encoding stack underflow: unbalanced entry/exit hooks");
-            state.shared = None;
-            state.id = frame.saved_id;
-            state.counts.pops += 1;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -776,6 +518,11 @@ mod tests {
             assert_eq!(compiled.entry_method(), plan.entry_method());
             for (site, instr) in plan.site_instrs() {
                 assert_eq!(compiled.site_instr(site), Some(*instr), "site {site:?}");
+                // Both sources hand out one word; only the map source
+                // marks every instrumented site as a possible back edge.
+                let mut word = compiled.site_word(site.index());
+                word.word |= SITE_MAY_BACK_EDGE;
+                assert_eq!(plan.site_word(site.index()), word, "site {site:?}");
             }
             for (method, instr) in plan.entry_instrs() {
                 assert_eq!(
@@ -783,6 +530,8 @@ mod tests {
                     Some(*instr),
                     "entry {method:?}"
                 );
+                let i = method.index();
+                assert_eq!(plan.entry_word(i), compiled.entry_word(i));
             }
             assert_eq!(compiled.site_count(), plan.site_instrs().count());
             assert_eq!(compiled.entry_count(), plan.entry_instrs().count());
@@ -801,14 +550,14 @@ mod tests {
         let on = plan_on.compile();
         let off = plan_off.compile();
         for site in on.present_sites() {
-            let w = on.site(site);
+            let w = on.site_word(site.index());
             assert_eq!(w.word & SITE_SAVE_PENDING != 0, w.tracked());
-            assert_eq!(off.site(site).word & SITE_SAVE_PENDING, 0);
+            assert_eq!(off.site_word(site.index()).word & SITE_SAVE_PENDING, 0);
         }
         for method in on.present_entries() {
-            let w = on.entry(method);
+            let w = on.entry_word(method.index());
             assert_eq!(w.word & ENTRY_DO_CHECK != 0, w.check_sid());
-            assert_eq!(off.entry(method).word & ENTRY_DO_CHECK, 0);
+            assert_eq!(off.entry_word(method.index()).word & ENTRY_DO_CHECK, 0);
         }
     }
 
@@ -819,11 +568,17 @@ mod tests {
         let compiled = plan.compile();
         let bogus_site = SiteId::from_index(9_999);
         let bogus_method = MethodId::from_index(9_999);
-        assert_eq!(compiled.site(bogus_site), SiteWord::ABSENT);
-        assert_eq!(compiled.entry(bogus_method), EntryWord::ABSENT);
+        assert_eq!(compiled.entry_word(bogus_method.index()), EntryWord::ABSENT);
         assert_eq!(compiled.site_instr(bogus_site), None);
         assert_eq!(compiled.entry_instr(bogus_method), None);
-        assert!(!compiled.site(bogus_site).present());
+        assert!(!compiled.site_word(bogus_site.index()).present());
+        // The entry hook loads the site word at `usize::MAX` when no site
+        // dispatched; both sources answer with the absent word.
+        for index in [bogus_site.index(), usize::MAX] {
+            assert_eq!(compiled.site_word(index), SiteWord::ABSENT);
+            assert_eq!(plan.site_word(index), SiteWord::ABSENT);
+        }
+        assert_eq!(plan.entry_word(bogus_method.index()), EntryWord::ABSENT);
     }
 
     #[test]
@@ -831,11 +586,12 @@ mod tests {
         let p = recursive_program();
         let plan = EncodingPlan::analyze(&p, &PlanConfig::default()).unwrap();
         let compiled = plan.compile();
-        let may_back_edge = |site: SiteId| compiled.site(site).word & SITE_MAY_BACK_EDGE != 0;
+        let may_back_edge =
+            |site: SiteId| compiled.site_word(site.index()).word & SITE_MAY_BACK_EDGE != 0;
         let mut saw_back_edge = false;
         for (site, callee) in plan.back_edge_call_pairs() {
             saw_back_edge = true;
-            assert_eq!(compiled.back_edge_probe(site.index(), callee.as_u32()), 1);
+            assert_eq!(compiled.back_edge(site.index(), callee.as_u32()), 1);
             assert!(may_back_edge(site));
         }
         assert!(saw_back_edge, "fixture must contain recursion");
@@ -845,10 +601,11 @@ mod tests {
         );
         for site in compiled.present_sites() {
             for callee in compiled.present_entries() {
-                let probe = compiled.back_edge_probe(site.index(), callee.as_u32());
+                let probe = compiled.back_edge(site.index(), callee.as_u32());
                 let want = plan.back_edge_call_pairs().any(|p| p == (site, callee));
                 assert_eq!(probe == 1, want, "({site:?}, {callee:?})");
                 assert!(may_back_edge(site) || probe == 0);
+                assert_eq!(plan.back_edge(site.index(), callee.as_u32()), probe);
             }
         }
     }

@@ -1,11 +1,11 @@
-//! The per-thread reference encoding state machine.
+//! The per-thread DeltaPath encoding state machine.
 //!
 //! A real deployment injects a handful of instructions at every call site
 //! and method entry/exit; this module is the exact state machine those
 //! instructions implement, factored out so the interpreter (and the
 //! verification harness) can drive it through explicit hooks. Each hook
-//! takes the plan, probes it for the site or entry instruction, applies
-//! the instruction and tallies the operations it performed:
+//! takes an instruction source, loads the site or entry word from it,
+//! applies the word and tallies the operations it performed:
 //!
 //! * [`DeltaState::on_call`] — caller side, before the call: `ID += av`,
 //!   save and replace the pending expectation (call-path tracking);
@@ -19,24 +19,28 @@
 //! caller-saved record that `on_return` pops, which models keeping it in
 //! the caller's native frame. This is what keeps the expectation exact even
 //! when excluded or dynamically loaded code interleaves with encoded code.
-//! [`BatchState`](crate::BatchState) keeps the same records, entry flags
-//! and [`StateCounts`] over a [`CompiledPlan`](crate::CompiledPlan)'s
-//! tables; the two machines differ only in how they find an instruction.
+//!
+//! One machine runs over two instruction sources. A
+//! [`CompiledPlan`](crate::CompiledPlan) hands out words from its dense
+//! tables: the deployment path, one array load per hook and no hashing.
+//! An [`EncodingPlan`](crate::EncodingPlan) probes its hash maps and
+//! lowers what it finds through the functions that build those tables:
+//! the paper-literal reference. Either way the hooks apply a word with
+//! mask arithmetic: the CPT, check and track decisions are bit-selects,
+//! not branches, and only the rare events (a frame push at an entry, a pop
+//! at an exit) leave the straight-line path.
 
 use deltapath_ir::{MethodId, SiteId};
 
-use crate::context::{EncodedContext, Frame, FrameTag};
-use crate::plan::EncodingPlan;
-use crate::sid::Sid;
+use crate::context::{EncodedContext, Frame, FrameStack, FrameTag};
+use crate::plan_compiled::{
+    InstructionSource, ENTRY_ANCHOR, ENTRY_DO_CHECK, ENTRY_PRESENT, SID_MASK, SITE_ENCODED,
+    SITE_MAY_BACK_EDGE, SITE_PRESENT, SITE_SAVE_PENDING,
+};
 
-/// Operation tallies of a DeltaPath state machine: the counter block that
-/// both [`DeltaState`] and [`BatchState`](crate::BatchState) keep,
-/// cumulative across restarts. `deltapath-runtime` maps the op subset into
-/// its `OpCounts` and reports the rest as `encoder.*` telemetry.
-///
-/// The batched-only counters (`backedge_probes`, `snapshots_shared`,
-/// `snapshots_built`) stay zero on [`DeltaState`], which probes no
-/// back-edge table and shares no snapshots.
+/// Operation tallies of the DeltaPath state machine, cumulative across
+/// restarts. `deltapath-runtime` maps the op subset into its `OpCounts`
+/// and reports the rest as `encoder.*` telemetry.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StateCounts {
     /// `ID += av` operations.
@@ -53,56 +57,57 @@ pub struct StateCounts {
     pub pops: u64,
     /// Hazardous unexpected call paths detected.
     pub ucp_detections: u64,
-    /// Back-edge lookup-table probes taken (batched only).
+    /// Back-edge probes taken. Depends on the instruction source: a
+    /// [`CompiledPlan`](crate::CompiledPlan) probes only at sites with a
+    /// recursion back edge, an [`EncodingPlan`](crate::EncodingPlan) at
+    /// every instrumented dispatching site.
     pub backedge_probes: u64,
     /// Deepest the encoding stack has grown (lifetime high-water mark,
     /// not reset by a restart).
     pub stack_hwm: u64,
     /// Snapshots that reused the cached
-    /// [`FrameStack`](crate::FrameStack) of an unchanged stack (a
-    /// reference-count increment; batched only).
+    /// [`FrameStack`] of an unchanged stack (a reference-count increment).
     pub snapshots_shared: u64,
-    /// Snapshots that built a fresh [`FrameStack`](crate::FrameStack)
-    /// after a push, a pop or a restart (batched only).
+    /// Snapshots that built a fresh [`FrameStack`] after a push, a pop or
+    /// a restart.
     pub snapshots_built: u64,
 }
 
-/// The expectation saved before a call for call-path tracking.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-struct Pending {
-    site: SiteId,
-    expected: Sid,
-    id_at_call: u64,
-}
-
 /// One open call's caller-saved record: what the matching return must
-/// subtract and restore.
+/// subtract and restore. Pushed unconditionally per call hook; masked
+/// stores keep the call/return pair branch-free.
 #[derive(Clone, Copy, Debug)]
 struct CallRec {
     /// The amount added (zero for non-encoded sites).
-    added: u64,
-    /// Whether the site's ID arithmetic was emitted.
-    encoded: bool,
-    /// Whether the call saved the pending expectation.
-    restore_pending: bool,
-    /// The expectation the call replaced.
-    saved_pending: Option<Pending>,
+    add: u64,
+    /// bit 0 = encoded, bit 1 = restore pending, bit 2 = saved pending
+    /// validity.
+    flags: u64,
+    /// Saved pending site (high 32) and expected SID (low 32).
+    saved_pair: u64,
+    /// Saved pending ID-at-call.
+    saved_id: u64,
 }
 
-impl CallRec {
-    /// The record of a call through an uninstrumented site: subtracts
-    /// nothing, restores nothing.
-    const INERT: CallRec = CallRec {
-        added: 0,
-        encoded: false,
-        restore_pending: false,
-        saved_pending: None,
-    };
+/// `(a & mask) | (b & !mask)` — the branchless select the hooks use for
+/// every conditional state update (`mask` is all-ones or all-zeros).
+#[inline(always)]
+fn select(mask: u64, a: u64, b: u64) -> u64 {
+    (a & mask) | (b & !mask)
+}
+
+/// 1 when `flag` is set in `word`, 0 otherwise: a mask-arithmetic operand.
+#[inline(always)]
+fn bit(word: u64, flag: u64) -> u64 {
+    u64::from(word & flag != 0)
 }
 
 /// Per-thread DeltaPath encoding state: the current ID, the encoding stack,
 /// the pending call-path-tracking expectation, the caller-saved records of
-/// open calls, and the operation tallies.
+/// open calls, the outcomes of open entries, and the operation tallies.
+///
+/// Every hook that needs an instruction takes its source: `&EncodingPlan`
+/// or `&CompiledPlan`. Both drive the same machine.
 ///
 /// # Example
 ///
@@ -138,17 +143,36 @@ impl CallRec {
 /// state.on_return();
 /// assert_eq!(state.id(), 0);
 /// assert_eq!((state.counts().adds, state.counts().subs), (1, 1));
+///
+/// // The compiled tables drive the same machine to the same context.
+/// let compiled = plan.compile();
+/// let mut deployed = DeltaState::start(main);
+/// deployed.on_call(&compiled, site.unwrap());
+/// deployed.on_entry(&compiled, helper, site);
+/// assert_eq!(deployed.snapshot(helper), ctx);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 #[derive(Clone, Debug)]
 pub struct DeltaState {
+    /// The current encoding ID.
     id: u64,
-    stack: Vec<Frame>,
-    pending: Option<Pending>,
+    /// The encoding stack, bootstrap frame included.
+    frames: Vec<Frame>,
+    /// The last snapshot of `frames`, shared by every capture until the
+    /// next push, pop or restart invalidates it.
+    shared: Option<FrameStack>,
+    /// Pending-expectation validity: 0 or 1.
+    pend_valid: u64,
+    /// Pending site index (meaningful only when `pend_valid == 1`).
+    pend_site: u64,
+    /// Pending expected SID.
+    pend_expected: u64,
+    /// Pending ID-at-call.
+    pend_id: u64,
     /// Caller-saved records of open calls, innermost last.
     calls: Vec<CallRec>,
-    /// Whether each open entry pushed a frame, innermost last.
-    pushed: Vec<bool>,
+    /// Entry outcomes of open entries (1 = pushed a frame), innermost last.
+    outcomes: Vec<u8>,
     /// Operation tallies, cumulative across [`DeltaState::restart`].
     counts: StateCounts,
 }
@@ -159,26 +183,41 @@ impl DeltaState {
     pub fn start(entry: MethodId) -> Self {
         Self {
             id: 0,
-            stack: vec![Frame {
-                tag: FrameTag::Anchor,
-                node: entry,
-                site: None,
-                saved_id: 0,
-            }],
-            pending: None,
+            frames: vec![Self::bootstrap(entry)],
+            shared: None,
+            pend_valid: 0,
+            pend_site: 0,
+            pend_expected: 0,
+            pend_id: 0,
             calls: Vec::new(),
-            pushed: Vec::new(),
+            outcomes: Vec::new(),
             counts: StateCounts::default(),
         }
     }
 
     /// Resets the encoding state for a new thread at `entry`, keeping the
-    /// cumulative counts.
+    /// cumulative counts (and the stacks' allocations).
     pub fn restart(&mut self, entry: MethodId) {
-        *self = Self {
-            counts: self.counts,
-            ..Self::start(entry)
-        };
+        self.id = 0;
+        self.frames.clear();
+        self.frames.push(Self::bootstrap(entry));
+        self.shared = None;
+        self.pend_valid = 0;
+        self.pend_site = 0;
+        self.pend_expected = 0;
+        self.pend_id = 0;
+        self.calls.clear();
+        self.outcomes.clear();
+    }
+
+    /// The bootstrap anchor frame of a thread entering at `entry`.
+    fn bootstrap(entry: MethodId) -> Frame {
+        Frame {
+            tag: FrameTag::Anchor,
+            node: entry,
+            site: None,
+            saved_id: 0,
+        }
     }
 
     /// The current encoding ID.
@@ -186,9 +225,9 @@ impl DeltaState {
         self.id
     }
 
-    /// The current stack depth.
+    /// The current encoding-stack depth (bootstrap frame included).
     pub fn depth(&self) -> usize {
-        self.stack.len()
+        self.frames.len()
     }
 
     /// The operation tallies so far.
@@ -196,19 +235,20 @@ impl DeltaState {
         &self.counts
     }
 
-    /// Caller-side hook, before the call at `site` is dispatched.
+    /// Caller-side hook, before the call at `site` is dispatched: masked
+    /// `ID += av`, masked pending install, unconditional caller-record
+    /// push. No branches.
     ///
-    /// Adds the site's addition value (if the site is encoded) and installs
-    /// the pending expectation (if call-path tracking tracks the site). A
-    /// site the plan does not instrument changes nothing. Either way the
+    /// A site `src` does not instrument changes nothing. Either way the
     /// call's record stays open until the matching
     /// [`DeltaState::on_return`].
-    pub fn on_call(&mut self, plan: &EncodingPlan, site: SiteId) {
-        let Some(instr) = plan.site(site) else {
-            self.calls.push(CallRec::INERT);
-            return;
-        };
-        let added = if instr.encoded { instr.av } else { 0 };
+    #[inline(always)]
+    pub fn on_call<S: InstructionSource>(&mut self, src: &S, site: SiteId) {
+        let site = site.index();
+        let w = src.site_word(site);
+        let encoded = bit(w.word, SITE_ENCODED);
+        let save = bit(w.word, SITE_SAVE_PENDING);
+        let add = w.av & encoded.wrapping_neg();
         // Algorithm 2 guarantees the sum stays below the width capacity on
         // every *expected* path (no runtime overflow checks needed — paper
         // Section 3.2). On corrupted paths (call-path tracking disabled in
@@ -216,131 +256,177 @@ impl DeltaState {
         // wrap rather than abort the host, exactly like the injected
         // arithmetic would.
         debug_assert!(
-            self.id.checked_add(added).is_some(),
+            self.id.checked_add(add).is_some(),
             "encoding ID overflow outside a corrupted-path scenario"
         );
-        self.id = self.id.wrapping_add(added);
-        self.counts.adds += u64::from(instr.encoded);
-        let save_pending = plan.config().cpt && instr.tracked;
-        let saved_pending = if save_pending {
-            self.counts.pending_saves += 1;
-            self.pending.replace(Pending {
-                site,
-                expected: instr.expected_sid,
-                id_at_call: self.id,
-            })
-        } else {
-            None
-        };
+        self.id = self.id.wrapping_add(add);
+        self.counts.adds += encoded;
+        self.counts.pending_saves += save;
         self.calls.push(CallRec {
-            added,
-            encoded: instr.encoded,
-            restore_pending: save_pending,
-            saved_pending,
+            add,
+            flags: encoded | save << 1 | self.pend_valid << 2,
+            saved_pair: self.pend_site << 32 | self.pend_expected,
+            saved_id: self.pend_id,
         });
+        let m = save.wrapping_neg();
+        self.pend_valid = select(m, 1, self.pend_valid);
+        self.pend_site = select(m, site as u64, self.pend_site);
+        self.pend_expected = select(m, w.word & SID_MASK, self.pend_expected);
+        self.pend_id = select(m, self.id, self.pend_id);
     }
 
-    /// Caller-side hook, after the innermost open call returned. Its record
-    /// carries the resolved instruction, so no plan lookup happens here.
+    /// Caller-side hook, after the innermost open call returned: masked
+    /// `ID -= av`, masked pending restore. Its record carries everything
+    /// the return needs, so no instruction lookup happens here.
     ///
     /// # Panics
     ///
     /// Panics if no call is open.
+    #[inline(always)]
     pub fn on_return(&mut self) {
         let rec = self.calls.pop().expect("on_return without an open call");
         debug_assert!(
-            self.id >= rec.added,
+            self.id >= rec.add,
             "encoding ID underflow outside a corrupted-path scenario"
         );
-        self.id = self.id.wrapping_sub(rec.added);
-        self.counts.subs += u64::from(rec.encoded);
-        if rec.restore_pending {
-            self.pending = rec.saved_pending;
-        }
+        self.id = self.id.wrapping_sub(rec.add);
+        self.counts.subs += rec.flags & 1;
+        let m = ((rec.flags >> 1) & 1).wrapping_neg();
+        self.pend_valid = select(m, (rec.flags >> 2) & 1, self.pend_valid);
+        self.pend_site = select(m, rec.saved_pair >> 32, self.pend_site);
+        self.pend_expected = select(m, rec.saved_pair & SID_MASK, self.pend_expected);
+        self.pend_id = select(m, rec.saved_id, self.pend_id);
     }
 
     /// Callee-side hook at the entry of `method`, dispatched through
     /// `via_site` (`None` when control arrived from uninstrumented code).
+    /// The UCP, back-edge and anchor decisions are mask bits; only an
+    /// entry that pushes a frame (rare) leaves the straight-line path.
     ///
-    /// Only a site the plan instruments counts as the dispatching site: a
+    /// Only a site `src` instruments counts as the dispatching site: a
     /// site in an uninstrumented caller has no injected code, so the entry
     /// sees only the thread-local expectation, exactly as the paper
     /// describes. The entry stays open until the matching
     /// [`DeltaState::on_exit`].
-    pub fn on_entry(&mut self, plan: &EncodingPlan, method: MethodId, via_site: Option<SiteId>) {
-        let Some(entry) = plan.entry(method) else {
-            self.pushed.push(false); // Uninstrumented method: no hooks.
-            return;
-        };
-        let via = via_site.filter(|&s| plan.site(s).is_some());
-        let do_check = plan.config().cpt && entry.check_sid;
-        self.counts.sid_checks += u64::from(do_check);
-        let frame = if do_check && self.pending.map(|p| p.expected) != Some(entry.sid) {
-            // Hazardous unexpected call path (Section 4.1): record the
-            // boundary and restart the encoding at this method.
-            self.counts.ucp_detections += 1;
-            let (site, saved_id) = match self.pending {
-                Some(p) => (Some(p.site), p.id_at_call),
-                None => (None, self.id),
-            };
-            Some(Frame {
-                tag: FrameTag::Ucp,
-                node: method,
-                site,
-                saved_id,
-            })
-        } else if via.is_some_and(|s| plan.is_back_edge_call(s, method)) {
-            Some(Frame {
-                tag: FrameTag::Recursion,
-                node: method,
-                site: via,
-                saved_id: self.id,
-            })
-        } else if entry.is_anchor {
-            Some(Frame {
-                tag: FrameTag::Anchor,
-                node: method,
-                site: via,
-                saved_id: self.id,
-            })
+    #[inline(always)]
+    pub fn on_entry<S: InstructionSource>(
+        &mut self,
+        src: &S,
+        method: MethodId,
+        via_site: Option<SiteId>,
+    ) {
+        let method = method.index();
+        let via_plus_1 = via_site.map_or(0, |s| s.index() + 1);
+        let e = src.entry_word(method);
+        let present = bit(e.word, ENTRY_PRESENT);
+        let do_check = bit(e.word, ENTRY_DO_CHECK);
+        let anchor = bit(e.word, ENTRY_ANCHOR);
+        self.counts.sid_checks += do_check;
+        // `via_plus_1 == 0` wraps to an index no source holds and loads
+        // the absent word, so the no-via entry needs no separate path.
+        let via = via_plus_1.wrapping_sub(1);
+        let vw = src.site_word(via);
+        let via_present = bit(vw.word, SITE_PRESENT);
+        let mismatch = (self.pend_valid ^ 1) | u64::from(self.pend_expected != e.word & SID_MASK);
+        let ucp = do_check & mismatch;
+        // The MAY_BACK_EDGE bit gates the probe: on the compiled tables it
+        // is almost never set, so the branch predicts.
+        let back = if vw.word & SITE_MAY_BACK_EDGE != 0 {
+            self.counts.backedge_probes += 1;
+            src.back_edge(via, method as u32) & present
         } else {
-            None
+            0
         };
-        self.pushed.push(frame.is_some());
-        if let Some(frame) = frame {
-            self.stack.push(frame);
-            self.id = 0;
-            self.counts.pushes += 1;
-            self.counts.stack_hwm = self.counts.stack_hwm.max(self.stack.len() as u64);
+        let pushed = ucp | back | anchor;
+        self.outcomes.push(pushed as u8);
+        if pushed != 0 {
+            self.push(method, via_plus_1, via_present, ucp, back);
         }
     }
 
+    /// The rare push path of an entry hook: the UCP > recursion > anchor
+    /// priority and the frame contents (normal branches are fine here —
+    /// pushes are off the straight-line path by construction).
+    fn push(&mut self, method: usize, via_plus_1: usize, via_present: u64, ucp: u64, back: u64) {
+        let node = MethodId::from_index(method);
+        let via = (via_present != 0).then(|| SiteId::from_index(via_plus_1 - 1));
+        let frame = if ucp != 0 {
+            // Hazardous unexpected call path (Section 4.1): record the
+            // boundary and restart the encoding at this method.
+            self.counts.ucp_detections += 1;
+            let (site, saved_id) = if self.pend_valid != 0 {
+                (
+                    Some(SiteId::from_index(self.pend_site as usize)),
+                    self.pend_id,
+                )
+            } else {
+                (None, self.id)
+            };
+            Frame {
+                tag: FrameTag::Ucp,
+                node,
+                site,
+                saved_id,
+            }
+        } else if back != 0 {
+            Frame {
+                tag: FrameTag::Recursion,
+                node,
+                site: via,
+                saved_id: self.id,
+            }
+        } else {
+            Frame {
+                tag: FrameTag::Anchor,
+                node,
+                site: via,
+                saved_id: self.id,
+            }
+        };
+        self.frames.push(frame);
+        self.shared = None;
+        self.id = 0;
+        self.counts.pushes += 1;
+        self.counts.stack_hwm = self.counts.stack_hwm.max(self.frames.len() as u64);
+    }
+
     /// Callee-side hook at the exit of the innermost open entry: pops the
-    /// frame that entry pushed, if any, restoring the saved ID.
+    /// frame that entry pushed, if any, restoring the saved ID (a rare,
+    /// predictable branch).
     ///
     /// # Panics
     ///
     /// Panics if no entry is open (entry/exit hooks not balanced — a
     /// harness bug, not a recoverable condition).
+    #[inline(always)]
     pub fn on_exit(&mut self) {
-        if self.pushed.pop().expect("on_exit without an open entry") {
+        if self.outcomes.pop().expect("on_exit without an open entry") != 0 {
             let frame = self
-                .stack
+                .frames
                 .pop()
                 .expect("encoding stack underflow: unbalanced entry/exit hooks");
+            self.shared = None;
             self.id = frame.saved_id;
             self.counts.pops += 1;
         }
     }
 
-    /// Captures the current calling context as an encoded value. The
-    /// reference path: every capture builds a fresh
-    /// [`FrameStack`](crate::FrameStack), where
-    /// [`BatchState::snapshot`](crate::BatchState::snapshot) shares one
-    /// between pushes and pops.
-    pub fn snapshot(&self, at: MethodId) -> EncodedContext {
+    /// Captures the current calling context as an encoded value. Captures
+    /// under an unchanged stack share one [`FrameStack`]: only the first
+    /// after a push, pop or restart copies the frames.
+    pub fn snapshot(&mut self, at: MethodId) -> EncodedContext {
+        let frames = match &self.shared {
+            Some(stack) => {
+                self.counts.snapshots_shared += 1;
+                stack.clone()
+            }
+            None => {
+                self.counts.snapshots_built += 1;
+                self.shared.insert(self.frames.as_slice().into()).clone()
+            }
+        };
         EncodedContext {
-            frames: self.stack.as_slice().into(),
+            frames,
             id: self.id,
             at,
         }
@@ -350,8 +436,7 @@ impl DeltaState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::PlanConfig;
-    use crate::BatchState;
+    use crate::plan::{EncodingPlan, PlanConfig};
     use deltapath_callgraph::ScopeFilter;
     use deltapath_ir::{MethodKind, Program, ProgramBuilder};
 
@@ -416,7 +501,7 @@ mod tests {
     #[test]
     fn bootstrap_frame_is_anchor_of_entry() {
         let (p, _) = two_site_program();
-        let st = DeltaState::start(p.entry());
+        let mut st = DeltaState::start(p.entry());
         let ctx = st.snapshot(p.entry());
         assert_eq!(ctx.frames.len(), 1);
         assert_eq!(ctx.frames[0].tag, FrameTag::Anchor);
@@ -472,22 +557,23 @@ mod tests {
         assert!(plan.site(callback).is_none(), "the library site is bare");
         assert!(plan.entry(target).unwrap().is_anchor, "target is an anchor");
 
-        let mut st = DeltaState::start(main);
-        st.on_call(&plan, to_lib);
-        st.on_entry(&plan, call_back, Some(to_lib));
-        st.on_call(&plan, callback);
-        st.on_entry(&plan, target, Some(callback));
-        let ctx = st.snapshot(target);
+        fn capture<S: InstructionSource>(
+            src: &S,
+            main: MethodId,
+            hops: [(SiteId, MethodId); 2],
+        ) -> EncodedContext {
+            let mut st = DeltaState::start(main);
+            for (site, callee) in hops {
+                st.on_call(src, site);
+                st.on_entry(src, callee, Some(site));
+            }
+            st.snapshot(hops[1].1)
+        }
+        let hops = [(to_lib, call_back), (callback, target)];
+        let ctx = capture(&plan, main, hops);
         let top = ctx.frames[ctx.frames.len() - 1];
         assert_eq!((top.tag, top.node), (FrameTag::Anchor, target));
         assert_eq!(top.site, None, "the bare site is not the dispatching site");
-
-        let compiled = plan.compile();
-        let mut batch = BatchState::start(main);
-        compiled.batch_call(&mut batch, to_lib);
-        compiled.batch_entry(&mut batch, call_back, Some(to_lib));
-        compiled.batch_call(&mut batch, callback);
-        compiled.batch_entry(&mut batch, target, Some(callback));
-        assert_eq!(batch.snapshot(target), ctx);
+        assert_eq!(capture(&plan.compile(), main, hops), ctx);
     }
 }

@@ -3,7 +3,8 @@
 //! The heart of the test suite: enumerate calling contexts of the encoded
 //! graph (paths from the roots, with a bounded budget of recursion
 //! back-edge traversals), replay each through the real runtime state
-//! machine ([`DeltaState`]), and check the two properties the paper claims:
+//! machine ([`DeltaState`], the one both runtime encoders drive, here over
+//! the plan's hash maps), and check the two properties the paper claims:
 //!
 //! 1. **Round-trip**: decoding the encoded context yields exactly the
 //!    original method sequence;

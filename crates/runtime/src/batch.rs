@@ -1,29 +1,27 @@
 //! The batched DeltaPath encoder: the deployment hot path.
 //!
-//! [`BatchedDeltaEncoder`] is operationally identical to the map-based
-//! reference [`DeltaEncoder`](crate::DeltaEncoder) — same captures, same
-//! op counts, same UCP detections, pinned by the `batched_encoder`
-//! differential suite — but resolves every hook through a
-//! [`CompiledPlan`]'s dense tables instead of the plan's hash maps and
-//! runs a branchless state machine: each hook is applied to a
-//! [`BatchState`] the moment it arrives, through the per-hook methods
-//! [`CompiledPlan::batch_call`], [`CompiledPlan::batch_return`],
-//! [`CompiledPlan::batch_entry`] and [`CompiledPlan::batch_exit`].
-//! Nothing is buffered, so [`BatchedDeltaEncoder::state`] is exact after
-//! every hook.
+//! [`BatchedDeltaEncoder`] drives the same [`DeltaState`] as the map-based
+//! reference [`DeltaEncoder`](crate::DeltaEncoder), but finds every
+//! instruction in a [`CompiledPlan`]'s dense tables instead of the plan's
+//! hash maps: one array load per hook, no hashing. Each hook is applied
+//! the moment it arrives and nothing is buffered, so
+//! [`BatchedDeltaEncoder::state`] is exact after every hook. The two
+//! encoders differ only in their instruction source, their names and the
+//! telemetry they report; the `batched_encoder` suite replays every
+//! harvested hook stream through both and compares them after every hook.
 
-use deltapath_core::{BatchState, CompiledPlan};
+use deltapath_core::{CompiledPlan, DeltaState};
 use deltapath_ir::{MethodId, SiteId};
 use deltapath_telemetry::{names, Telemetry};
 
 use crate::encoder::{report_state_counts, Capture, ContextEncoder, OpCounts};
 
-/// DeltaPath over compiled dispatch tables and the branchless batched
-/// state machine, one hook at a time (see the module docs).
+/// DeltaPath over compiled dispatch tables, one hook at a time (see the
+/// module docs).
 #[derive(Debug)]
 pub struct BatchedDeltaEncoder<'p> {
     compiled: &'p CompiledPlan,
-    state: BatchState,
+    state: DeltaState,
 }
 
 impl<'p> BatchedDeltaEncoder<'p> {
@@ -31,7 +29,7 @@ impl<'p> BatchedDeltaEncoder<'p> {
     pub fn new(compiled: &'p CompiledPlan) -> Self {
         Self {
             compiled,
-            state: BatchState::start(compiled.entry_method()),
+            state: DeltaState::start(compiled.entry_method()),
         }
     }
 
@@ -40,8 +38,8 @@ impl<'p> BatchedDeltaEncoder<'p> {
         self.compiled
     }
 
-    /// The current batched state, exact after every hook.
-    pub fn state(&self) -> &BatchState {
+    /// The current encoding state, exact after every hook.
+    pub fn state(&self) -> &DeltaState {
         &self.state
     }
 
@@ -74,22 +72,22 @@ impl ContextEncoder for BatchedDeltaEncoder<'_> {
 
     #[inline]
     fn on_call(&mut self, site: SiteId) {
-        self.compiled.batch_call(&mut self.state, site);
+        self.state.on_call(self.compiled, site);
     }
 
     #[inline]
     fn on_return(&mut self, _site: SiteId, _token: ()) {
-        self.compiled.batch_return(&mut self.state);
+        self.state.on_return();
     }
 
     #[inline]
     fn on_entry(&mut self, method: MethodId, via_site: Option<SiteId>) {
-        self.compiled.batch_entry(&mut self.state, method, via_site);
+        self.state.on_entry(self.compiled, method, via_site);
     }
 
     #[inline]
     fn on_exit(&mut self, _method: MethodId, _token: ()) {
-        self.compiled.batch_exit(&mut self.state);
+        self.state.on_exit();
     }
 
     fn observe(&mut self, at: MethodId) -> Capture {

@@ -38,9 +38,11 @@ impl ContextEncoder for NullEncoder {
     }
 }
 
-/// The DeltaPath encoder: drives a [`DeltaState`] according to an
-/// [`EncodingPlan`]. The state meters every abstract operation the
-/// injected code would execute.
+/// The DeltaPath reference encoder: drives the [`DeltaState`] machine
+/// over an [`EncodingPlan`]'s hash maps, the paper-literal instruction
+/// source (`BatchedDeltaEncoder` drives the same machine over compiled
+/// tables). The state meters every abstract operation the injected code
+/// would execute.
 #[derive(Debug)]
 pub struct DeltaEncoder<'p> {
     plan: &'p EncodingPlan,

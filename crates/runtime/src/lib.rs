@@ -9,14 +9,14 @@
 //! calling-context technique runs over identical executions:
 //!
 //! * [`NullEncoder`] — the native baseline;
-//! * [`DeltaEncoder`] — DeltaPath, driving the reference state machine
-//!   from `deltapath-core` according to an
-//!   [`EncodingPlan`](deltapath_core::EncodingPlan)'s hash maps;
-//! * [`BatchedDeltaEncoder`] — the same technique over a
+//! * [`DeltaEncoder`] — DeltaPath, driving the one state machine from
+//!   `deltapath-core` ([`DeltaState`](deltapath_core::DeltaState)) over
+//!   an [`EncodingPlan`](deltapath_core::EncodingPlan)'s hash maps;
+//! * [`BatchedDeltaEncoder`] — the same machine over a
 //!   [`CompiledPlan`](deltapath_core::CompiledPlan)'s dense dispatch
-//!   tables, applying each hook as it arrives with branchless mask
-//!   arithmetic: one array load per hook, no hashing (the deployment hot
-//!   path; the map-based encoder is its reference);
+//!   tables: one array load per hook, no hashing (the deployment hot
+//!   path; the map-based encoder is the reference its lowering is
+//!   checked against);
 //! * [`StackWalkEncoder`] — stack walking (precise but expensive; also the
 //!   ground truth for precision experiments);
 //! * PCC, Breadcrumbs-lite and the calling-context tree live in

@@ -134,15 +134,21 @@ fn load(args: &[String]) -> Result<Program, String> {
     })
 }
 
-fn flag(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
+/// The value of option `name` in `args`, or `None` when the option is
+/// absent. An option given as the last argument, or followed by another
+/// `--` option, is missing its value: that is an error, not the default.
+fn flag(args: &[String], name: &str) -> Result<Option<String>, String> {
+    let Some(i) = args.iter().position(|a| a == name) else {
+        return Ok(None);
+    };
+    match args.get(i + 1) {
+        Some(value) if !value.starts_with("--") => Ok(Some(value.clone())),
+        _ => Err(format!("missing value for {name}")),
+    }
 }
 
 fn scope_of(args: &[String]) -> Result<ScopeFilter, String> {
-    match flag(args, "--scope").as_deref() {
+    match flag(args, "--scope")?.as_deref() {
         None | Some("app") => Ok(ScopeFilter::ApplicationOnly),
         Some("all") => Ok(ScopeFilter::All),
         Some(other) => Err(format!("unknown scope {other:?} (use app|all)")),
@@ -150,7 +156,7 @@ fn scope_of(args: &[String]) -> Result<ScopeFilter, String> {
 }
 
 fn width_of(args: &[String]) -> Result<EncodingWidth, String> {
-    match flag(args, "--width") {
+    match flag(args, "--width")? {
         None => Ok(EncodingWidth::U64),
         Some(w) => match w.parse::<u8>() {
             Ok(bits @ 1..=127) => Ok(EncodingWidth::new(bits)),
@@ -310,7 +316,7 @@ impl Encoder {
 
     /// The `--encoder` of `args` (default: `deltapath`), resolved.
     fn of_args(args: &[String]) -> Result<Self, String> {
-        Self::parse(flag(args, "--encoder").as_deref().unwrap_or("deltapath"))
+        Self::parse(flag(args, "--encoder")?.as_deref().unwrap_or("deltapath"))
     }
 
     /// `base` with call-path tracking as the name asks for.
@@ -508,7 +514,7 @@ fn parse_report(text: &str) -> Result<RunReport, String> {
 fn cmd_report(args: &[String]) -> Result<(), String> {
     reject_unknown_options("report", args, REPORT_OPTIONS)?;
     let json = args.iter().any(|a| a == "--json");
-    let report = if let Some(path) = flag(args, "--from") {
+    let report = if let Some(path) = flag(args, "--from")? {
         let text =
             std::fs::read_to_string(&path).map_err(|e| format!("cannot read {path:?}: {e}"))?;
         parse_report(&text)?
@@ -564,7 +570,7 @@ fn print_report_summary(r: &RunReport) {
 
 fn cmd_trace(args: &[String]) -> Result<(), String> {
     reject_unknown_options("trace", args, TRACE_OPTIONS)?;
-    let chrome = flag(args, "--chrome");
+    let chrome = flag(args, "--chrome")?;
     let (p, encoder_name, profiler) = profiled_run(args)?;
     if let Some(path) = chrome {
         let snapshot = profiler.snapshot();
@@ -768,6 +774,7 @@ fn cmd_flamegraph(args: &[String]) -> Result<(), String> {
         }
         return Ok(());
     }
+    let out = flag(args, "--out")?;
     let text = if spans_mode {
         let (_, _, profiler) = profiled_run(args)?;
         profiler.snapshot().folded().render()
@@ -779,7 +786,7 @@ fn cmd_flamegraph(args: &[String]) -> Result<(), String> {
         }
         stacks.render()
     };
-    match flag(args, "--out") {
+    match out {
         Some(path) => {
             std::fs::write(&path, &text).map_err(|e| format!("cannot write {path:?}: {e}"))?;
             println!(
@@ -820,7 +827,7 @@ fn write_plan(plan: &EncodingPlan, name: &str, path: &str) -> Result<(), String>
 /// Audits `plan` with [`audit_plan_full`] on `--workers N` per-anchor
 /// workers (default: 1).
 fn audit_report(p: &Program, plan: &EncodingPlan, args: &[String]) -> Result<AuditReport, String> {
-    let workers = match flag(args, "--workers") {
+    let workers = match flag(args, "--workers")? {
         None => 1,
         Some(w) => w
             .parse::<usize>()
@@ -920,7 +927,7 @@ fn cmd_lint(args: &[String]) -> Result<(), String> {
     } else {
         vec![load(args)?]
     };
-    let plan_out = flag(args, "--plan-out");
+    let plan_out = flag(args, "--plan-out")?;
     if plan_out.is_some() && all {
         return Err("--plan-out needs a single benchmark, not --all".to_owned());
     }
@@ -1045,11 +1052,12 @@ fn cmd_import(args: &[String]) -> Result<(), String> {
             .map_err(|e| format!("cannot write to stdout: {e}"))?;
         return Ok(());
     }
+    let plan_out = flag(args, "--plan-out")?;
     let mut config = PlanConfig::default()
         .with_scope(ScopeFilter::All)
         .with_width(width_of(args)?)
         .with_batch_overflow();
-    if let Some(b) = flag(args, "--budget") {
+    if let Some(b) = flag(args, "--budget")? {
         let budget = b
             .parse::<u64>()
             .ok()
@@ -1088,7 +1096,7 @@ fn cmd_import(args: &[String]) -> Result<(), String> {
         enc.max_icc,
         enc.required_max_id()
     );
-    if let Some(path) = flag(args, "--plan-out") {
+    if let Some(path) = plan_out {
         write_plan(&plan, &imported.name, &path)?;
         println!("  wrote plan ({}) to {path}", deltapath::PLAN_SCHEMA);
     }
@@ -1116,7 +1124,7 @@ fn cmd_import(args: &[String]) -> Result<(), String> {
 /// `deltapath.graph.v1` form, ready for `deltapath import`.
 fn cmd_generate(args: &[String]) -> Result<(), String> {
     reject_unknown_options("generate", args, GENERATE_OPTIONS)?;
-    let methods = match flag(args, "--methods") {
+    let methods = match flag(args, "--methods")? {
         None => 10_000,
         Some(m) => m
             .parse::<usize>()
@@ -1124,7 +1132,7 @@ fn cmd_generate(args: &[String]) -> Result<(), String> {
             .filter(|&m| m >= 2)
             .ok_or_else(|| format!("bad --methods value {m:?} (use an integer >= 2)"))?,
     };
-    let seed = match flag(args, "--seed") {
+    let seed = match flag(args, "--seed")? {
         None => 42,
         Some(s) => s
             .parse::<u64>()
@@ -1133,7 +1141,7 @@ fn cmd_generate(args: &[String]) -> Result<(), String> {
     let cfg = ScaleConfig::default().with_methods(methods).with_seed(seed);
     let graph = cfg.build_graph();
     let name = format!("scale-{methods}-{seed}");
-    match flag(args, "--out") {
+    match flag(args, "--out")? {
         Some(path) => {
             let file =
                 std::fs::File::create(&path).map_err(|e| format!("cannot create {path:?}: {e}"))?;
@@ -1167,12 +1175,17 @@ mod tests {
     #[test]
     fn flag_parsing() {
         let a = args(&["compress", "--scope", "all", "--width", "32"]);
-        assert_eq!(flag(&a, "--scope").as_deref(), Some("all"));
-        assert_eq!(flag(&a, "--width").as_deref(), Some("32"));
-        assert_eq!(flag(&a, "--missing"), None);
+        assert_eq!(flag(&a, "--scope"), Ok(Some("all".to_owned())));
+        assert_eq!(flag(&a, "--width"), Ok(Some("32".to_owned())));
+        assert_eq!(flag(&a, "--missing"), Ok(None));
+        let missing = Err("missing value for --scope".to_owned());
         // Flag at the end without a value.
         let b = args(&["x", "--scope"]);
-        assert_eq!(flag(&b, "--scope"), None);
+        assert_eq!(flag(&b, "--scope"), missing);
+        // Flag followed by another option instead of its value.
+        let c = args(&["x", "--scope", "--width", "32"]);
+        assert_eq!(flag(&c, "--scope"), missing);
+        assert_eq!(flag(&c, "--width"), Ok(Some("32".to_owned())));
     }
 
     #[test]

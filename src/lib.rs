@@ -103,10 +103,9 @@ pub use deltapath_callgraph::{
     GRAPH_SCHEMA,
 };
 pub use deltapath_core::{
-    parse_plan, render_plan, render_plan_string, BatchState, CompiledPlan, DecodeError,
-    DecodeOptions, Decoder, DeltaState, EncodeError, EncodedContext, EncodingPlan, EncodingWidth,
-    Frame, FrameStack, FrameTag, ImportedPlan, PlanConfig, PlanParseError, Sid, StateCounts,
-    PLAN_SCHEMA,
+    parse_plan, render_plan, render_plan_string, CompiledPlan, DecodeError, DecodeOptions, Decoder,
+    DeltaState, EncodeError, EncodedContext, EncodingPlan, EncodingWidth, Frame, FrameStack,
+    FrameTag, ImportedPlan, PlanConfig, PlanParseError, Sid, StateCounts, PLAN_SCHEMA,
 };
 pub use deltapath_ir::{
     skeleton_program, ArgExpr, ClassId, MethodId, MethodKind, Program, ProgramBuilder, Receiver,

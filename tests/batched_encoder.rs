@@ -1,18 +1,22 @@
-//! Batched-encoder differential suite: the deployment path,
-//! [`BatchedDeltaEncoder`] over a compiled plan's dense tables, against
-//! the map-based reference [`DeltaEncoder`].
+//! Batched-encoder suite: the one DeltaPath state machine over its two
+//! instruction sources. [`BatchedDeltaEncoder`] runs it on a compiled
+//! plan's dense tables (the deployment path), the map-based
+//! [`DeltaEncoder`] on the plan's hash maps (the reference the lowering is
+//! checked against).
 //!
 //! The first test replays every harvested stream across workloads ×
-//! scopes × CPT modes × encoding widths hook by hook: the branchless state
-//! machine must agree with the reference after every single hook — ID,
-//! depth, operation tallies (UCP detections and the stack high-water mark
-//! included) and every capture byte for byte. The fused `save_pending` /
-//! `do_check` bits and the via-site filter are exercised under dynamic
-//! loading. The same matrix then restarts both encoders in the middle of
-//! a thread, and the deterministic VM checks that the two encoders'
-//! telemetry reports agree metric for metric. The VM-driven matrix, with
-//! the DP040 round-trip audit of every lowered image, lives in the
-//! `compiled_plan` suite.
+//! scopes × CPT modes × encoding widths hook by hook: the two sources must
+//! agree after every single hook — ID, depth, operation tallies (UCP
+//! detections, snapshots and the stack high-water mark included) and
+//! every capture byte for byte — and every captured frame must match the
+//! shadow stack of open entries: its method, its site, and for anchor and
+//! recursion frames the instrumented site the entry was dispatched
+//! through. The fused `save_pending` / `do_check` bits and the via-site
+//! filter are exercised under dynamic loading. The same matrix then
+//! restarts both encoders in the middle of a thread, and the
+//! deterministic VM checks that the two encoders' telemetry reports agree
+//! metric for metric. The VM-driven matrix, with the DP040 round-trip
+//! audit of every lowered image, lives in the `compiled_plan` suite.
 
 mod common;
 
@@ -20,8 +24,9 @@ use std::collections::BTreeMap;
 
 use common::{configs, programs, run_log};
 use deltapath::{
-    ArgExpr, BatchedDeltaEncoder, Capture, ClassId, ContextEncoder, DeltaEncoder, EncodingPlan,
-    FrameStack, MethodKind, PlanConfig, ProgramBuilder, Recorder, ScopeFilter, StateCounts,
+    ArgExpr, BatchedDeltaEncoder, Capture, ClassId, ContextEncoder, DeltaEncoder, EncodedContext,
+    EncodingPlan, FrameStack, FrameTag, MethodId, MethodKind, PlanConfig, ProgramBuilder, Recorder,
+    ScopeFilter, SiteId, StateCounts,
 };
 use deltapath_bench::hooks::{harvest, replay, Hook};
 use deltapath_telemetry::names;
@@ -45,6 +50,7 @@ fn state_is_exact_after_every_hook() {
             map.thread_start(program.entry());
             enc.thread_start(program.entry());
             let mut open_calls = Vec::new();
+            let mut open_entries = Vec::new();
             let mut observes = 0usize;
             for (i, &hook) in hooks.iter().enumerate() {
                 match hook {
@@ -59,16 +65,31 @@ fn state_is_exact_after_every_hook() {
                         enc.on_return(site, ());
                     }
                     Hook::Entry(method, via) => {
+                        let depth = map.state().depth();
                         map.on_entry(method, via);
                         enc.on_entry(method, via);
+                        let pushed = map.state().depth() > depth;
+                        open_entries.push(OpenEntry {
+                            method,
+                            via,
+                            frame: pushed.then_some(depth),
+                        });
                     }
                     Hook::Exit(method) => {
+                        open_entries.pop().expect("balanced stream");
                         map.on_exit(method, ());
                         enc.on_exit(method, ());
                     }
                     Hook::Observe(at) => {
                         observes += 1;
-                        assert_eq!(enc.observe(at), map.observe(at), "{tag}: capture {i}");
+                        let capture = map.observe(at);
+                        assert_eq!(enc.observe(at), capture, "{tag}: capture {i}");
+                        let Capture::Delta(ctx) = &capture else {
+                            panic!("{tag}: capture {i} is not a DeltaPath capture");
+                        };
+                        if let Err(e) = check_frames(&plan, &open_entries, ctx) {
+                            panic!("{tag}: capture {i}: {e}");
+                        }
                     }
                 }
                 assert_eq!(
@@ -83,7 +104,7 @@ fn state_is_exact_after_every_hook() {
                 );
                 assert_eq!(
                     reference_view(enc.state().counts()),
-                    *map.state().counts(),
+                    reference_view(map.state().counts()),
                     "{tag}: tallies after hook {i}"
                 );
             }
@@ -154,7 +175,7 @@ fn batched_encoder_matches_compiled_everywhere() {
                 "{tag}: batched tallies across the restart"
             );
             assert_eq!(
-                *map.state().counts(),
+                reference_view(map.state().counts()),
                 reference_view(enc.state().counts()),
                 "{tag}: reference tallies across the restart"
             );
@@ -283,14 +304,58 @@ fn unchanged_stacks_share_one_snapshot() {
     assert_eq!((counts.snapshots_built, counts.snapshots_shared), (3, 1));
 }
 
-/// `counts` with the batched-only tallies zeroed: what the reference
-/// state machine, which probes no back-edge table and shares no
-/// snapshots, keeps for the same hooks.
+/// One open entry of the shadow stack: the method it entered, the site it
+/// was dispatched through, and the index of the frame it pushed, if any.
+struct OpenEntry {
+    method: MethodId,
+    via: Option<SiteId>,
+    frame: Option<usize>,
+}
+
+/// Checks every frame of `ctx` above the bootstrap frame against the
+/// shadow stack `open`: the frame names the method of the open entry that
+/// pushed it, its site is `None` or a site `plan` instruments, and an
+/// anchor or recursion frame records the site that entry was dispatched
+/// through, if `plan` instruments it.
+fn check_frames(
+    plan: &EncodingPlan,
+    open: &[OpenEntry],
+    ctx: &EncodedContext,
+) -> Result<(), String> {
+    let instrumented = |site: SiteId| plan.site(site).is_some();
+    let mut pushers = open.iter().filter(|e| e.frame.is_some());
+    for (k, frame) in ctx.frames.iter().enumerate().skip(1) {
+        let entry = pushers
+            .next()
+            .filter(|e| e.frame == Some(k))
+            .ok_or_else(|| format!("frame {k} was pushed by no open entry"))?;
+        if frame.node != entry.method {
+            return Err(format!(
+                "frame {k} names {:?}, but its entry entered {:?}",
+                frame.node, entry.method
+            ));
+        }
+        if frame.site.is_some_and(|s| !instrumented(s)) {
+            return Err(format!("frame {k} site is bare"));
+        }
+        let via = entry.via.filter(|&s| instrumented(s));
+        if matches!(frame.tag, FrameTag::Anchor | FrameTag::Recursion) && frame.site != via {
+            return Err(format!(
+                "frame {k} site is {:?}, but its entry came via {via:?}",
+                frame.site
+            ));
+        }
+    }
+    Ok(())
+}
+
+/// `counts` with the back-edge probes zeroed: the one tally that depends
+/// on the instruction source. The plan's hash maps probe at every
+/// instrumented dispatching site, the compiled tables only at sites with
+/// a recursion back edge.
 fn reference_view(counts: &StateCounts) -> StateCounts {
     StateCounts {
         backedge_probes: 0,
-        snapshots_shared: 0,
-        snapshots_built: 0,
         ..*counts
     }
 }
