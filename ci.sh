@@ -74,6 +74,25 @@ if [ "${1:-}" != "fast" ]; then
     fi
 fi
 
+# Bad values: a bench bin's numeric option must reject a malformed or
+# zero value (exit 1 with an `error: bad value` line) instead of
+# panicking, or timing nothing and passing its gate on `--repeat 0`.
+if [ "${1:-}" != "fast" ]; then
+    for value in x 0; do
+        echo
+        echo "==> encoder_hotpath --smoke --repeat $value (must be rejected)"
+        status=0
+        cargo run --quiet --release -p deltapath-bench --bin encoder_hotpath -- \
+            --smoke --repeat "$value" --out target/bench-smoke \
+            > target/bad-value.out 2>&1 || status=$?
+        cat target/bad-value.out
+        if [ "$status" -ne 1 ] || ! grep -q '^error: bad value' target/bad-value.out; then
+            echo "the bad value was not rejected (exit status $status)"
+            exit 1
+        fi
+    done
+fi
+
 # Flamegraph oracle gate: decoded context flamegraphs must agree with the
 # shadow-stack oracle (exact equality on closed-world programs,
 # conservation plus per-stack lower bounds across dynamic loading) and the

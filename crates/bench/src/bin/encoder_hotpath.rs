@@ -39,11 +39,13 @@
 //! divergence, which is checked before any throughput number is believed.
 
 use std::collections::HashSet;
+use std::num::NonZeroUsize;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 use deltapath_bench::hooks::{harvest, max_entry_depth, measure, replay};
 use deltapath_bench::perf::{PerfRecord, PerfSuite};
+use deltapath_bench::worse_ratio;
 use deltapath_callgraph::ScopeFilter;
 use deltapath_core::{EncodingPlan, PlanConfig};
 use deltapath_ir::Program;
@@ -125,9 +127,8 @@ fn main() -> ExitCode {
     let out_dir = flag("--out")
         .map(PathBuf::from)
         .unwrap_or_else(|| ".".into());
-    let repeat: usize = flag("--repeat").map_or(if smoke { 2 } else { 12 }, |v| {
-        v.parse().expect("--repeat N")
-    });
+    let repeat = deltapath_bench::parsed_flag(&args, "--repeat")
+        .map_or(if smoke { 2 } else { 12 }, NonZeroUsize::get);
     let passes = if smoke { 2 } else { 3 };
     /// Replayed stream length cap: enough for steady-state measurement,
     /// small enough that harvesting and verification stay quick.
@@ -177,9 +178,9 @@ fn main() -> ExitCode {
         });
         let ratio = enc_rate / map_rate;
         if w.specjvm {
-            worst_specjvm = worst_specjvm.min(ratio);
+            worst_specjvm = worse_ratio(worst_specjvm, ratio);
         }
-        worst_overall = worst_overall.min(ratio);
+        worst_overall = worse_ratio(worst_overall, ratio);
         eprintln!(
             "{:22} {harvested:>8} hooks ({} replayed): map {:>6.1} ns/hook, batched-enc {:>6.1} ns/hook ({ratio:.2}x)",
             w.name,
@@ -207,7 +208,7 @@ fn main() -> ExitCode {
         }
     }
 
-    if smoke && worst_overall < 0.95 {
+    if smoke && (worst_overall.is_nan() || worst_overall < 0.95) {
         eprintln!(
             "error: batched encoder slower than map-based ({worst_overall:.2}x < 0.95x) in smoke mode"
         );

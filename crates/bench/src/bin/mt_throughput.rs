@@ -18,8 +18,10 @@
 //! * `unique_contexts` / `max_depth` — from the merged statistics, which
 //!   are asserted identical across configurations before writing.
 
+use std::num::{NonZeroUsize, ParseIntError};
 use std::path::PathBuf;
 use std::process::ExitCode;
+use std::str::FromStr;
 use std::time::Instant;
 
 use deltapath_bench::perf::{PerfRecord, PerfSuite};
@@ -116,21 +118,29 @@ fn measure(
     })
 }
 
+/// The `--threads a,b,c` list: positive thread counts.
+struct ThreadCounts(Vec<usize>);
+
+impl FromStr for ThreadCounts {
+    type Err = ParseIntError;
+
+    fn from_str(list: &str) -> Result<Self, ParseIntError> {
+        list.split(',')
+            .map(|t| t.parse().map(NonZeroUsize::get))
+            .collect::<Result<_, _>>()
+            .map(Self)
+    }
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let flag = |name: &str| deltapath_bench::flag(&args, name);
     let out_dir = flag("--out")
         .map(PathBuf::from)
         .unwrap_or_else(|| ".".into());
-    let repeat: usize = flag("--repeat").map_or(32, |v| v.parse().expect("--repeat N"));
-    let threads: Vec<usize> = flag("--threads").map_or_else(
-        || vec![1, 2, 4, 8],
-        |v| {
-            v.split(',')
-                .map(|t| t.parse().expect("--threads a,b,c"))
-                .collect()
-        },
-    );
+    let repeat = deltapath_bench::parsed_flag(&args, "--repeat").map_or(32, NonZeroUsize::get);
+    let threads: Vec<usize> = deltapath_bench::parsed_flag::<ThreadCounts>(&args, "--threads")
+        .map_or_else(|| vec![1, 2, 4, 8], |counts| counts.0);
 
     // Harvest one synthetic closed-world run. Deep call chains (the
     // heavy-traffic server shape this collector targets) are the

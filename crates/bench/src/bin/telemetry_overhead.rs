@@ -30,13 +30,15 @@
 //!
 //! `--smoke` is the CI overhead gate: tiny repeat counts, and the run
 //! fails if sampling costs more than the 5% budget (worst-case ratio
-//! below 0.95x) on any workload.
+//! below 0.95x, or not finite) on any workload.
 
+use std::num::{NonZeroU32, NonZeroUsize};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 use deltapath_bench::hooks::{harvest, max_entry_depth, measure};
 use deltapath_bench::perf::{PerfRecord, PerfSuite};
+use deltapath_bench::worse_ratio;
 use deltapath_callgraph::ScopeFilter;
 use deltapath_core::{EncodingPlan, PlanConfig};
 use deltapath_ir::Program;
@@ -92,10 +94,10 @@ fn main() -> ExitCode {
     let out_dir = flag("--out")
         .map(PathBuf::from)
         .unwrap_or_else(|| ".".into());
-    let repeat: usize = flag("--repeat").map_or(if smoke { 2 } else { 12 }, |v| {
-        v.parse().expect("--repeat N")
-    });
-    let period: u32 = flag("--period").map_or(DEFAULT_PERIOD, |v| v.parse().expect("--period N"));
+    let repeat = deltapath_bench::parsed_flag(&args, "--repeat")
+        .map_or(if smoke { 2 } else { 12 }, NonZeroUsize::get);
+    let period =
+        deltapath_bench::parsed_flag(&args, "--period").map_or(DEFAULT_PERIOD, NonZeroU32::get);
     let passes = 2;
     /// Replayed stream length cap, matching `encoder_hotpath`.
     const STREAM_CAP: usize = 400_000;
@@ -138,7 +140,7 @@ fn main() -> ExitCode {
             }
         }
         let ratio = sampled_rate / null_rate;
-        worst = worst.min(ratio);
+        worst = worse_ratio(worst, ratio);
         eprintln!(
             "{:22} {harvested:>8} hooks ({} replayed): none {:>7.2} ns/hook, sampled(1/{period}) {:>7.2} ns/hook ({ratio:.3}x)",
             w.name,
@@ -166,7 +168,7 @@ fn main() -> ExitCode {
         }
     }
 
-    if worst.is_finite() && worst < BUDGET_RATIO {
+    if worst.is_nan() || worst < BUDGET_RATIO {
         eprintln!(
             "error: sampled hook recording exceeded the 5% overhead budget \
              (worst {worst:.3}x < {BUDGET_RATIO:.2}x)"

@@ -50,11 +50,17 @@ pub struct Frame {
 /// `FrameStack` is a reference-count increment, hashing it writes only
 /// the digest, and equality settles on the digest, then on pointer
 /// identity, and only then on the frames themselves.
+/// [`DeltaState`](crate::DeltaState) interns the stacks one thread
+/// captures, so equal captures of one thread share one allocation and
+/// compare by pointer.
 ///
-/// The digest is keyless and deterministic, like the projection hash the
-/// sharded collector routes by: the stacks it sees are the program's own
-/// captures, not attacker-chosen keys, and a collision costs only a frame
-/// comparison. Hash maps keyed by stacks keep `std`'s hasher.
+/// The digest is keyless and deterministic: the stacks it sees are the
+/// program's own captures, not attacker-chosen keys, and a collision
+/// costs only a frame comparison. The same reasoning sets the hasher
+/// policy. Tables over a run's own captures (the per-thread intern table,
+/// the runtime's collectors) hash with the keyless [`FastHasher`]; the
+/// decoder's tables keep `std`'s hasher, because their keys can arrive
+/// from outside the run.
 #[derive(Clone)]
 pub struct FrameStack {
     frames: Arc<[Frame]>,
@@ -71,6 +77,15 @@ impl FrameStack {
     pub fn ptr_eq(this: &Self, other: &Self) -> bool {
         Arc::ptr_eq(&this.frames, &other.frames)
     }
+
+    /// A stack of `frames` whose digest the caller already folded.
+    pub(crate) fn with_digest(frames: &[Frame], digest: u64) -> Self {
+        debug_assert_eq!(digest, self::digest(frames), "stale digest fold");
+        Self {
+            frames: frames.into(),
+            digest,
+        }
+    }
 }
 
 /// Folds `word` into `h` with a 64×64→128-bit multiply whose halves are
@@ -81,20 +96,33 @@ fn mix(h: u64, word: u64) -> u64 {
     (m as u64) ^ ((m >> 64) as u64)
 }
 
+/// The digest fold of the empty stack.
+pub(crate) const FOLD_SEED: u64 = 0x243F_6A88_85A3_08D3;
+
+/// Folds every field of `frame` into the digest fold `h` of the frames
+/// below it.
+#[inline]
+pub(crate) fn fold_frame(h: u64, frame: &Frame) -> u64 {
+    let tag = match frame.tag {
+        FrameTag::Anchor => 0,
+        FrameTag::Recursion => 1,
+        FrameTag::Ucp => 2,
+    };
+    let site = frame.site.map_or(0, |s| s.index() as u64 + 1);
+    let h = mix(h, tag | (frame.node.index() as u64) << 2);
+    mix(mix(h, site), frame.saved_id)
+}
+
+/// The digest of a stack of `depth` frames whose fold is `fold`.
+#[inline]
+pub(crate) fn finish_digest(fold: u64, depth: usize) -> u64 {
+    mix(fold, depth as u64)
+}
+
 /// The content digest of `frames`: every field of every frame, then the
 /// depth.
 fn digest(frames: &[Frame]) -> u64 {
-    let h = frames.iter().fold(0x243F_6A88_85A3_08D3, |h, f| {
-        let tag = match f.tag {
-            FrameTag::Anchor => 0,
-            FrameTag::Recursion => 1,
-            FrameTag::Ucp => 2,
-        };
-        let site = f.site.map_or(0, |s| s.index() as u64 + 1);
-        let h = mix(h, tag | (f.node.index() as u64) << 2);
-        mix(mix(h, site), f.saved_id)
-    });
-    mix(h, frames.len() as u64)
+    finish_digest(frames.iter().fold(FOLD_SEED, fold_frame), frames.len())
 }
 
 /// The empty stack.
@@ -106,10 +134,7 @@ impl Default for FrameStack {
 
 impl From<&[Frame]> for FrameStack {
     fn from(frames: &[Frame]) -> Self {
-        Self {
-            digest: digest(frames),
-            frames: frames.into(),
-        }
+        Self::with_digest(frames, digest(frames))
     }
 }
 
@@ -144,6 +169,80 @@ impl Hash for FrameStack {
 impl fmt::Debug for FrameStack {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_list().entries(self.frames.iter()).finish()
+    }
+}
+
+/// A keyless multiply-rotate hasher (the Fowler/rustc "Fx" recipe) for
+/// tables over a run's own captures: the per-thread stack intern table,
+/// and in `deltapath-runtime` the collectors' capture tables and the
+/// sharded collector's routing and memo.
+///
+/// A [`FrameStack`] hashes as its digest and a capture as a few more
+/// words, so a probe costs a handful of multiplies where `std`'s SipHash
+/// costs a keyed round per word. Unlike SipHash it is not DoS-resistant,
+/// which is fine for these tables: their keys are the program's own
+/// captures, not attacker-chosen values, and a collision costs only an
+/// equality compare. Tables whose keys can arrive from outside the run,
+/// such as the decoder's caches, keep `std`'s hasher. Being keyless also
+/// makes it deterministic: every process agrees on every hash, which the
+/// sharded collector's routing relies on.
+///
+/// ```
+/// use std::collections::HashMap;
+/// use std::hash::BuildHasherDefault;
+/// use deltapath_core::FastHasher;
+///
+/// let mut counts: HashMap<u64, u32, BuildHasherDefault<FastHasher>> = HashMap::default();
+/// *counts.entry(7).or_insert(0) += 1;
+/// assert_eq!(counts[&7], 1);
+/// ```
+#[derive(Clone, Debug, Default)]
+pub struct FastHasher {
+    hash: u64,
+}
+
+impl FastHasher {
+    const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
+
+    #[inline]
+    fn add(&mut self, word: u64) {
+        self.hash = (self.hash.rotate_left(5) ^ word).wrapping_mul(Self::SEED);
+    }
+}
+
+impl Hasher for FastHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.add(u64::from_le_bytes(word));
+        }
+    }
+
+    #[inline]
+    fn write_u8(&mut self, n: u8) {
+        self.add(n as u64);
+    }
+
+    #[inline]
+    fn write_u32(&mut self, n: u32) {
+        self.add(n as u64);
+    }
+
+    #[inline]
+    fn write_u64(&mut self, n: u64) {
+        self.add(n);
+    }
+
+    #[inline]
+    fn write_usize(&mut self, n: usize) {
+        self.add(n as u64);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.hash
     }
 }
 
@@ -307,6 +406,21 @@ mod tests {
         // Pinned: the digest must not depend on per-process hasher keys.
         assert_eq!(from_vec.digest(), 0x9833_27ad_8e73_56fd);
         assert_ne!(FrameStack::from(Vec::new()).digest(), from_vec.digest());
+    }
+
+    #[test]
+    fn fast_hasher_is_deterministic_and_keyless() {
+        use std::hash::{BuildHasher, BuildHasherDefault};
+        let build = BuildHasherDefault::<FastHasher>::default();
+        // Pinned: every process must agree, or the sharded collector's
+        // routing would depend on the process.
+        assert_eq!(build.hash_one(7u64), 0x3a69_4c02_11ee_4a13);
+        let mut h = build.build_hasher();
+        h.write_u8(1);
+        h.write_u32(2);
+        assert_eq!(h.finish(), 0x6a4b_e67f_f98f_abc8);
+        let stack = ctx().frames;
+        assert_eq!(build.hash_one(&stack), build.hash_one(stack.digest()));
     }
 
     #[test]

@@ -84,7 +84,7 @@ mod width;
 
 pub use algo1::Algo1Encoding;
 pub use algo2::{Algo2Config, Encoding};
-pub use context::{EncodedContext, Frame, FrameStack, FrameTag};
+pub use context::{EncodedContext, FastHasher, Frame, FrameStack, FrameTag};
 pub use decode::{DecodeOptions, Decoder};
 pub use error::{DecodeError, EncodeError};
 pub use pcce::PcceEncoding;

@@ -29,10 +29,21 @@
 //! mask arithmetic: the CPT, check and track decisions are bit-selects,
 //! not branches, and only the rare events (a frame push at an entry, a pop
 //! at an exit) leave the straight-line path.
+//!
+//! A capture shares its stack instead of copying it. The machine keeps one
+//! snapshot slot per stack depth and interns the stacks its thread has
+//! captured, so equal captures of one thread share one [`FrameStack`]
+//! allocation and only a stack the thread has not captured before is
+//! built (see [`DeltaState::snapshot`]).
+
+use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
 
 use deltapath_ir::{MethodId, SiteId};
 
-use crate::context::{EncodedContext, Frame, FrameStack, FrameTag};
+use crate::context::{
+    finish_digest, fold_frame, EncodedContext, FastHasher, Frame, FrameStack, FrameTag, FOLD_SEED,
+};
 use crate::plan_compiled::{
     InstructionSource, ENTRY_ANCHOR, ENTRY_DO_CHECK, ENTRY_PRESENT, SID_MASK, SITE_ENCODED,
     SITE_MAY_BACK_EDGE, SITE_PRESENT, SITE_SAVE_PENDING,
@@ -65,13 +76,23 @@ pub struct StateCounts {
     /// Deepest the encoding stack has grown (lifetime high-water mark,
     /// not reset by a restart).
     pub stack_hwm: u64,
-    /// Snapshots that reused the cached
-    /// [`FrameStack`] of an unchanged stack (a reference-count increment).
+    /// Snapshots that reused a [`FrameStack`] this thread had already
+    /// captured since its last restart: the one kept for the current
+    /// depth, or the interned stack with equal frames (a reference-count
+    /// increment either way).
     pub snapshots_shared: u64,
-    /// Snapshots that built a fresh [`FrameStack`] after a push, a pop or
-    /// a restart.
+    /// Snapshots that built a new [`FrameStack`]: a stack this thread had
+    /// not captured before since its last restart, or one the full intern
+    /// table no longer admits or whose digest an interned stack with other
+    /// frames already holds.
     pub snapshots_built: u64,
 }
+
+/// Capacity of a thread's stack intern table, like the sharded
+/// collector's memo. Once full the table admits no new stacks (a run's
+/// first distinct stacks are its hot ones); a stack it does not admit is
+/// built each time a capture finds no snapshot slot for it.
+const INTERN_CAPACITY: usize = 1 << 16;
 
 /// One open call's caller-saved record: what the matching return must
 /// subtract and restore. Pushed unconditionally per call hook; masked
@@ -104,7 +125,8 @@ fn bit(word: u64, flag: u64) -> u64 {
 
 /// Per-thread DeltaPath encoding state: the current ID, the encoding stack,
 /// the pending call-path-tracking expectation, the caller-saved records of
-/// open calls, the outcomes of open entries, and the operation tallies.
+/// open calls, the outcomes of open entries, the stacks the thread has
+/// captured, and the operation tallies.
 ///
 /// Every hook that needs an instruction takes its source: `&EncodingPlan`
 /// or `&CompiledPlan`. Both drive the same machine.
@@ -158,9 +180,17 @@ pub struct DeltaState {
     id: u64,
     /// The encoding stack, bootstrap frame included.
     frames: Vec<Frame>,
-    /// The last snapshot of `frames`, shared by every capture until the
-    /// next push, pop or restart invalidates it.
-    shared: Option<FrameStack>,
+    /// `folds[k]` is the digest fold of `frames[..=k]`, kept for a prefix
+    /// of the stack: a snapshot extends it, a pop truncates it.
+    folds: Vec<u64>,
+    /// `slots[k]`, when set, is the snapshot of `frames[..=k]`. Slots
+    /// above the top remember the frames popped last: a push of the frame
+    /// that slot ends with keeps it and the slots above it, a push of any
+    /// other frame drops them.
+    slots: Vec<Option<FrameStack>>,
+    /// The stacks this thread captured since its last restart, by digest:
+    /// at most one per digest and [`INTERN_CAPACITY`] in all.
+    interned: HashMap<u64, FrameStack, BuildHasherDefault<FastHasher>>,
     /// Pending-expectation validity: 0 or 1.
     pend_valid: u64,
     /// Pending site index (meaningful only when `pend_valid == 1`).
@@ -184,7 +214,9 @@ impl DeltaState {
         Self {
             id: 0,
             frames: vec![Self::bootstrap(entry)],
-            shared: None,
+            folds: Vec::new(),
+            slots: Vec::new(),
+            interned: HashMap::default(),
             pend_valid: 0,
             pend_site: 0,
             pend_expected: 0,
@@ -196,12 +228,15 @@ impl DeltaState {
     }
 
     /// Resets the encoding state for a new thread at `entry`, keeping the
-    /// cumulative counts (and the stacks' allocations).
+    /// cumulative counts (and the stacks' allocations). The new thread
+    /// shares no snapshot with the old one: the intern table starts empty.
     pub fn restart(&mut self, entry: MethodId) {
         self.id = 0;
         self.frames.clear();
         self.frames.push(Self::bootstrap(entry));
-        self.shared = None;
+        self.folds.clear();
+        self.slots.clear();
+        self.interned.clear();
         self.pend_valid = 0;
         self.pend_site = 0;
         self.pend_expected = 0;
@@ -383,8 +418,11 @@ impl DeltaState {
                 saved_id: self.id,
             }
         };
+        let depth = self.frames.len();
+        if !matches!(self.slots.get(depth), Some(Some(stack)) if stack.last() == Some(&frame)) {
+            self.slots.truncate(depth);
+        }
         self.frames.push(frame);
-        self.shared = None;
         self.id = 0;
         self.counts.pushes += 1;
         self.counts.stack_hwm = self.counts.stack_hwm.max(self.frames.len() as u64);
@@ -405,30 +443,70 @@ impl DeltaState {
                 .frames
                 .pop()
                 .expect("encoding stack underflow: unbalanced entry/exit hooks");
-            self.shared = None;
+            self.folds.truncate(self.frames.len());
             self.id = frame.saved_id;
             self.counts.pops += 1;
         }
     }
 
-    /// Captures the current calling context as an encoded value. Captures
-    /// under an unchanged stack share one [`FrameStack`]: only the first
-    /// after a push, pop or restart copies the frames.
+    /// Captures the current calling context as an encoded value.
+    ///
+    /// Equal captures of one thread share one [`FrameStack`]. The
+    /// snapshot slot of the current depth answers most captures with a
+    /// reference-count increment: pops keep it, and so does a push of the
+    /// frame it ends with. Otherwise one probe of the intern table, by the
+    /// digest of the current frames, finds the stack if the thread
+    /// captured it before; only a stack it has not captured is built.
     pub fn snapshot(&mut self, at: MethodId) -> EncodedContext {
-        let frames = match &self.shared {
-            Some(stack) => {
+        let top = self.frames.len() - 1;
+        let frames = match self.slots.get(top) {
+            Some(Some(stack)) => {
                 self.counts.snapshots_shared += 1;
                 stack.clone()
             }
-            None => {
-                self.counts.snapshots_built += 1;
-                self.shared.insert(self.frames.as_slice().into()).clone()
+            _ => {
+                let stack = self.intern();
+                if self.slots.len() <= top {
+                    self.slots.resize(top + 1, None);
+                }
+                self.slots[top] = Some(stack.clone());
+                stack
             }
         };
         EncodedContext {
             frames,
             id: self.id,
             at,
+        }
+    }
+
+    /// The interned stack of the current frames, built (and admitted while
+    /// the table has room) if the thread has not captured it before. A
+    /// digest held by an interned stack with other frames builds a stack
+    /// the table does not keep.
+    fn intern(&mut self) -> FrameStack {
+        for frame in &self.frames[self.folds.len()..] {
+            let below = self.folds.last().copied().unwrap_or(FOLD_SEED);
+            self.folds.push(fold_frame(below, frame));
+        }
+        let digest = finish_digest(self.folds[self.frames.len() - 1], self.frames.len());
+        match self.interned.get(&digest) {
+            Some(stack) if **stack == *self.frames => {
+                self.counts.snapshots_shared += 1;
+                stack.clone()
+            }
+            Some(_) => {
+                self.counts.snapshots_built += 1;
+                FrameStack::with_digest(&self.frames, digest)
+            }
+            None => {
+                self.counts.snapshots_built += 1;
+                let stack = FrameStack::with_digest(&self.frames, digest);
+                if self.interned.len() < INTERN_CAPACITY {
+                    self.interned.insert(digest, stack.clone());
+                }
+                stack
+            }
         }
     }
 }
@@ -484,6 +562,194 @@ mod tests {
             assert_eq!(st.depth(), 1);
         }
         assert_ne!(ids[0], ids[1]);
+    }
+
+    /// main calls `mid` from `fan` sites and `mid` calls the recursion
+    /// header `rec` from `fan` sites: `fan * fan` contexts enter `rec`,
+    /// each pushing its own anchor frame.
+    fn fan_program(fan: usize) -> (Program, Vec<SiteId>, Vec<SiteId>) {
+        let mut b = ProgramBuilder::new("fan");
+        let c = b.add_class("C", None);
+        b.method(c, "rec", MethodKind::Static)
+            .body(|f| {
+                f.if_mod(
+                    3,
+                    0,
+                    |_| {},
+                    |f| {
+                        f.call_arg(c, "rec", deltapath_ir::ArgExpr::ParamPlus(1));
+                    },
+                );
+            })
+            .finish();
+        let mut to_rec = Vec::new();
+        b.method(c, "mid", MethodKind::Static)
+            .body(|f| to_rec.extend((0..fan).map(|_| f.call(c, "rec"))))
+            .finish();
+        let mut to_mid = Vec::new();
+        let main = b
+            .method(c, "main", MethodKind::Static)
+            .body(|f| to_mid.extend((0..fan).map(|_| f.call(c, "mid"))))
+            .finish();
+        b.entry(main);
+        (b.finish().unwrap(), to_mid, to_rec)
+    }
+
+    /// Captures `rec` once per context of `fan_program`, in site order.
+    fn capture_every_rec_context(
+        st: &mut DeltaState,
+        plan: &EncodingPlan,
+        p: &Program,
+        to_mid: &[SiteId],
+        to_rec: &[SiteId],
+    ) -> Vec<FrameStack> {
+        let (mid, rec) = (method(p, "C", "mid"), method(p, "C", "rec"));
+        let mut stacks = Vec::new();
+        for &outer in to_mid {
+            st.on_call(plan, outer);
+            st.on_entry(plan, mid, Some(outer));
+            for &inner in to_rec {
+                st.on_call(plan, inner);
+                st.on_entry(plan, rec, Some(inner));
+                stacks.push(st.snapshot(rec).frames);
+                st.on_exit();
+                st.on_return();
+            }
+            st.on_exit();
+            st.on_return();
+        }
+        stacks
+    }
+
+    #[test]
+    fn intern_table_stops_admitting_at_its_capacity() {
+        let (p, to_mid, to_rec) = fan_program(300);
+        let plan = EncodingPlan::analyze(&p, &PlanConfig::default()).unwrap();
+        let mut st = DeltaState::start(p.entry());
+        let first = capture_every_rec_context(&mut st, &plan, &p, &to_mid, &to_rec);
+        let distinct: std::collections::HashSet<&[Frame]> = first.iter().map(|s| &s[..]).collect();
+        assert_eq!(
+            distinct.len(),
+            300 * 300,
+            "every context pushes its own frame"
+        );
+        assert!(first.iter().all(|s| s.len() == 2));
+        let counts = *st.counts();
+        assert_eq!(
+            (counts.snapshots_built, counts.snapshots_shared),
+            (90_000, 0)
+        );
+        assert_eq!(st.interned.len(), INTERN_CAPACITY, "full, and no larger");
+
+        // The stacks admitted first stay interned; the rest are built again.
+        let again = capture_every_rec_context(&mut st, &plan, &p, &to_mid, &to_rec);
+        let kept = first
+            .iter()
+            .zip(&again)
+            .map(|(a, b)| FrameStack::ptr_eq(a, b))
+            .collect::<Vec<_>>();
+        assert!(kept[..INTERN_CAPACITY].iter().all(|&k| k));
+        assert!(kept[INTERN_CAPACITY..].iter().all(|&k| !k));
+        assert_eq!(first, again, "with equal frames either way");
+        let built = st.counts().snapshots_built - counts.snapshots_built;
+        assert_eq!(built, (90_000 - INTERN_CAPACITY) as u64);
+        assert_eq!(st.interned.len(), INTERN_CAPACITY);
+
+        st.restart(p.entry());
+        assert!(st.interned.is_empty(), "a restart empties the table");
+    }
+
+    #[test]
+    fn depth_slots_survive_pops_and_pushes_of_their_frame() {
+        let (p, to_mid, to_rec) = fan_program(2);
+        let plan = EncodingPlan::analyze(&p, &PlanConfig::default()).unwrap();
+        let (mid, rec) = (method(&p, "C", "mid"), method(&p, "C", "rec"));
+        let mut st = DeltaState::start(p.entry());
+        st.on_call(&plan, to_mid[0]);
+        st.on_entry(&plan, mid, Some(to_mid[0]));
+        let below = st.snapshot(mid).frames;
+        let enter_rec = |st: &mut DeltaState, site: SiteId| {
+            st.on_call(&plan, site);
+            st.on_entry(&plan, rec, Some(site));
+        };
+        let leave_rec = |st: &mut DeltaState| {
+            st.on_exit();
+            st.on_return();
+        };
+
+        enter_rec(&mut st, to_rec[0]);
+        let top = st.snapshot(rec).frames;
+        leave_rec(&mut st);
+        assert_eq!(st.folds.len(), 1, "a pop drops the popped frame's fold");
+        assert!(FrameStack::ptr_eq(&st.snapshot(mid).frames, &below));
+        assert_eq!(st.slots.len(), 2, "the popped frame's slot stays");
+
+        enter_rec(&mut st, to_rec[0]);
+        let kept = st.slots[1]
+            .clone()
+            .expect("a push of its frame keeps the slot");
+        assert!(FrameStack::ptr_eq(&kept, &top));
+        assert!(FrameStack::ptr_eq(&st.snapshot(rec).frames, &top));
+        leave_rec(&mut st);
+
+        enter_rec(&mut st, to_rec[1]);
+        assert_eq!(st.slots.len(), 1, "a push of another frame drops the slot");
+        let other = st.snapshot(rec).frames;
+        assert_eq!(other.last().unwrap().site, Some(to_rec[1]));
+        assert_eq!(other[..1], below[..]);
+        let counts = st.counts();
+        assert_eq!((counts.snapshots_built, counts.snapshots_shared), (3, 2));
+    }
+
+    #[test]
+    fn a_digest_collision_builds_a_stack_the_table_does_not_keep() {
+        // Two saved IDs whose stacks at `rec` in `fan_program(1)` share a
+        // digest, found by cycle finding over the digest of that two-frame
+        // stack. A plan never produces IDs this large, so the test sets the
+        // ID by hand before the entry that pushes the frame.
+        const COLLIDING: [u64; 2] = [0x4300_5566_a554_949c, 0xe7fe_74f0_13b8_ba02];
+        let (p, to_mid, to_rec) = fan_program(1);
+        let plan = EncodingPlan::analyze(&p, &PlanConfig::default()).unwrap();
+        let (mid, rec) = (method(&p, "C", "mid"), method(&p, "C", "rec"));
+        let mut st = DeltaState::start(p.entry());
+        st.on_call(&plan, to_mid[0]);
+        st.on_entry(&plan, mid, Some(to_mid[0]));
+        let capture = |st: &mut DeltaState, saved_id: u64| {
+            st.on_call(&plan, to_rec[0]);
+            st.id = saved_id;
+            st.on_entry(&plan, rec, Some(to_rec[0]));
+            let stack = st.snapshot(rec).frames;
+            st.on_exit();
+            st.on_return();
+            stack
+        };
+        let first = capture(&mut st, COLLIDING[0]);
+        let other = capture(&mut st, COLLIDING[1]);
+        assert_eq!(
+            first.digest(),
+            other.digest(),
+            "the pinned IDs no longer collide: recompute them for the current digest"
+        );
+        assert_eq!(first.last().unwrap().saved_id, COLLIDING[0]);
+        assert_eq!(other.last().unwrap().saved_id, COLLIDING[1], "own frames");
+        assert_ne!(first, other);
+
+        let kept = capture(&mut st, COLLIDING[0]);
+        assert!(
+            FrameStack::ptr_eq(&first, &kept),
+            "the digest keeps its first stack"
+        );
+        let again = capture(&mut st, COLLIDING[1]);
+        assert!(
+            !FrameStack::ptr_eq(&other, &again),
+            "the table keeps one stack per digest"
+        );
+        assert_eq!(other, again);
+        let slot = capture(&mut st, COLLIDING[1]);
+        assert!(FrameStack::ptr_eq(&again, &slot), "the depth slot keeps it");
+        let counts = st.counts();
+        assert_eq!((counts.snapshots_built, counts.snapshots_shared), (3, 2));
+        assert_eq!(st.interned.len(), 1);
     }
 
     #[test]

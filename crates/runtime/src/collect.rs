@@ -1,8 +1,9 @@
 //! Collection of captured contexts and dynamic statistics.
 
 use std::collections::HashSet;
+use std::hash::BuildHasherDefault;
 
-use deltapath_core::RelativeLog;
+use deltapath_core::{FastHasher, RelativeLog};
 use deltapath_ir::MethodId;
 use deltapath_telemetry::{names, Telemetry};
 
@@ -141,8 +142,9 @@ pub struct ContextStats {
     pub max_depth: usize,
     /// Sum of true depths (for the average).
     depth_sum: u64,
-    /// Distinct captured values.
-    unique: HashSet<Capture>,
+    /// Distinct captured values, hashed with the keyless [`FastHasher`]
+    /// (the run's own captures, see its docs).
+    unique: HashSet<Capture, BuildHasherDefault<FastHasher>>,
     /// Maximum DeltaPath stack depth observed.
     pub max_stack_depth: usize,
     /// Sum of DeltaPath stack depths.

@@ -6,14 +6,22 @@
 //! [`ContextStats`](crate::ContextStats) deliberately keeps only the
 //! *distinct* capture set (its sharded path memo-suppresses repeats, so
 //! per-capture counts cannot be recovered from it). [`ContextProfile`] is
-//! the collector that does count: a capture-keyed frequency map, cheap at
-//! runtime because DeltaPath captures are small hashable values, decoded
+//! the collector that does count: a capture-keyed frequency map, decoded
 //! only once per distinct context when folding.
+//!
+//! Recording is cheap because a DeltaPath capture is a small value. The
+//! map hashes it with the keyless [`FastHasher`]: the stack contributes
+//! only its digest, so a capture costs a few multiplies, not a SipHash.
+//! The encoder interns the stacks one thread captures, so a repeated
+//! context finds its entry by a pointer compare of the stacks, not a
+//! frame-by-frame compare across two allocations. A repeated capture is
+//! counted in place; only a new one is inserted.
 
 use std::borrow::Cow;
 use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
 
-use deltapath_core::Decoder;
+use deltapath_core::{Decoder, FastHasher};
 use deltapath_ir::{MethodId, Program};
 use deltapath_telemetry::FoldedStacks;
 
@@ -29,7 +37,7 @@ use crate::Collector;
 /// counted but reported as skipped.
 #[derive(Clone, Debug, Default)]
 pub struct ContextProfile {
-    counts: HashMap<Capture, u64>,
+    counts: HashMap<Capture, u64, BuildHasherDefault<FastHasher>>,
 }
 
 impl ContextProfile {
@@ -58,11 +66,16 @@ impl ContextProfile {
         self.counts.iter().map(|(c, &n)| (c, n))
     }
 
-    /// Absorbs another profile (commutative, lossless).
+    /// Absorbs another profile (commutative, lossless). Only a capture
+    /// `self` has not seen is cloned.
     pub fn merge(&mut self, other: &ContextProfile) {
         for (capture, &count) in &other.counts {
-            let slot = self.counts.entry(capture.clone()).or_insert(0);
-            *slot = slot.saturating_add(count);
+            match self.counts.get_mut(capture) {
+                Some(slot) => *slot = slot.saturating_add(count),
+                None => {
+                    self.counts.insert(capture.clone(), count);
+                }
+            }
         }
     }
 
@@ -107,8 +120,12 @@ impl ContextProfile {
 
 impl Collector for ContextProfile {
     fn record_entry(&mut self, _method: MethodId, _true_depth: usize, capture: Capture) {
-        let slot = self.counts.entry(capture).or_insert(0);
-        *slot = slot.saturating_add(1);
+        match self.counts.get_mut(&capture) {
+            Some(slot) => *slot = slot.saturating_add(1),
+            None => {
+                self.counts.insert(capture, 1);
+            }
+        }
     }
 
     fn record_observe(&mut self, _event: u32, _method: MethodId, _capture: Capture) {}

@@ -41,6 +41,7 @@ use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
+use deltapath_core::FastHasher;
 use deltapath_ir::MethodId;
 use deltapath_telemetry::{names, ScopedSpan, Telemetry};
 
@@ -59,63 +60,6 @@ pub const DEFAULT_BATCH: usize = 256;
 /// are the ones worth keeping); unmemoized captures are simply forwarded
 /// on every occurrence and deduplicated by the shard set.
 const MEMO_CAPACITY: usize = 1 << 16;
-
-/// A fast keyless multiply-rotate hasher (the Fowler/rustc "Fx" recipe)
-/// for routing and memo probes, both of which sit on the per-event hot
-/// path. Unlike `std`'s SipHash it is not DoS-resistant, which is fine
-/// here: the inputs are the program's own captures, not attacker-chosen
-/// keys, and collisions only cost a full-equality compare. Being keyless
-/// also makes it deterministic — every handle of every collector agrees
-/// on the routing, which the shard-disjointness argument requires.
-#[derive(Default)]
-struct FastHasher {
-    hash: u64,
-}
-
-impl FastHasher {
-    const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
-
-    #[inline]
-    fn add(&mut self, word: u64) {
-        self.hash = (self.hash.rotate_left(5) ^ word).wrapping_mul(Self::SEED);
-    }
-}
-
-impl Hasher for FastHasher {
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
-            let mut word = [0u8; 8];
-            word[..chunk.len()].copy_from_slice(chunk);
-            self.add(u64::from_le_bytes(word));
-        }
-    }
-
-    #[inline]
-    fn write_u8(&mut self, n: u8) {
-        self.add(n as u64);
-    }
-
-    #[inline]
-    fn write_u32(&mut self, n: u32) {
-        self.add(n as u64);
-    }
-
-    #[inline]
-    fn write_u64(&mut self, n: u64) {
-        self.add(n);
-    }
-
-    #[inline]
-    fn write_usize(&mut self, n: usize) {
-        self.add(n as u64);
-    }
-
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.hash
-    }
-}
 
 /// Writes a cheap projection of `capture` into `h`. Equal captures
 /// produce equal projections (a pure function of the value), which is all

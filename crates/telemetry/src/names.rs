@@ -207,12 +207,13 @@ pub const PROFILE_HOOK_PERIOD: &str = "profile.hook_period";
 // the names below are the batch engine's *fixed* machinery metrics,
 // independent of the CPT mode the encoder runs under.
 
-/// Captures that shared the cached snapshot of an unchanged encoding
-/// stack (counter).
+/// Captures that reused a stack snapshot their thread had already
+/// captured: the one kept for the current depth or an interned one
+/// (counter).
 pub const ENCODER_BATCHED_SNAPSHOTS_SHARED: &str = "encoder.batched.snapshots_shared";
 
-/// Captures that built a fresh snapshot after a push, a pop or a thread
-/// start (counter).
+/// Captures that built a new stack snapshot: one their thread had not
+/// captured before since it started (counter).
 pub const ENCODER_BATCHED_SNAPSHOTS_BUILT: &str = "encoder.batched.snapshots_built";
 
 /// Recursion back-edge pairs in the compiled two-level lookup table

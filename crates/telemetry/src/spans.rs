@@ -405,10 +405,15 @@ impl FoldedStacks {
     }
 
     /// Adds `weight` to the stack `path` (frames already joined with
-    /// `';'`). Zero weights still create the line.
+    /// `';'`). Zero weights still create the line. Only a new stack
+    /// allocates its `String`.
     pub fn add(&mut self, path: &str, weight: u64) {
-        let slot = self.stacks.entry(path.to_owned()).or_insert(0);
-        *slot = slot.saturating_add(weight);
+        match self.stacks.get_mut(path) {
+            Some(slot) => *slot = slot.saturating_add(weight),
+            None => {
+                self.stacks.insert(path.to_owned(), weight);
+            }
+        }
     }
 
     /// Adds `weight` to the stack given as frames, outermost first.
@@ -848,6 +853,37 @@ mod tests {
         assert!(FoldedStacks::parse(" 12\n").is_err());
         assert!(FoldedStacks::parse("a;b twelve\n").is_err());
         assert!(FoldedStacks::parse("\n\n").expect("blank ok").is_empty());
+    }
+
+    #[test]
+    fn folded_stacks_add_sums_weights_like_a_fresh_entry_per_add() {
+        let adds = [
+            ("main;a", 3),
+            ("main", 0),
+            ("main;a", 4),
+            ("main;a;b", u64::MAX - 1),
+            ("main;a;b", 5),
+            ("main", 0),
+            ("main;ab", 2),
+            ("main;a", 0),
+        ];
+        let mut f = FoldedStacks::new();
+        let mut reference: BTreeMap<String, u64> = BTreeMap::new();
+        for (path, weight) in adds {
+            f.add(path, weight);
+            let slot = reference.entry(path.to_owned()).or_insert(0);
+            *slot = slot.saturating_add(weight);
+        }
+        let weights: Vec<(&str, u64)> = f.iter().collect();
+        let expected: Vec<(&str, u64)> = reference.iter().map(|(p, &w)| (p.as_str(), w)).collect();
+        assert_eq!(weights, expected);
+        assert_eq!(f.get("main"), Some(0), "zero weights still create the line");
+        assert_eq!(f.get("main;a;b"), Some(u64::MAX), "weights saturate");
+        let rendered: String = reference
+            .iter()
+            .map(|(p, w)| format!("{p} {w}\n"))
+            .collect();
+        assert_eq!(f.render(), rendered);
     }
 
     #[test]

@@ -104,8 +104,8 @@ pub use deltapath_callgraph::{
 };
 pub use deltapath_core::{
     parse_plan, render_plan, render_plan_string, CompiledPlan, DecodeError, DecodeOptions, Decoder,
-    DeltaState, EncodeError, EncodedContext, EncodingPlan, EncodingWidth, Frame, FrameStack,
-    FrameTag, ImportedPlan, PlanConfig, PlanParseError, Sid, StateCounts, PLAN_SCHEMA,
+    DeltaState, EncodeError, EncodedContext, EncodingPlan, EncodingWidth, FastHasher, Frame,
+    FrameStack, FrameTag, ImportedPlan, PlanConfig, PlanParseError, Sid, StateCounts, PLAN_SCHEMA,
 };
 pub use deltapath_ir::{
     skeleton_program, ArgExpr, ClassId, MethodId, MethodKind, Program, ProgramBuilder, Receiver,

@@ -15,18 +15,22 @@
 //! filter are exercised under dynamic loading. The same matrix then
 //! restarts both encoders in the middle of a thread, and the
 //! deterministic VM checks that the two encoders' telemetry reports agree
-//! metric for metric. The VM-driven matrix, with the DP040 round-trip
-//! audit of every lowered image, lives in the `compiled_plan` suite.
+//! metric for metric. Replaying each stream twice on one encoder checks
+//! the interned stacks: a thread's equal captures share one allocation,
+//! `snapshots_built` counts its distinct stacks, and a restarted thread
+//! shares none with the one before. The VM-driven matrix, with the DP040
+//! round-trip audit of every lowered image, lives in the `compiled_plan`
+//! suite.
 
 mod common;
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap, HashSet};
 
 use common::{configs, programs, run_log};
 use deltapath::{
     ArgExpr, BatchedDeltaEncoder, Capture, ClassId, ContextEncoder, DeltaEncoder, EncodedContext,
-    EncodingPlan, FrameStack, FrameTag, MethodId, MethodKind, PlanConfig, ProgramBuilder, Recorder,
-    ScopeFilter, SiteId, StateCounts,
+    EncodingPlan, Frame, FrameStack, FrameTag, MethodId, MethodKind, PlanConfig, ProgramBuilder,
+    Recorder, ScopeFilter, SiteId, StateCounts,
 };
 use deltapath_bench::hooks::{harvest, replay, Hook};
 use deltapath_telemetry::names;
@@ -295,13 +299,83 @@ fn unchanged_stacks_share_one_snapshot() {
     enc.on_return(site, ());
     let after = stack(&mut enc, main);
     assert!(
-        !FrameStack::ptr_eq(&first, &after),
-        "a push and pop between two observes: a fresh allocation"
+        FrameStack::ptr_eq(&first, &after),
+        "a push and pop between two observes: still the same allocation"
     );
-    assert_eq!(first, after, "with equal contents");
 
     let counts = enc.state().counts();
-    assert_eq!((counts.snapshots_built, counts.snapshots_shared), (3, 1));
+    assert_eq!((counts.snapshots_built, counts.snapshots_shared), (2, 2));
+}
+
+#[test]
+fn equal_stacks_share_one_allocation_per_thread() {
+    // The state machine interns the stacks its thread captures. Within one
+    // thread, two captures' stacks share one allocation exactly when their
+    // frames are equal, and `snapshots_built` counts the distinct stacks
+    // (the matrix stays far below the intern table's capacity). Each
+    // stream is replayed twice on one encoder: `thread_start` begins a
+    // thread that shares no stack with the one before.
+    let mut pairs = 0usize;
+    for program in programs() {
+        let hooks = harvest(&program).expect("harvest");
+        for (label, config) in configs() {
+            let Ok(plan) = EncodingPlan::analyze(&program, &config) else {
+                continue;
+            };
+            let compiled = plan.compile();
+            let tag = format!("{}/{label}", program.name());
+
+            let mut enc = BatchedDeltaEncoder::new(&compiled);
+            let mut threads = Vec::new();
+            let mut before = StateCounts::default();
+            for thread in 0..2 {
+                let mut captured = Vec::new();
+                replay(program.entry(), &hooks, &mut enc, &mut captured);
+                let stacks: Vec<FrameStack> = captured
+                    .into_iter()
+                    .map(|capture| match capture {
+                        Capture::Delta(ctx) => ctx.frames,
+                        other => panic!("{tag}: delta capture expected, got {other:?}"),
+                    })
+                    .collect();
+                let mut first: HashMap<&[Frame], &FrameStack> = HashMap::new();
+                for (i, stack) in stacks.iter().enumerate() {
+                    let same = first.entry(stack).or_insert(stack);
+                    assert!(
+                        FrameStack::ptr_eq(same, stack),
+                        "{tag}: thread {thread}, capture {i}: equal frames in a second allocation"
+                    );
+                }
+                let allocations: HashSet<*const Frame> =
+                    first.values().map(|stack| stack.as_ptr()).collect();
+                assert_eq!(
+                    allocations.len(),
+                    first.len(),
+                    "{tag}: thread {thread}: unequal frames in one allocation"
+                );
+                let counts = *enc.state().counts();
+                let built = counts.snapshots_built - before.snapshots_built;
+                let shared = counts.snapshots_shared - before.snapshots_shared;
+                assert_eq!(
+                    (built, shared),
+                    (first.len() as u64, (stacks.len() - first.len()) as u64),
+                    "{tag}: thread {thread}: snapshots built and shared"
+                );
+                before = counts;
+                threads.push(stacks);
+            }
+            let previous: HashSet<*const Frame> =
+                threads[0].iter().map(|stack| stack.as_ptr()).collect();
+            assert!(
+                threads[1]
+                    .iter()
+                    .all(|stack| !previous.contains(&stack.as_ptr())),
+                "{tag}: the restarted thread shares a stack with the thread before"
+            );
+            pairs += 1;
+        }
+    }
+    assert!(pairs >= 30, "the matrix collapsed: only {pairs} pairs ran");
 }
 
 /// One open entry of the shadow stack: the method it entered, the site it
