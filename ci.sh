@@ -74,6 +74,22 @@ if [ "${1:-}" != "fast" ]; then
     fi
 fi
 
+# Repeated options: an option given twice must be rejected (exit 1 with an
+# `error: repeated option` line) instead of silently taking one of its
+# values — `--encoder pcc --encoder batched` would otherwise run `pcc`.
+if [ "${1:-}" != "fast" ]; then
+    echo
+    echo "==> deltapath run compress --encoder pcc --encoder batched (must be rejected)"
+    status=0
+    cargo run --quiet --release --bin deltapath -- run compress --encoder pcc --encoder batched \
+        > target/repeated-option.out 2>&1 || status=$?
+    cat target/repeated-option.out
+    if [ "$status" -ne 1 ] || ! grep -q '^error: repeated option' target/repeated-option.out; then
+        echo "the repeated option was not rejected (exit status $status)"
+        exit 1
+    fi
+fi
+
 # Bad values: a bench bin's numeric option must reject a malformed or
 # zero value (exit 1 with an `error: bad value` line) instead of
 # panicking, or timing nothing and passing its gate on `--repeat 0`.
@@ -174,12 +190,13 @@ fi
 # differences between the two runs.
 step env RUST_TEST_THREADS=1 cargo test -q --workspace
 
-# Concurrency stress: the sharded-collector / parallel-plan suite and the
-# span-profiler merge-determinism test at pinned VM thread counts (the
-# tests default to 2,4,8; pinning each count separately varies the
-# handle/shard/lane interleavings).
+# Concurrency stress: the per-thread statistics suite (VM threads that
+# each record into their own `ContextStats` must merge to the sequential
+# statistics) and the span-profiler merge-determinism test at pinned VM
+# thread counts (the tests default to 2,4,8; pinning each count
+# separately varies the thread and lane interleavings).
 for t in 2 4 8; do
-    step env DELTAPATH_STRESS_THREADS="$t" cargo test -q --test sharded_collector
+    step env DELTAPATH_STRESS_THREADS="$t" cargo test -q --test threads
     step env DELTAPATH_STRESS_THREADS="$t" cargo test -q --test spans
 done
 

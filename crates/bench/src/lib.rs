@@ -12,9 +12,9 @@
 //!   (our ablation A1);
 //! * `perf_records` (binary) — the Figure 8 measurements as machine-readable
 //!   `BENCH_*.json` files (see [`perf`]);
-//! * `decode_cost`, `encoder_hotpath`, `telemetry_overhead`,
-//!   `mt_throughput` and `analysis_scale` (binaries) — wall-clock decode,
-//!   encoder hot-path, telemetry, collector and planning costs.
+//! * `decode_cost`, `encoder_hotpath`, `telemetry_overhead` and
+//!   `analysis_scale` (binaries) — wall-clock decode, encoder hot-path,
+//!   telemetry and planning costs.
 //!
 //! This library crate holds the shared harness code (running a benchmark
 //! under every encoder, formatting tables, reading the binaries' options).
@@ -33,7 +33,9 @@ pub mod table;
 /// the option is absent. An option given as the last argument, or followed
 /// by another `--` option, is missing its value: the binary then exits
 /// with status 1 and an `error: missing value for NAME` line instead of
-/// running with its default.
+/// running with its default. An option given twice exits the same way,
+/// with an `error: repeated option NAME` line, instead of taking one of
+/// its values.
 pub fn flag(args: &[String], name: &str) -> Option<String> {
     option_value(args, name).unwrap_or_else(|e| {
         eprintln!("error: {e}");
@@ -75,11 +77,15 @@ pub fn worse_ratio(worst: f64, ratio: f64) -> f64 {
 }
 
 /// [`flag`] without the exit: the value, `None` when the option is absent,
-/// or the missing-value error.
+/// or the missing-value or repeated-option error.
 fn option_value(args: &[String], name: &str) -> Result<Option<String>, String> {
-    let Some(i) = args.iter().position(|a| a == name) else {
+    let mut at = args.iter().enumerate().filter(|&(_, a)| a == name);
+    let Some((i, _)) = at.next() else {
         return Ok(None);
     };
+    if at.next().is_some() {
+        return Err(format!("repeated option {name}"));
+    }
     match args.get(i + 1) {
         Some(value) if !value.starts_with("--") => Ok(Some(value.clone())),
         _ => Err(format!("missing value for {name}")),
@@ -104,6 +110,16 @@ mod tests {
         assert_eq!(option_value(&args, "--repeat"), missing);
         let followed = ["--out", "--smoke"].map(String::from);
         assert!(option_value(&followed, "--out").is_err());
+    }
+
+    #[test]
+    fn options_are_given_once() {
+        let args = ["--repeat", "4", "--out", "dir", "--repeat", "8"].map(String::from);
+        assert_eq!(
+            option_value(&args, "--repeat"),
+            Err("repeated option --repeat".to_owned())
+        );
+        assert_eq!(option_value(&args, "--out"), Ok(Some("dir".to_owned())));
     }
 
     #[test]

@@ -174,8 +174,7 @@ impl fmt::Debug for FrameStack {
 
 /// A keyless multiply-rotate hasher (the Fowler/rustc "Fx" recipe) for
 /// tables over a run's own captures: the per-thread stack intern table,
-/// and in `deltapath-runtime` the collectors' capture tables and the
-/// sharded collector's routing and memo.
+/// and in `deltapath-runtime` the collectors' capture tables.
 ///
 /// A [`FrameStack`] hashes as its digest and a capture as a few more
 /// words, so a probe costs a handful of multiplies where `std`'s SipHash
@@ -184,8 +183,9 @@ impl fmt::Debug for FrameStack {
 /// captures, not attacker-chosen values, and a collision costs only an
 /// equality compare. Tables whose keys can arrive from outside the run,
 /// such as the decoder's caches, keep `std`'s hasher. Being keyless also
-/// makes it deterministic: every process agrees on every hash, which the
-/// sharded collector's routing relies on.
+/// makes it deterministic: every process agrees on every hash, so a
+/// table's layout, and any cost measured over it, does not change from
+/// one run to the next.
 ///
 /// ```
 /// use std::collections::HashMap;
@@ -412,8 +412,8 @@ mod tests {
     fn fast_hasher_is_deterministic_and_keyless() {
         use std::hash::{BuildHasher, BuildHasherDefault};
         let build = BuildHasherDefault::<FastHasher>::default();
-        // Pinned: every process must agree, or the sharded collector's
-        // routing would depend on the process.
+        // Pinned: every process must agree, or a capture table's layout
+        // and probe costs would depend on the process.
         assert_eq!(build.hash_one(7u64), 0x3a69_4c02_11ee_4a13);
         let mut h = build.build_hasher();
         h.write_u8(1);

@@ -43,9 +43,9 @@ pub struct DecodeOptions {
     /// Maximum number of decoded pieces memoized across calls, keyed by
     /// `(piece root, piece end, id)`, and separately the maximum number of
     /// stacks whose decoded path below the top frame is memoized. Repeated
-    /// hot contexts — the common case when draining a sharded collector
-    /// or an event log — then decode one piece instead of re-running the
-    /// per-piece walk. `0` disables both caches. Once full a cache stops
+    /// hot contexts — the common case when draining a collector's
+    /// distinct set or an event log — then decode one piece instead of
+    /// re-running the per-piece walk. `0` disables both caches. Once full a cache stops
     /// admitting new entries rather than evicting (popularity is heavily
     /// skewed, so the first `piece_cache_capacity` distinct entries are
     /// the ones worth keeping).

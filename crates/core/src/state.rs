@@ -88,10 +88,10 @@ pub struct StateCounts {
     pub snapshots_built: u64,
 }
 
-/// Capacity of a thread's stack intern table, like the sharded
-/// collector's memo. Once full the table admits no new stacks (a run's
-/// first distinct stacks are its hot ones); a stack it does not admit is
-/// built each time a capture finds no snapshot slot for it.
+/// Capacity of a thread's stack intern table, like the decoder's caches.
+/// Once full the table admits no new stacks (a run's first distinct
+/// stacks are its hot ones); a stack it does not admit is built each time
+/// a capture finds no snapshot slot for it.
 const INTERN_CAPACITY: usize = 1 << 16;
 
 /// One open call's caller-saved record: what the matching return must

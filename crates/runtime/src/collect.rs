@@ -134,7 +134,7 @@ impl Collector for RelativeCollector {
 }
 
 /// Streaming statistics over entry captures: the paper's Table 2 columns.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ContextStats {
     /// Total number of collected calling contexts.
     pub total_contexts: u64,
@@ -198,9 +198,9 @@ impl ContextStats {
     /// Folds `other` into `self`, as if every capture recorded into
     /// `other` had been recorded here instead. Counters and sums add,
     /// maxima take the max, and the distinct-capture sets union — so the
-    /// merge is lossless and order-independent, which is what lets
-    /// [`ShardedCollector`](crate::ShardedCollector) keep per-shard stats
-    /// and still report the exact sequential `ContextStats`.
+    /// merge is lossless and order-independent, which is what lets each
+    /// VM thread record into its own `ContextStats` and the owner fold
+    /// them after join into the exact sequential statistics.
     pub fn merge(&mut self, other: ContextStats) {
         self.total_contexts += other.total_contexts;
         self.max_depth = self.max_depth.max(other.max_depth);
@@ -218,41 +218,18 @@ impl ContextStats {
     }
 
     fn absorb(&mut self, true_depth: usize, capture: Capture) {
-        self.absorb_counts(true_depth, delta_parts(&capture));
-        self.unique.insert(capture);
-    }
-
-    /// The counter-only half of [`absorb`](Self::absorb): everything
-    /// except the distinct-capture set. `delta` carries the
-    /// capture-derived values from [`delta_parts`] — splitting them out
-    /// lets [`ShardHandle`](crate::ShardHandle) accumulate counters
-    /// thread-locally and reuse the derived values of a memoized capture.
-    pub(crate) fn absorb_counts(&mut self, true_depth: usize, delta: Option<(usize, usize, u64)>) {
         self.total_contexts += 1;
         self.max_depth = self.max_depth.max(true_depth);
         self.depth_sum += true_depth as u64;
-        if let Some((stack_depth, ucp, id)) = delta {
+        if let Capture::Delta(ctx) = &capture {
+            let (stack_depth, ucp) = (ctx.depth(), ctx.ucp_count());
             self.max_stack_depth = self.max_stack_depth.max(stack_depth);
             self.stack_depth_sum += stack_depth as u64;
             self.max_ucp = self.max_ucp.max(ucp);
             self.ucp_sum += ucp as u64;
-            self.max_id = self.max_id.max(id);
+            self.max_id = self.max_id.max(ctx.id);
         }
-    }
-
-    /// Adds `capture` to the distinct set without touching counters.
-    pub(crate) fn insert_unique(&mut self, capture: Capture) {
         self.unique.insert(capture);
-    }
-}
-
-/// `(stack depth, UCP count, id)` of a DeltaPath capture, `None` for every
-/// other capture kind — the exact values [`ContextStats::absorb_counts`]
-/// folds in.
-pub(crate) fn delta_parts(capture: &Capture) -> Option<(usize, usize, u64)> {
-    match capture {
-        Capture::Delta(ctx) => Some((ctx.depth(), ctx.ucp_count(), ctx.id)),
-        _ => None,
     }
 }
 

@@ -75,7 +75,6 @@ mod encoder;
 mod encoders;
 mod profile;
 mod sampler;
-mod shard;
 mod vm;
 
 pub use batch::BatchedDeltaEncoder;
@@ -84,5 +83,4 @@ pub use encoder::{report_op_counts, Capture, ContextEncoder, CostModel, OpCounts
 pub use encoders::{DeltaEncoder, NullEncoder, StackWalkEncoder};
 pub use profile::{fold_path, ContextProfile};
 pub use sampler::HookSampler;
-pub use shard::{ShardHandle, ShardedCollector, DEFAULT_BATCH, DEFAULT_SHARDS};
 pub use vm::{CollectMode, RunStats, Vm, VmConfig, VmError};

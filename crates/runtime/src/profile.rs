@@ -4,10 +4,10 @@
 //! rendered in the standard folded-stack format.
 //!
 //! [`ContextStats`](crate::ContextStats) deliberately keeps only the
-//! *distinct* capture set (its sharded path memo-suppresses repeats, so
-//! per-capture counts cannot be recovered from it). [`ContextProfile`] is
-//! the collector that does count: a capture-keyed frequency map, decoded
-//! only once per distinct context when folding.
+//! *distinct* capture set (Table 2 needs no more, so per-capture counts
+//! cannot be recovered from it). [`ContextProfile`] is the collector that
+//! does count: a capture-keyed frequency map, decoded only once per
+//! distinct context when folding.
 //!
 //! Recording is cheap because a DeltaPath capture is a small value. The
 //! map hashes it with the keyless [`FastHasher`]: the stack contributes

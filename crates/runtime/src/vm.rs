@@ -242,7 +242,7 @@ impl<'p> Vm<'p> {
     /// The run epilogue: statistics, encoder and collector reports, and
     /// the `vm.run` span. Only called for enabled sinks. The span is still
     /// open while the encoder and collector report, so hierarchical sinks
-    /// nest their spans (e.g. `collector.shard.merge`) under `vm.run`.
+    /// nest any span they emit under `vm.run`.
     fn report_run<E: ContextEncoder>(
         &self,
         sink: &dyn Telemetry,

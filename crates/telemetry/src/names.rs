@@ -99,26 +99,6 @@ pub const AUDIT_ANCHOR_MERGE: &str = "audit.anchor_merge";
 
 // ---- collector.* — event collection ----
 
-/// Number of lock-striped shards a `ShardedCollector` was built with
-/// (gauge).
-pub const COLLECTOR_SHARD_SHARDS: &str = "collector.shard.shards";
-
-/// Batched flushes performed by sharded-collector handles (counter).
-pub const COLLECTOR_SHARD_FLUSHES: &str = "collector.shard.flushes";
-
-/// Events delivered into shards by batched flushes (counter).
-pub const COLLECTOR_SHARD_EVENTS: &str = "collector.shard.events";
-
-/// Configured per-handle batch size (gauge).
-pub const COLLECTOR_SHARD_BATCH: &str = "collector.shard.batch";
-
-/// Events whose capture was served from a handle's local memo — no shard
-/// delivery needed (counter).
-pub const COLLECTOR_SHARD_MEMO_HITS: &str = "collector.shard.memo_hits";
-
-/// Cross-shard merge of per-shard statistics (span).
-pub const COLLECTOR_SHARD_MERGE: &str = "collector.shard.merge";
-
 /// Observations a bounded collector discarded because its log was full
 /// (counter; see `EventLog::bounded` in `deltapath-runtime`).
 pub const COLLECTOR_EVENTS_DROPPED: &str = "collector.events_dropped";
@@ -257,12 +237,6 @@ pub const ALL: &[&str] = &[
     AUDIT_TABLES,
     AUDIT_ANCHOR_WALK,
     AUDIT_ANCHOR_MERGE,
-    COLLECTOR_SHARD_SHARDS,
-    COLLECTOR_SHARD_FLUSHES,
-    COLLECTOR_SHARD_EVENTS,
-    COLLECTOR_SHARD_BATCH,
-    COLLECTOR_SHARD_MEMO_HITS,
-    COLLECTOR_SHARD_MERGE,
     COLLECTOR_EVENTS_DROPPED,
     COLLECTOR_EVENT_LOG_RECORDED,
     COLLECTOR_EVENT_LOG_DROPPED,

@@ -897,15 +897,20 @@ const DIFF_OPTIONS: &[&str] = &["--json"];
 const GENERATE_OPTIONS: &[&str] = &["--methods", "--seed", "--out"];
 
 /// Rejects any `--` argument outside `known`, so a mistyped gate flag
-/// (`--deny-warnigns`) fails instead of silently weakening the command.
+/// (`--deny-warnigns`) fails instead of silently weakening the command,
+/// and any option given twice, which [`flag`] would read only once
+/// (`--encoder pcc --encoder batched` would run `pcc`).
 fn reject_unknown_options(command: &str, args: &[String], known: &[&str]) -> Result<(), String> {
-    match args
-        .iter()
-        .find(|a| a.starts_with("--") && !known.contains(&a.as_str()))
-    {
-        Some(a) => Err(format!("unknown option {a:?} for {command}")),
-        None => Ok(()),
+    let options: Vec<&String> = args.iter().filter(|a| a.starts_with("--")).collect();
+    for (i, a) in options.iter().enumerate() {
+        if !known.contains(&a.as_str()) {
+            return Err(format!("unknown option {a:?} for {command}"));
+        }
+        if options[..i].contains(a) {
+            return Err(format!("repeated option {a} for {command}"));
+        }
     }
+    Ok(())
 }
 
 /// Statically audits one benchmark's (or every benchmark's) encoding plan
@@ -1189,6 +1194,34 @@ mod tests {
     }
 
     #[test]
+    fn repeated_options_are_rejected() {
+        let run = args(&["compress", "--encoder", "pcc", "--encoder", "batched"]);
+        assert_eq!(
+            reject_unknown_options("run", &run, RUN_OPTIONS),
+            Err("repeated option --encoder for run".to_owned())
+        );
+        let inspect = args(&[
+            "compress", "--width", "8", "--scope", "all", "--width", "64",
+        ]);
+        assert_eq!(
+            reject_unknown_options("inspect", &inspect, INSPECT_OPTIONS),
+            Err("repeated option --width for inspect".to_owned())
+        );
+        // A repeated flag that takes no value is rejected too.
+        let lint = args(&["compress", "--json", "--json"]);
+        assert_eq!(
+            reject_unknown_options("lint", &lint, LINT_OPTIONS),
+            Err("repeated option --json for lint".to_owned())
+        );
+        // Distinct options, each given once, pass.
+        let once = args(&["compress", "--width", "8", "--scope", "all"]);
+        assert_eq!(
+            reject_unknown_options("inspect", &once, INSPECT_OPTIONS),
+            Ok(())
+        );
+    }
+
+    #[test]
     fn scope_parsing() {
         assert_eq!(
             scope_of(&args(&["x"])).unwrap(),
@@ -1325,6 +1358,14 @@ mod tests {
         for (command, _, handler) in COMMANDS {
             let err = handler(&args(&["compress", "--encodr", "pcc"])).unwrap_err();
             assert_eq!(err, format!(r#"unknown option "--encodr" for {command}"#));
+        }
+        // So does the repeated-option check.
+        for (command, known, handler) in COMMANDS {
+            let Some(option) = known.first() else {
+                continue;
+            };
+            let err = handler(&args(&["compress", option, "1", option, "2"])).unwrap_err();
+            assert_eq!(err, format!("repeated option {option} for {command}"));
         }
     }
 }

@@ -114,7 +114,7 @@ pub use deltapath_ir::{
 pub use deltapath_runtime::{
     BatchedDeltaEncoder, Capture, CollectMode, Collector, ContextEncoder, ContextProfile,
     ContextStats, CostModel, DeltaEncoder, EventLog, HookSampler, NullCollector, NullEncoder,
-    OpCounts, RunStats, ShardHandle, ShardedCollector, StackWalkEncoder, Vm, VmConfig,
+    OpCounts, RunStats, StackWalkEncoder, Vm, VmConfig,
 };
 pub use deltapath_telemetry::{
     FoldedStacks, HistogramSnapshot, NullTelemetry, Recorder, RunReport, ScopedSpan, SpanProfiler,

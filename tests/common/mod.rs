@@ -36,6 +36,23 @@ pub fn check_cases<T: Debug>(
     }
 }
 
+/// Thread counts to stress: `DELTAPATH_STRESS_THREADS=a,b,c` or the
+/// default ladder `2, 4, 8`.
+#[allow(dead_code)] // each test binary compiles its own copy of this module
+pub fn stress_threads() -> Vec<usize> {
+    match std::env::var("DELTAPATH_STRESS_THREADS") {
+        Ok(list) => list
+            .split(',')
+            .map(|t| {
+                t.trim()
+                    .parse()
+                    .expect("DELTAPATH_STRESS_THREADS must be a comma-separated list of counts")
+            })
+            .collect(),
+        Err(_) => vec![2, 4, 8],
+    }
+}
+
 /// A uniform `f64` in `range` (53 random mantissa bits).
 #[allow(dead_code)] // each test binary compiles its own copy of this module
 pub fn gen_f64(rng: &mut SplitMix64, range: Range<f64>) -> f64 {

@@ -13,7 +13,7 @@ use deltapath::workloads::synthetic::{generate, SyntheticConfig};
 use deltapath::{
     Analysis, Capture, CollectMode, Collector, ContextStats, DecodeOptions, Decoder, DeltaEncoder,
     EncodedContext, EncodingPlan, EncodingWidth, EventLog, Frame, FrameTag, MethodId, PlanConfig,
-    ScopeFilter, ShardedCollector, Vm, VmConfig,
+    ScopeFilter, Vm, VmConfig,
 };
 
 /// A generator config over closed-world programs (no library or dynamic
@@ -158,42 +158,38 @@ fn delta_capture(id: u64, depth: usize) -> Capture {
 
 /// An event stream for [`sharded_merge_is_order_independent`].
 #[derive(Debug)]
-struct ShardedCase {
+struct MergeCase {
     events: Vec<(u64, usize, usize)>,
     /// A Fisher–Yates permutation of `events`.
     shuffled: Vec<(u64, usize, usize)>,
-    shards: usize,
-    batch: usize,
-    handles: usize,
+    threads: usize,
 }
 
-fn sharded_case(rng: &mut SplitMix64) -> ShardedCase {
+fn merge_case(rng: &mut SplitMix64) -> MergeCase {
     let len = rng.gen_range(1usize..200);
     let events: Vec<_> = (0..len).map(|_| event(rng)).collect();
     let mut shuffled = events.clone();
     for i in (1..shuffled.len()).rev() {
         shuffled.swap(i, rng.gen_range(0..=i));
     }
-    ShardedCase {
+    MergeCase {
         events,
         shuffled,
-        shards: rng.gen_range(0usize..32),
-        batch: rng.gen_range(1usize..64),
-        handles: rng.gen_range(1usize..4),
+        threads: rng.gen_range(1usize..5),
     }
 }
 
-/// Sharded collection is order-independent and lossless: any
-/// permutation of any event stream, delivered through any number of
-/// handles of any shard/batch configuration, merges to exactly the
-/// statistics of an in-order sequential run — and agrees with the
+/// Per-thread collection is order-independent and lossless: any
+/// permutation of any event stream, dealt over one `ContextStats` per
+/// thread and merged in reverse, yields exactly the statistics of an
+/// in-order sequential run — and agrees with the
 /// [`RelativeCollector`](deltapath::runtime::RelativeCollector) on the
 /// number of contexts collected.
 #[test]
 fn sharded_merge_is_order_independent() {
     use deltapath::runtime::RelativeCollector;
 
-    check_cases(0x05, 48, sharded_case, |case| {
+    check_cases(0x05, 48, merge_case, |case| {
         // Sequential reference, in generation order.
         let mut sequential = ContextStats::new();
         let mut relative = RelativeCollector::default();
@@ -204,29 +200,23 @@ fn sharded_merge_is_order_independent() {
         }
 
         // Concurrent shape: the *shuffled* stream, dealt round-robin over
-        // several handles — so both the delivery order and the
-        // handle-to-event assignment differ from the reference run.
-        let sharded = ShardedCollector::with_config(case.shards, case.batch);
-        let mut hs: Vec<_> = (0..case.handles).map(|_| sharded.handle()).collect();
+        // the threads' stats and merged in reverse — so the delivery
+        // order, the thread-to-event assignment and the merge order all
+        // differ from the reference run.
+        let mut per_thread = vec![ContextStats::new(); case.threads];
         for (i, &(id, true_depth, depth)) in case.shuffled.iter().enumerate() {
-            hs[i % case.handles].record_entry(
+            per_thread[i % case.threads].record_entry(
                 MethodId::from_index(2),
                 true_depth,
                 delta_capture(id, depth),
             );
         }
-        drop(hs); // flush every handle's tail
+        let mut merged = ContextStats::new();
+        for stats in per_thread.into_iter().rev() {
+            merged.merge(stats);
+        }
 
-        let merged = sharded.stats();
-        assert_eq!(merged.total_contexts, sequential.total_contexts);
-        assert_eq!(merged.unique_contexts(), sequential.unique_contexts());
-        assert_eq!(merged.max_depth, sequential.max_depth);
-        assert_eq!(merged.max_stack_depth, sequential.max_stack_depth);
-        assert_eq!(merged.max_ucp, sequential.max_ucp);
-        assert_eq!(merged.max_id, sequential.max_id);
-        assert!((merged.avg_depth() - sequential.avg_depth()).abs() < 1e-12);
-        assert!((merged.avg_stack_depth() - sequential.avg_stack_depth()).abs() < 1e-12);
-        assert!((merged.avg_ucp() - sequential.avg_ucp()).abs() < 1e-12);
+        assert_eq!(merged, sequential);
         // Cross-collector agreement: every entry was a Delta capture, so
         // the relative log collected exactly as many contexts.
         assert_eq!(relative.log.len() as u64, merged.total_contexts);

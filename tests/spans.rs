@@ -5,31 +5,18 @@
 //! registry check that every metric name a fully instrumented run records
 //! is a `telemetry::names` constant.
 
+mod common;
+
 use std::sync::Arc;
 
+use common::stress_threads;
 use deltapath::telemetry::{names, Json, Lane, LaneSnapshot, SpanEvent, SpanTree, TRACE_SCHEMA};
 use deltapath::workloads::synthetic::{generate, SyntheticConfig};
 use deltapath::{
-    audit_plan_with, BatchedDeltaEncoder, Capture, CollectMode, EncodingPlan, EventLog,
-    FoldedStacks, HookSampler, PlanConfig, ScopedSpan, ShardedCollector, SpanProfiler,
-    SpanSnapshot, Telemetry, Vm, VmConfig,
+    audit_plan_with, BatchedDeltaEncoder, Capture, CollectMode, ContextStats, EncodingPlan,
+    EventLog, FoldedStacks, HookSampler, PlanConfig, ScopedSpan, SpanProfiler, SpanSnapshot,
+    Telemetry, Vm, VmConfig,
 };
-
-/// Thread counts to stress: `DELTAPATH_STRESS_THREADS=a,b,c` or the
-/// default ladder (same contract as the sharded-collector suite).
-fn stress_threads() -> Vec<usize> {
-    match std::env::var("DELTAPATH_STRESS_THREADS") {
-        Ok(list) => list
-            .split(',')
-            .map(|t| {
-                t.trim()
-                    .parse()
-                    .expect("DELTAPATH_STRESS_THREADS must be a comma-separated list of counts")
-            })
-            .collect(),
-        Err(_) => vec![2, 4, 8],
-    }
-}
 
 // ---------------------------------------------------------------------------
 // Golden Chrome trace
@@ -264,7 +251,7 @@ fn merged_tree_is_deterministic_across_threads() {
 // ---------------------------------------------------------------------------
 
 /// Every name a fully instrumented run records — planner phases, audit
-/// passes, the VM, the sharded collector merge, and the sampled batched
+/// passes, the VM, the statistics collector, and the sampled batched
 /// hook path — must be a registered `telemetry::names` constant (or a
 /// member of the documented `ops.`/`encoder.` families). Catches metric
 /// names added as ad-hoc string literals.
@@ -280,17 +267,14 @@ fn instrumented_run_records_only_registered_names() {
 
     let compiled = plan.compile();
     let mut encoder = HookSampler::new(BatchedDeltaEncoder::new(&compiled), profiler.recorder(), 4);
-    let collector = ShardedCollector::new();
-    let mut handle = collector.handle();
+    let mut stats = ContextStats::new();
     let mut vm = Vm::new(
         &program,
         VmConfig::default()
             .with_collect(CollectMode::Entries)
             .with_telemetry(profiler.clone()),
     );
-    vm.run(&mut encoder, &mut handle).expect("run succeeds");
-    drop(handle);
-    collector.stats_with(sink);
+    vm.run(&mut encoder, &mut stats).expect("run succeeds");
 
     // A second, unsampled run under the batched encoder, logging observes,
     // and a decode of its events for `decoder.*`.
@@ -338,7 +322,7 @@ fn instrumented_run_records_only_registered_names() {
         names::PLAN_ANALYZE,
         names::AUDIT_PLAN,
         names::VM_CALLS,
-        names::COLLECTOR_SHARD_MERGE,
+        names::COLLECTOR_STATS_UNIQUE,
         names::PROFILE_HOOK_SAMPLES,
         names::SPAN_LANES,
         names::ENCODER_BATCHED_SNAPSHOTS_SHARED,
