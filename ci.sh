@@ -40,6 +40,38 @@ else
     step cargo run --quiet --bin deltapath -- lint --all --deny-warnings
 fi
 
+# Encoding-all audit: the same lint over full-scope plans, whose
+# territories are the largest (sunflow restarts 45 times at 64 bits). The
+# auditor re-derives every territory and interval independently of
+# Algorithm 2's analysis, so it checks the analysis on every bundled plan.
+if [ "${1:-}" != "fast" ]; then
+    step cargo run --quiet --release --bin deltapath -- lint --all --scope all --deny-warnings
+fi
+
+# Closed standard output: a reader that stops early (`| head -1`) ends the
+# output normally — exit 0 and no panic on stderr — where `println!` would
+# panic on the broken pipe. `generate` writes more than a pipe holds, so
+# its pipe is always closed under it; `run` prints three short lines and
+# finds its pipe closed only when `head` exits first.
+if [ "${1:-}" != "fast" ]; then
+    for command in "run compress --encoder deltapath" "generate"; do
+        echo
+        echo "==> deltapath $command | head -1 (must end quietly)"
+        {
+            status=0
+            cargo run --quiet --release --bin deltapath -- $command \
+                2> target/closed-pipe.err || status=$?
+            echo "$status" > target/closed-pipe.status
+        } | head -1
+        cat target/closed-pipe.err
+        status=$(cat target/closed-pipe.status)
+        if [ "$status" -ne 0 ] || grep -q panicked target/closed-pipe.err; then
+            echo "the closed pipe did not end the output quietly (exit status $status)"
+            exit 1
+        fi
+    done
+fi
+
 # Unknown options: every subcommand must reject an option it does not
 # know (exit 1 with an `error: unknown option` line) instead of silently
 # running with its defaults — `--encodr pcc` would otherwise run the

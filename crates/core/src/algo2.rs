@@ -8,18 +8,21 @@
 //! the anchor it starts at, and the previously global encoding-space
 //! pressure is distributed along the anchors.
 //!
-//! Statically, the analysis walks each anchor's *territory* (a bounded DFS
-//! that retreats at other anchors) and extends the candidate addition values
-//! and inflated context counts to two dimensions: `CAV[n][r]` / `ICC[n][r]`
-//! for anchor `r`. Whenever a value would overflow the configured
-//! [`EncodingWidth`], the offending caller is promoted to an anchor and the
-//! analysis restarts — the paper's `goto again` loop. Recursion headers and
-//! extra call-graph roots are forced anchors from the start (see DESIGN.md:
-//! recursion is handled by anchoring the headers of back edges).
+//! Statically, the analysis finds each anchor's *territory* (what a DFS from
+//! the anchor reaches when it retreats at other anchors; computed here in
+//! one topological sweep for all anchors at once) and extends the candidate
+//! addition values and inflated context counts to two dimensions:
+//! `CAV[n][r]` / `ICC[n][r]` for anchor `r`. Whenever a value would overflow
+//! the configured [`EncodingWidth`], the offending caller is promoted to an
+//! anchor and the analysis restarts — the paper's `goto again` loop.
+//! Recursion headers and extra call-graph roots are forced anchors from the
+//! start (see DESIGN.md: recursion is handled by anchoring the headers of
+//! back edges).
 
 use std::collections::{HashMap, HashSet};
+use std::ops::Range;
 
-use deltapath_callgraph::{topological_order_masked, CallGraph, EdgeIx, NodeIx};
+use deltapath_callgraph::{topological_order_masked, CallGraph, Edge, EdgeIx, NodeIx};
 use deltapath_ir::SiteId;
 use deltapath_telemetry::{names, NullTelemetry, ScopedSpan, Telemetry};
 
@@ -209,24 +212,29 @@ impl Encoding {
 
         // The paper's `again:` loop. Each iteration either finishes or adds
         // at least one anchor, so it runs at most `n - base_anchor_count + 1`
-        // times.
+        // times. The territory and CAV/ICC tables keep their allocations
+        // from one iteration to the next.
+        let mut territories = Territories::new(n, graph.edge_count());
+        let (mut cav, mut icc_v): (Vec<u128>, Vec<u128>) = (Vec::new(), Vec::new());
         'again: loop {
             let territories_span = ScopedSpan::enter(sink, names::ALGO2_TERRITORIES);
-            let (nanchors, eanchors) = identify_territories(graph, &mask, &is_anchor);
+            territories.identify(graph, &order, &mask, &is_anchor);
             if sink.enabled() {
                 let anchor_count = is_anchor.iter().filter(|&&b| b).count() as u64;
                 territories_span
                     .finish(&[("iteration", restarts as u64), ("anchors", anchor_count)]);
             }
 
-            // Positional CAV/ICC tables: `cav[i][p]` / `icc_v[i][p]` hold
-            // the value relative to anchor `nanchors[i][p]`. The anchor
-            // lists come out of territory identification ascending, so a
-            // position resolves with a binary search over a short sorted
-            // slice — the hot loop never hashes. The public HashMap form is
+            // Positional CAV/ICC tables, one flat slot per (node, anchor)
+            // territory pair: node `i`'s values relative to the anchors of
+            // its row sit at `territories.row_slots[i]`, in row order. The
+            // hot loop indexes them through the stored callee positions and
+            // never searches or hashes; the public HashMap form is
             // materialized once on success.
-            let mut cav: Vec<Vec<u128>> = nanchors.iter().map(|a| vec![0u128; a.len()]).collect();
-            let mut icc_v: Vec<Vec<u128>> = nanchors.iter().map(|a| vec![0u128; a.len()]).collect();
+            for table in [&mut cav, &mut icc_v] {
+                table.clear();
+                table.resize(territories.slot_count, 0);
+            }
             let mut site_av: HashMap<SiteId, u128> = HashMap::new();
             let mut batch_pending: Vec<NodeIx> = Vec::new();
 
@@ -244,7 +252,13 @@ impl Encoding {
                         continue;
                     }
                     match calculate_increment(
-                        graph, &mask, &nanchors, &eanchors, &mut cav, &icc_v, site, cap,
+                        graph,
+                        &mask,
+                        &territories,
+                        &mut cav,
+                        &icc_v,
+                        site,
+                        cap,
                     ) {
                         Ok(av) => {
                             site_av.insert(site, av);
@@ -278,9 +292,10 @@ impl Encoding {
                 }
                 let i = node.index();
                 if is_anchor[i] {
-                    icc_v[i][anchor_pos(&nanchors[i], node)] = 1;
+                    icc_v[territories.passed[i].start] = 1;
                 } else {
-                    icc_v[i].copy_from_slice(&cav[i]);
+                    let row = territories.row_slots[i].clone();
+                    icc_v[row.clone()].copy_from_slice(&cav[row]);
                 }
             }
             walk_span.finish(&[
@@ -315,11 +330,11 @@ impl Encoding {
             let mut max_icc = 0u128;
             for i in 0..n {
                 if is_anchor[i] {
-                    if !nanchors[i].is_empty() {
+                    if !territories.rows[i].is_empty() {
                         max_icc = max_icc.max(1);
                     }
                 } else {
-                    for &v in &icc_v[i] {
+                    for &v in &icc_v[territories.row_slots[i].clone()] {
                         max_icc = max_icc.max(v);
                     }
                 }
@@ -331,14 +346,15 @@ impl Encoding {
                         m.insert(NodeIx::from_index(i), 1u128);
                         m
                     } else {
-                        nanchors[i]
+                        territories.rows[i]
                             .iter()
                             .copied()
-                            .zip(icc_v[i].iter().copied())
+                            .zip(icc_v[territories.row_slots[i].clone()].iter().copied())
                             .collect()
                     }
                 })
                 .collect();
+            let eanchors = territories.eanchors(graph, &mask, &is_anchor);
             let mut anchors: Vec<NodeIx> = (0..n)
                 .filter(|&i| is_anchor[i])
                 .map(NodeIx::from_index)
@@ -361,7 +377,7 @@ impl Encoding {
                 budget_anchors,
                 site_av,
                 icc,
-                nanchors,
+                nanchors: territories.rows,
                 eanchors,
                 excluded: excluded.clone(),
                 max_icc,
@@ -404,81 +420,175 @@ impl Encoding {
     }
 }
 
-/// The paper's `IdentifyTerritories`: for each anchor, a DFS that starts at
-/// the anchor and retreats at other anchors. Returns the anchors reaching
-/// each node (`nanchors`) and each edge (`eanchors`), each list in
-/// ascending anchor order.
-fn identify_territories(
-    graph: &CallGraph,
-    excluded: &[bool],
-    is_anchor: &[bool],
-) -> (Vec<Vec<NodeIx>>, Vec<Vec<NodeIx>>) {
-    let n = graph.node_count();
-    let mut nanchors: Vec<Vec<NodeIx>> = vec![Vec::new(); n];
-    let mut eanchors: Vec<Vec<NodeIx>> = vec![Vec::new(); graph.edge_count()];
-    // Epoch-stamped visited set: one allocation for all anchors (the
-    // restart loop calls this once per added anchor, so per-anchor
-    // allocations would make the whole analysis quadratic in practice).
-    let mut visited = vec![0u32; n];
-    let mut epoch = 0u32;
-    let mut stack: Vec<NodeIx> = Vec::new();
-    for i in 0..n {
-        if !is_anchor[i] {
-            continue;
+/// One restart-loop iteration's territories, in the positional form the
+/// interval walk indexes.
+///
+/// The CAV/ICC tables are flat, one slot per (node, anchor) territory pair:
+/// node `i`'s slots, `row_slots[i]`, run parallel to its anchor row
+/// `rows[i]`. An edge's anchors are fixed by its caller. An anchor caller
+/// passes on only itself, since every other anchor's territory stops
+/// there; a non-anchor caller passes on its whole row. So the caller side
+/// of an edge's (edge, anchor) pairs is a slot range of the caller,
+/// `passed[caller]`, and only the callee side is stored: each anchor's
+/// position in the callee's row.
+struct Territories {
+    /// `rows[i]`: the anchors whose territory contains node `i`, ascending
+    /// (the public `nanchors`).
+    rows: Vec<Vec<NodeIx>>,
+    /// Node `i`'s slots in the flat tables, parallel to `rows[i]`.
+    row_slots: Vec<Range<usize>>,
+    /// The slots node `i` passes on along its out-edges: its own slot when
+    /// it is an anchor, its whole row otherwise.
+    passed: Vec<Range<usize>>,
+    /// Edge `e`'s anchors, as positions in its callee's row: one per slot
+    /// its caller passes on, from `callee_pos[edge_start[e]]`.
+    edge_start: Vec<usize>,
+    callee_pos: Vec<u32>,
+    /// Number of (node, anchor) pairs: the flat tables' length.
+    slot_count: usize,
+}
+
+impl Territories {
+    /// Empty tables for a graph of `n` nodes and `m` edges.
+    fn new(n: usize, m: usize) -> Self {
+        Self {
+            rows: vec![Vec::new(); n],
+            row_slots: vec![0..0; n],
+            passed: vec![0..0; n],
+            edge_start: vec![0; m],
+            callee_pos: Vec::new(),
+            slot_count: 0,
         }
-        let r = NodeIx::from_index(i);
-        epoch += 1;
-        visited[i] = epoch;
-        nanchors[i].push(r);
-        stack.clear();
-        stack.push(r);
-        while let Some(node) = stack.pop() {
-            // The DFS retreats at other anchors: their incoming edges belong
-            // to this territory, but their outgoing edges do not.
-            if node != r && is_anchor[node.index()] {
-                continue;
+    }
+
+    /// The paper's `IdentifyTerritories`, as one sweep over the topological
+    /// `order` instead of one DFS per anchor: a node's row is the union of
+    /// what its callers pass on (an anchor caller itself, a non-anchor
+    /// caller its row), plus the node itself when it is an anchor — exactly
+    /// the anchors whose DFS, retreating at other anchors, would reach it.
+    /// Each row is laid out in the flat tables as it is finished, and its
+    /// in-edges' anchors are resolved to positions in it then, so the
+    /// interval walk indexes instead of searching. The tables are refilled
+    /// in place: the restart loop reuses their allocations.
+    fn identify(
+        &mut self,
+        graph: &CallGraph,
+        order: &[NodeIx],
+        excluded: &[bool],
+        is_anchor: &[bool],
+    ) {
+        let n = graph.node_count();
+        self.callee_pos.clear();
+        self.slot_count = 0;
+        // `seen[r] == v` once anchor `r` is in the row being built for `v`;
+        // `pos[r]` is then its position there.
+        let mut seen = vec![u32::MAX; n];
+        let mut pos = vec![0u32; n];
+        let mut row: Vec<NodeIx> = Vec::new();
+        for &v in order {
+            let i = v.index();
+            row.clear();
+            let mut add = |r: NodeIx| {
+                if seen[r.index()] != i as u32 {
+                    seen[r.index()] = i as u32;
+                    row.push(r);
+                }
+            };
+            if is_anchor[i] {
+                add(v);
             }
-            for &e in graph.out_edges(node) {
+            for &e in graph.in_edges(v) {
                 if excluded[e.index()] {
                     continue;
                 }
-                eanchors[e.index()].push(r);
-                let t = graph.edge(e).callee;
-                if visited[t.index()] != epoch {
-                    visited[t.index()] = epoch;
-                    nanchors[t.index()].push(r);
-                    stack.push(t);
+                let caller = graph.edge(e).caller;
+                if is_anchor[caller.index()] {
+                    add(caller);
+                } else {
+                    self.rows[caller.index()].iter().for_each(|&r| add(r));
                 }
             }
+            row.sort_unstable();
+            for (p, &r) in row.iter().enumerate() {
+                pos[r.index()] = p as u32;
+            }
+
+            let slots = self.slot_count..self.slot_count + row.len();
+            self.slot_count = slots.end;
+            self.passed[i] = if is_anchor[i] {
+                let own = slots.start + pos[i] as usize;
+                own..own + 1
+            } else {
+                slots.clone()
+            };
+            self.row_slots[i] = slots;
+            for &e in graph.in_edges(v) {
+                if excluded[e.index()] {
+                    continue;
+                }
+                self.edge_start[e.index()] = self.callee_pos.len();
+                let caller = graph.edge(e).caller;
+                if is_anchor[caller.index()] {
+                    self.callee_pos.push(pos[caller.index()]);
+                } else {
+                    let row = &self.rows[caller.index()];
+                    self.callee_pos.extend(row.iter().map(|r| pos[r.index()]));
+                }
+            }
+            self.rows[i].clear();
+            self.rows[i].extend_from_slice(&row);
         }
     }
-    (nanchors, eanchors)
-}
 
-/// Position of anchor `r` in an ascending per-node/per-edge anchor list.
-/// Territory identification guarantees membership: an edge's anchors are a
-/// subset of both its endpoints' anchors.
-#[inline]
-fn anchor_pos(list: &[NodeIx], r: NodeIx) -> usize {
-    list.binary_search(&r)
-        .expect("territory anchor present in the anchor list")
+    /// The pairs on edge `e`: its caller's slots, zipped in order with the
+    /// matching positions in its callee's row.
+    fn pairs(&self, e: EdgeIx, edge: &Edge) -> (Range<usize>, &[u32]) {
+        let slots = self.passed[edge.caller.index()].clone();
+        let start = self.edge_start[e.index()];
+        let positions = &self.callee_pos[start..start + slots.len()];
+        (slots, positions)
+    }
+
+    /// The public per-edge anchor lists (`eanchors`), copied from the
+    /// finished node rows; excluded edges have none.
+    fn eanchors(
+        &self,
+        graph: &CallGraph,
+        excluded: &[bool],
+        is_anchor: &[bool],
+    ) -> Vec<Vec<NodeIx>> {
+        graph
+            .edges()
+            .iter()
+            .enumerate()
+            .map(|(e, edge)| {
+                if excluded[e] {
+                    Vec::new()
+                } else if is_anchor[edge.caller.index()] {
+                    vec![edge.caller]
+                } else {
+                    self.rows[edge.caller.index()].clone()
+                }
+            })
+            .collect()
+    }
 }
 
 /// The paper's `CalculateIncrement` with overflow detection: returns the
 /// site's addition value, or `Err(caller)` naming the node to promote to an
 /// anchor when a candidate value would exceed the width capacity.
 ///
-/// `cav`/`icc` are the positional tables parallel to `nanchors` (see the
-/// interval walk); a caller's ICC row is always assigned before its
-/// out-edges are processed, so reads never see an uninitialized slot.
-#[allow(clippy::too_many_arguments)]
+/// `cav`/`icc` are the flat tables of the interval walk. Each (edge,
+/// anchor) pair is a caller slot and a stored position in the callee's row
+/// ([`Territories::pairs`]), so every read and write is an index. A
+/// caller's ICC row is always assigned before its out-edges are processed,
+/// so reads never see an uninitialized slot.
 fn calculate_increment(
     graph: &CallGraph,
     excluded: &[bool],
-    nanchors: &[Vec<NodeIx>],
-    eanchors: &[Vec<NodeIx>],
-    cav: &mut [Vec<u128>],
-    icc: &[Vec<u128>],
+    territories: &Territories,
+    cav: &mut [u128],
+    icc: &[u128],
     site: SiteId,
     cap: u128,
 ) -> Result<u128, NodeIx> {
@@ -488,9 +598,11 @@ fn calculate_increment(
         if excluded[e.index()] {
             continue;
         }
-        let callee = graph.edge(e).callee.index();
-        for &r in &eanchors[e.index()] {
-            av = av.max(cav[callee][anchor_pos(&nanchors[callee], r)]);
+        let edge = graph.edge(e);
+        let callee_cav = &cav[territories.row_slots[edge.callee.index()].clone()];
+        let (_, positions) = territories.pairs(e, &edge);
+        for &p in positions {
+            av = av.max(callee_cav[p as usize]);
         }
     }
     // Line 36-40: raise every target's candidate, checking for overflow.
@@ -502,12 +614,9 @@ fn calculate_increment(
             continue;
         }
         let edge = graph.edge(e);
-        let caller = edge.caller.index();
-        for &r in &eanchors[e.index()] {
-            let base = icc[caller][anchor_pos(&nanchors[caller], r)];
-            if base.saturating_add(av) > cap {
-                return Err(edge.caller);
-            }
+        let (slots, _) = territories.pairs(e, &edge);
+        if icc[slots].iter().any(|&base| base.saturating_add(av) > cap) {
+            return Err(edge.caller);
         }
     }
     for &e in graph.site_edges(site) {
@@ -515,11 +624,10 @@ fn calculate_increment(
             continue;
         }
         let edge = graph.edge(e);
-        let caller = edge.caller.index();
-        let callee = edge.callee.index();
-        for &r in &eanchors[e.index()] {
-            let base = icc[caller][anchor_pos(&nanchors[caller], r)];
-            cav[callee][anchor_pos(&nanchors[callee], r)] = base + av;
+        let (slots, positions) = territories.pairs(e, &edge);
+        let callee_cav = &mut cav[territories.row_slots[edge.callee.index()].clone()];
+        for (&base, &p) in icc[slots].iter().zip(positions) {
+            callee_cav[p as usize] = base + av;
         }
     }
     Ok(av)

@@ -79,6 +79,12 @@ impl VmConfig {
     }
 
     /// Sets the entry parameter.
+    ///
+    /// Programs from the synthetic generator (`deltapath_workloads`, and
+    /// the bundled suite built on it) ignore it: their `main` binds its
+    /// parameter to the loop index before every call, so runs that differ
+    /// only in the entry parameter do the same work. Vary the generator
+    /// configuration instead (e.g. `main_loop_iters`).
     pub fn with_entry_param(mut self, param: u32) -> Self {
         self.entry_param = param;
         self

@@ -21,6 +21,7 @@
 //! ```
 
 use std::collections::HashMap;
+use std::io::{self, Write as _};
 use std::process::ExitCode;
 use std::sync::Arc;
 
@@ -38,6 +39,50 @@ use deltapath::{
     Program, RunReport, RunStats, ScopeFilter, SpanProfiler, StackWalkEncoder, Telemetry, Vm,
     VmConfig,
 };
+
+/// Standard output, for every subcommand. A reader that stops early
+/// (`deltapath run compress | head -1`) closes the pipe, and that ends the
+/// output as normally as finishing it: the first write that finds the pipe
+/// closed exits 0 on the spot, with nothing on stderr, where `println!`
+/// would panic. Any other write error is passed on.
+struct Out;
+
+impl io::Write for Out {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        end_on_closed_pipe(io::stdout().write(buf))
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        end_on_closed_pipe(io::stdout().flush())
+    }
+}
+
+/// Exits 0 if `result` found standard output's pipe closed; returns it
+/// otherwise.
+fn end_on_closed_pipe<T>(result: io::Result<T>) -> io::Result<T> {
+    if matches!(&result, Err(e) if e.kind() == io::ErrorKind::BrokenPipe) {
+        std::process::exit(0);
+    }
+    result
+}
+
+/// `print!` through [`Out`]. A write error other than a closed pipe ends
+/// the process like any other failure: an `error:` line and exit 1.
+macro_rules! out {
+    ($($arg:tt)*) => {
+        if let Err(e) = write!(Out, $($arg)*) {
+            eprintln!("error: cannot write to stdout: {e}");
+            std::process::exit(1);
+        }
+    };
+}
+
+/// `println!` through [`Out`] (see [`out!`]).
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        out!("{}\n", format_args!($($arg)*))
+    };
+}
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -166,10 +211,10 @@ fn width_of(args: &[String]) -> Result<EncodingWidth, String> {
 }
 
 fn cmd_list() -> Result<(), String> {
-    println!("bundled benchmarks (seeded synthetic stand-ins for SPECjvm2008):");
+    outln!("bundled benchmarks (seeded synthetic stand-ins for SPECjvm2008):");
     for bench in suite() {
         let p = bench.program();
-        println!(
+        outln!(
             "  {:<22} {:>5} classes {:>6} methods {:>6} call sites",
             bench.name,
             p.classes().len(),
@@ -196,8 +241,8 @@ fn cmd_inspect(args: &[String]) -> Result<(), String> {
         },
     );
     let stats = GraphStats::compute(&p, &graph);
-    println!("{}:", p.name());
-    println!(
+    outln!("{}:", p.name());
+    outln!(
         "  call graph: {} nodes, {} edges, {} call sites ({} virtual), {} roots",
         stats.nodes,
         stats.edges,
@@ -207,24 +252,24 @@ fn cmd_inspect(args: &[String]) -> Result<(), String> {
     );
     let plan = EncodingPlan::analyze(&p, &config).map_err(|e| e.to_string())?;
     let enc = plan.encoding();
-    println!(
+    outln!(
         "  plan ({} encoding): {} instrumented methods, {} sites with ID arithmetic",
         config.width,
         plan.instrumented_method_count(),
         plan.instrumented_site_count()
     );
-    println!(
+    outln!(
         "  anchors: {} total ({} from overflow, {} analysis restarts)",
         enc.anchors.len(),
         enc.overflow_anchor_count(),
         enc.restarts
     );
-    println!(
+    outln!(
         "  encoding space: max ICC {} (max ID {})",
         enc.max_icc,
         enc.required_max_id()
     );
-    println!("  SID sets: {}", plan.sids().set_count());
+    outln!("  SID sets: {}", plan.sids().set_count());
     Ok(())
 }
 
@@ -240,7 +285,7 @@ fn cmd_dot(args: &[String]) -> Result<(), String> {
             include_dynamic: false,
         },
     );
-    print!("{}", graph.to_dot(&p));
+    out!("{}", graph.to_dot(&p));
     Ok(())
 }
 
@@ -390,7 +435,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     };
     let unique = stats.unique_contexts();
     let elapsed = started.elapsed();
-    println!(
+    outln!(
         "{} under {}: {} calls, base cost {}, wall time {:.2?}",
         p.name(),
         encoder.name,
@@ -398,7 +443,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         run.base_cost,
         elapsed
     );
-    println!(
+    outln!(
         "  encoder ops: adds {}, subs {}, hashes {}, sid checks {}, pushes {}, pops {}, walked {}",
         counts.adds,
         counts.subs,
@@ -409,7 +454,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         counts.walked_frames
     );
     if unique > 0 {
-        println!("  unique contexts captured: {unique}");
+        outln!("  unique contexts captured: {unique}");
     }
     Ok(())
 }
@@ -452,7 +497,7 @@ fn cmd_decode(args: &[String]) -> Result<(), String> {
             Err(_) => errors += 1,
         }
     }
-    println!(
+    outln!(
         "{}: {} events ({} in unencoded library code, skipped), {} distinct contexts, {} decode failures",
         p.name(),
         log.events.len(),
@@ -463,7 +508,7 @@ fn cmd_decode(args: &[String]) -> Result<(), String> {
     let mut ranked: Vec<_> = by_context.into_iter().collect();
     ranked.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
     for (context, count) in ranked.iter().take(10) {
-        println!("{count:>8}x  {}", context.join(" -> "));
+        outln!("{count:>8}x  {}", context.join(" -> "));
     }
     Ok(())
 }
@@ -522,7 +567,7 @@ fn cmd_report(args: &[String]) -> Result<(), String> {
         telemetry_report(args)?
     };
     if json {
-        println!("{}", report.to_json());
+        outln!("{}", report.to_json());
     } else {
         print_report_summary(&report);
     }
@@ -535,23 +580,23 @@ fn cmd_report(args: &[String]) -> Result<(), String> {
 /// `--json` keeps the full bucket data under the stable schema.
 fn print_report_summary(r: &RunReport) {
     let meta: Vec<String> = r.meta.iter().map(|(k, v)| format!("{k}={v}")).collect();
-    println!("{} ({})", r.name, meta.join(", "));
+    outln!("{} ({})", r.name, meta.join(", "));
     if !r.counters.is_empty() {
-        println!("counters:");
+        outln!("counters:");
         for (name, value) in &r.counters {
-            println!("  {name:<44} {value}");
+            outln!("  {name:<44} {value}");
         }
     }
     if !r.gauges.is_empty() {
-        println!("gauges:");
+        outln!("gauges:");
         for (name, value) in &r.gauges {
-            println!("  {name:<44} {value}");
+            outln!("  {name:<44} {value}");
         }
     }
     if !r.histograms.is_empty() {
-        println!("histograms:");
+        outln!("histograms:");
         for (name, h) in &r.histograms {
-            println!(
+            outln!(
                 "  {name:<44} n={} p50<={} p90<={} p99<={} sum={}",
                 h.count,
                 h.quantile_limit(0.5),
@@ -561,7 +606,7 @@ fn print_report_summary(r: &RunReport) {
             );
         }
     }
-    println!(
+    outln!(
         "events: {} buffered, {} dropped (see `deltapath trace` for the full stream)",
         r.events.len(),
         r.dropped_events
@@ -576,7 +621,7 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
         let snapshot = profiler.snapshot();
         let trace = snapshot.chrome_trace(p.name());
         std::fs::write(&path, &trace).map_err(|e| format!("cannot write {path:?}: {e}"))?;
-        println!(
+        outln!(
             "wrote Chrome trace for {} under {encoder_name} to {path} \
              ({} lanes, {} span nodes; load in chrome://tracing or Perfetto)",
             p.name(),
@@ -590,7 +635,7 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
         .with_meta("benchmark", p.name())
         .with_meta("encoder", encoder_name)
         .with_meta("scope", "app");
-    print!("{}", report.to_jsonl());
+    out!("{}", report.to_jsonl());
     Ok(())
 }
 
@@ -737,7 +782,7 @@ fn check_flamegraph(p: &Program) -> Result<(), String> {
     if schema != Some(deltapath::telemetry::TRACE_SCHEMA) {
         return Err(format!("{name}: Chrome trace schema tag missing or wrong"));
     }
-    println!(
+    outln!(
         "{name}: ok ({} context stacks vs {} oracle stacks{}, {} span nodes, {} lanes)",
         delta.len(),
         oracle.len(),
@@ -789,12 +834,12 @@ fn cmd_flamegraph(args: &[String]) -> Result<(), String> {
     match out {
         Some(path) => {
             std::fs::write(&path, &text).map_err(|e| format!("cannot write {path:?}: {e}"))?;
-            println!(
+            outln!(
                 "wrote {} folded stack lines to {path} (render with inferno/flamegraph.pl)",
                 text.lines().count()
             );
         }
-        None => print!("{text}"),
+        None => out!("{text}"),
     }
     Ok(())
 }
@@ -946,12 +991,12 @@ fn cmd_lint(args: &[String]) -> Result<(), String> {
         errors += report.errors();
         warnings += report.warnings();
         if json {
-            println!("{}", report.to_json(p.name()));
+            outln!("{}", report.to_json(p.name()));
         } else {
             for d in &report.diagnostics {
-                println!("{}: {d}", p.name());
+                outln!("{}: {d}", p.name());
             }
-            println!(
+            outln!(
                 "{}: {} nodes, {} edges, {} anchors — {} errors, {} warnings",
                 p.name(),
                 report.nodes,
@@ -990,21 +1035,21 @@ fn cmd_diff(args: &[String]) -> Result<(), String> {
     let new = load_plan(new_path)?;
     let diff = diff_plans(&old.plan, &new.plan);
     if json {
-        println!("{}", diff.to_json(&old.name, &new.name));
+        outln!("{}", diff.to_json(&old.name, &new.name));
         return Ok(());
     }
     for d in &diff.diagnostics {
-        println!("{d}");
+        outln!("{d}");
     }
     if diff.is_empty() {
-        println!("{old_path} and {new_path} are semantically identical");
+        outln!("{old_path} and {new_path} are semantically identical");
     } else {
         let counts: Vec<String> = diff
             .counts()
             .iter()
             .map(|(code, n)| format!("{} x{n}", code.code()))
             .collect();
-        println!(
+        outln!(
             "{old_path} ({} nodes) -> {new_path} ({} nodes): {} difference(s) [{}]",
             diff.old_nodes,
             diff.new_nodes,
@@ -1045,13 +1090,13 @@ fn cmd_import(args: &[String]) -> Result<(), String> {
     let graph = imported.graph;
     let p = skeleton_for_graph(&imported.name, &graph);
     if args.iter().any(|a| a == "--render") {
-        let mut out = std::io::stdout().lock();
+        let mut out = Out;
         render_graph(&graph, &imported.name, &mut out)
             .map_err(|e| format!("cannot write to stdout: {e}"))?;
         return Ok(());
     }
     if args.iter().any(|a| a == "--dot") {
-        let mut out = std::io::stdout().lock();
+        let mut out = Out;
         graph
             .write_dot(&p, &mut out)
             .map_err(|e| format!("cannot write to stdout: {e}"))?;
@@ -1079,38 +1124,38 @@ fn cmd_import(args: &[String]) -> Result<(), String> {
         .count();
     let lint = args.iter().any(|a| a == "--lint");
     let plan = EncodingPlan::from_graph(&p, graph, &config).map_err(|e| e.to_string())?;
-    println!(
+    outln!(
         "{} ({path}): {nodes} nodes, {edges} edges, {poly_sites} polymorphic sites",
         imported.name
     );
     let enc = plan.encoding();
-    println!(
+    outln!(
         "  plan ({} encoding): {} instrumented methods, {} sites with ID arithmetic",
         config.width,
         plan.instrumented_method_count(),
         plan.instrumented_site_count()
     );
-    println!(
+    outln!(
         "  anchors: {} total ({} from overflow, {} analysis restarts)",
         enc.anchors.len(),
         enc.overflow_anchor_count(),
         enc.restarts
     );
-    println!(
+    outln!(
         "  encoding space: max ICC {} (max ID {})",
         enc.max_icc,
         enc.required_max_id()
     );
     if let Some(path) = plan_out {
         write_plan(&plan, &imported.name, &path)?;
-        println!("  wrote plan ({}) to {path}", deltapath::PLAN_SCHEMA);
+        outln!("  wrote plan ({}) to {path}", deltapath::PLAN_SCHEMA);
     }
     if lint {
         let report = audit_report(&p, &plan, args)?;
         for d in &report.diagnostics {
-            println!("{}: {d}", imported.name);
+            outln!("{}: {d}", imported.name);
         }
-        println!(
+        outln!(
             "  audit: {} errors, {} warnings",
             report.errors(),
             report.warnings()
@@ -1153,7 +1198,7 @@ fn cmd_generate(args: &[String]) -> Result<(), String> {
             let mut out = std::io::BufWriter::new(file);
             render_graph(&graph, &name, &mut out)
                 .map_err(|e| format!("cannot write {path:?}: {e}"))?;
-            println!(
+            outln!(
                 "wrote {} ({} nodes, {} edges) to {path}",
                 name,
                 graph.node_count(),
@@ -1161,7 +1206,7 @@ fn cmd_generate(args: &[String]) -> Result<(), String> {
             );
         }
         None => {
-            let mut out = std::io::stdout().lock();
+            let mut out = Out;
             render_graph(&graph, &name, &mut out)
                 .map_err(|e| format!("cannot write to stdout: {e}"))?;
         }

@@ -3,13 +3,17 @@
 //! property checks a fixed number of cases drawn from its own fixed seed
 //! (see [`common::check_cases`]).
 
+#[path = "common/algo2_reference.rs"]
+mod algo2_reference;
 mod common;
 
 use std::collections::{HashMap, HashSet};
 
 use common::check_cases;
 use deltapath::callgraph::{back_edges, CallGraph, EdgeIx, NodeIx};
-use deltapath::core::{Algo1Encoding, Algo2Config, Encoding, EncodingWidth, PcceEncoding};
+use deltapath::core::{
+    Algo1Encoding, Algo2Config, EncodeError, Encoding, EncodingWidth, PcceEncoding,
+};
 use deltapath::workloads::rng::SplitMix64;
 use deltapath::{MethodId, SiteId};
 
@@ -245,5 +249,94 @@ fn back_edges_are_handled() {
             &Algo2Config::new(EncodingWidth::U64).with_forced_anchors(info.headers.clone()),
         );
         assert!(enc.is_ok(), "{enc:?}");
+    });
+}
+
+/// One configuration of [`algorithm2_matches_the_reference`]: a graph, an
+/// optional back edge (excluded, its header forced to an anchor), and the
+/// Algorithm 2 knobs.
+#[derive(Clone, Debug)]
+struct Algo2Case {
+    spec: GraphSpec,
+    /// Target of a back edge from a deep node, as in `back_edges_are_handled`.
+    back_edge_to: Option<usize>,
+    bits: u8,
+    batch_overflow: bool,
+    territory_budget: Option<u64>,
+}
+
+fn algo2_case(rng: &mut SplitMix64) -> Algo2Case {
+    const WIDTHS: [u8; 8] = [2, 3, 4, 5, 6, 7, 8, 64];
+    Algo2Case {
+        spec: graph_spec(rng),
+        back_edge_to: rng.gen_bool(0.5).then(|| rng.gen_range(0usize..64)),
+        bits: WIDTHS[rng.gen_range(0..WIDTHS.len())],
+        batch_overflow: rng.gen_bool(0.5),
+        territory_budget: rng.gen_bool(0.5).then(|| rng.gen_range(1u64..16)),
+    }
+}
+
+/// Runs `analyze` on `case`'s graph and configuration.
+fn analyze_case(
+    case: &Algo2Case,
+    analyze: fn(&CallGraph, &HashSet<EdgeIx>, &Algo2Config) -> Result<Encoding, EncodeError>,
+) -> Result<Encoding, EncodeError> {
+    let mut g = build(&case.spec);
+    let mut forced = Vec::new();
+    let mut excluded = HashSet::new();
+    if let Some(up) = case.back_edge_to {
+        let nodes: Vec<NodeIx> = g.nodes().collect();
+        g.add_edge(
+            nodes[nodes.len() - 2],
+            nodes[up % nodes.len()],
+            SiteId::from_index(90_000),
+        );
+        let info = back_edges(&g);
+        excluded = info.back_edges.iter().copied().collect();
+        forced = info.headers;
+    }
+    let mut config = Algo2Config::new(EncodingWidth::new(case.bits)).with_forced_anchors(forced);
+    if case.batch_overflow {
+        config = config.with_batch_overflow();
+    }
+    if let Some(budget) = case.territory_budget {
+        config = config.with_territory_budget(budget);
+    }
+    analyze(&g, &excluded, &config)
+}
+
+/// The library's Algorithm 2 (territory rows with stored callee
+/// positions, indexed by the interval walk) produces exactly the
+/// reference's `Encoding` (`common/algo2_reference.rs`: per-anchor DFS
+/// pushing onto every edge, binary-searched walk) — same anchors from every
+/// source, restarts, addition values, ICCs, territory rows and encoding
+/// space — or fails the same way, at widths 2–8 and 64, with single and
+/// batched overflow handling, with and without a territory budget.
+#[test]
+fn algorithm2_matches_the_reference() {
+    check_cases(0x16, 512, algo2_case, |case| {
+        let got = analyze_case(case, Encoding::analyze);
+        let want = analyze_case(case, algo2_reference::analyze);
+        let (got, want) = match (got, want) {
+            (Ok(got), Ok(want)) => (got, want),
+            (got, want) => {
+                assert_eq!(got.err(), want.err(), "one side failed");
+                return;
+            }
+        };
+        assert_eq!(got.anchors, want.anchors, "anchors");
+        assert_eq!(got.is_anchor, want.is_anchor, "is_anchor");
+        assert_eq!(
+            got.overflow_anchors, want.overflow_anchors,
+            "overflow anchors"
+        );
+        assert_eq!(got.budget_anchors, want.budget_anchors, "budget anchors");
+        assert_eq!(got.restarts, want.restarts, "restarts");
+        assert_eq!(got.site_av, want.site_av, "site addition values");
+        assert_eq!(got.icc, want.icc, "icc");
+        assert_eq!(got.nanchors, want.nanchors, "nanchors");
+        assert_eq!(got.eanchors, want.eanchors, "eanchors");
+        assert_eq!(got.max_icc, want.max_icc, "max_icc");
+        assert_eq!(got.excluded, want.excluded, "excluded");
     });
 }

@@ -11,14 +11,13 @@
 
 mod common;
 
-use std::sync::Arc;
 use std::thread;
 
 use common::stress_threads;
 use deltapath::workloads::synthetic::{generate, SyntheticConfig};
 use deltapath::{
-    Capture, CollectMode, ContextStats, DeltaEncoder, EncodingPlan, EventLog, PlanConfig, Program,
-    Vm, VmConfig,
+    Capture, CollectMode, ContextStats, DeltaEncoder, EncodingPlan, EventLog, MethodId, PlanConfig,
+    Program, Vm, VmConfig,
 };
 
 fn closed_world(seed: u64) -> SyntheticConfig {
@@ -35,47 +34,51 @@ fn closed_world(seed: u64) -> SyntheticConfig {
     }
 }
 
+/// Runs `program` once under the map-based encoder over `plan` and
+/// decodes every observed capture, in event order.
+fn decoded_contexts(program: &Program, plan: &EncodingPlan) -> Vec<Vec<MethodId>> {
+    let mut vm = Vm::new(
+        program,
+        VmConfig::default().with_collect(CollectMode::ObservesOnly),
+    );
+    let mut log = EventLog::default();
+    vm.run(&mut DeltaEncoder::new(plan), &mut log).expect("run");
+    let decoder = plan.decoder();
+    log.events
+        .iter()
+        .map(|(_, _, capture)| {
+            let Capture::Delta(ctx) = capture else {
+                unreachable!("the DeltaPath encoder captures Delta contexts")
+            };
+            decoder.decode(ctx).expect("decode")
+        })
+        .collect()
+}
+
+/// Threads running the same program over one shared plan each decode, on
+/// their own, exactly the contexts a single-threaded run decodes.
 #[test]
 fn threads_share_a_plan_and_decode_independently() {
-    let program = Arc::new(generate(&closed_world(77)));
-    let plan = Arc::new(EncodingPlan::analyze(&program, &PlanConfig::default()).unwrap());
-
-    let handles: Vec<_> = (0u32..4)
-        .map(|thread_param| {
-            let program: Arc<Program> = Arc::clone(&program);
-            let plan = Arc::clone(&plan);
-            thread::spawn(move || {
-                let mut vm = Vm::new(
-                    &program,
-                    VmConfig::default()
-                        .with_collect(CollectMode::ObservesOnly)
-                        .with_entry_param(thread_param),
-                );
-                let mut encoder = DeltaEncoder::new(&plan);
-                let mut log = EventLog::default();
-                vm.run(&mut encoder, &mut log).expect("run");
-                // Decode everything inside the thread.
-                let decoder = plan.decoder();
-                let mut decoded = 0usize;
-                for (_, _, capture) in &log.events {
-                    let Capture::Delta(ctx) = capture else {
-                        unreachable!()
-                    };
-                    let context = decoder.decode(ctx).expect("thread-local decode");
-                    assert!(!context.is_empty());
-                    assert_eq!(*context.first().unwrap(), program.entry());
-                    decoded += 1;
-                }
-                decoded
-            })
-        })
-        .collect();
-
-    let mut total = 0;
-    for h in handles {
-        total += h.join().expect("thread completed");
+    let program = generate(&closed_world(77));
+    let plan = EncodingPlan::analyze(&program, &PlanConfig::default()).unwrap();
+    let expected = decoded_contexts(&program, &plan);
+    assert!(!expected.is_empty(), "the program observes events");
+    for context in &expected {
+        assert_eq!(context.first(), Some(&program.entry()));
     }
-    assert!(total > 0, "the threads observed and decoded events");
+
+    let per_thread: Vec<Vec<Vec<MethodId>>> = thread::scope(|scope| {
+        let workers: Vec<_> = (0..4)
+            .map(|_| scope.spawn(|| decoded_contexts(&program, &plan)))
+            .collect();
+        workers
+            .into_iter()
+            .map(|w| w.join().expect("thread completed"))
+            .collect()
+    });
+    for (i, decoded) in per_thread.iter().enumerate() {
+        assert_eq!(decoded, &expected, "thread {i}");
+    }
 }
 
 /// Request `i` of a server-like workload: the closed-world program with
