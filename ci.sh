@@ -72,73 +72,48 @@ if [ "${1:-}" != "fast" ]; then
     done
 fi
 
-# Unknown options: every subcommand must reject an option it does not
-# know (exit 1 with an `error: unknown option` line) instead of silently
-# running with its defaults — `--encodr pcc` would otherwise run the
-# default encoder.
+# Bad command lines: each must exit 1 with its `error:` line instead of
+# silently running with defaults. An unknown option (`--encodr pcc` would
+# run the default encoder), a value-taking option without its value, an
+# option given twice (`--encoder pcc --encoder batched` would run one of
+# them), a positional the subcommand does not take (`inspect compress
+# sunflow` would drop `sunflow`), and a bench bin's malformed or zero
+# numeric value (`--repeat 0` would time nothing and pass its gate) or
+# mistyped option (`--smok` would run the full sweep). Each line is
+# package|binary|expected error prefix|arguments.
 if [ "${1:-}" != "fast" ]; then
-    echo
-    echo "==> deltapath run compress --encodr pcc (must be rejected)"
-    status=0
-    cargo run --quiet --release --bin deltapath -- run compress --encodr pcc \
-        > target/unknown-option.out 2>&1 || status=$?
-    cat target/unknown-option.out
-    if [ "$status" -ne 1 ] || ! grep -q '^error: unknown option' target/unknown-option.out; then
-        echo "the unknown option was not rejected (exit status $status)"
-        exit 1
-    fi
-fi
-
-# Missing values: an option that takes a value must not fall back to its
-# default when the value is missing (exit 1 with an `error: missing value`
-# line) — `--encoder` as the last argument would otherwise run the
-# default encoder.
-if [ "${1:-}" != "fast" ]; then
-    echo
-    echo "==> deltapath run compress --encoder (must be rejected)"
-    status=0
-    cargo run --quiet --release --bin deltapath -- run compress --encoder \
-        > target/missing-value.out 2>&1 || status=$?
-    cat target/missing-value.out
-    if [ "$status" -ne 1 ] || ! grep -q '^error: missing value' target/missing-value.out; then
-        echo "the missing value was not rejected (exit status $status)"
-        exit 1
-    fi
-fi
-
-# Repeated options: an option given twice must be rejected (exit 1 with an
-# `error: repeated option` line) instead of silently taking one of its
-# values — `--encoder pcc --encoder batched` would otherwise run `pcc`.
-if [ "${1:-}" != "fast" ]; then
-    echo
-    echo "==> deltapath run compress --encoder pcc --encoder batched (must be rejected)"
-    status=0
-    cargo run --quiet --release --bin deltapath -- run compress --encoder pcc --encoder batched \
-        > target/repeated-option.out 2>&1 || status=$?
-    cat target/repeated-option.out
-    if [ "$status" -ne 1 ] || ! grep -q '^error: repeated option' target/repeated-option.out; then
-        echo "the repeated option was not rejected (exit status $status)"
-        exit 1
-    fi
-fi
-
-# Bad values: a bench bin's numeric option must reject a malformed or
-# zero value (exit 1 with an `error: bad value` line) instead of
-# panicking, or timing nothing and passing its gate on `--repeat 0`.
-if [ "${1:-}" != "fast" ]; then
-    for value in x 0; do
+    while IFS='|' read -r package bin expected args; do
         echo
-        echo "==> encoder_hotpath --smoke --repeat $value (must be rejected)"
+        echo "==> $bin $args (must be rejected with '$expected')"
         status=0
-        cargo run --quiet --release -p deltapath-bench --bin encoder_hotpath -- \
-            --smoke --repeat "$value" --out target/bench-smoke \
-            > target/bad-value.out 2>&1 || status=$?
-        cat target/bad-value.out
-        if [ "$status" -ne 1 ] || ! grep -q '^error: bad value' target/bad-value.out; then
-            echo "the bad value was not rejected (exit status $status)"
+        cargo run --quiet --release -p "$package" --bin "$bin" -- $args < /dev/null \
+            > target/bad-command-line.out 2>&1 || status=$?
+        cat target/bad-command-line.out
+        if [ "$status" -ne 1 ] || ! grep -q "^$expected" target/bad-command-line.out; then
+            echo "the bad command line was not rejected (exit status $status)"
             exit 1
         fi
-    done
+    done <<'CASES'
+deltapath|deltapath|error: unknown option|run compress --encodr pcc
+deltapath|deltapath|error: missing value|run compress --encoder
+deltapath|deltapath|error: repeated option|run compress --encoder pcc --encoder batched
+deltapath|deltapath|error: unexpected argument|inspect compress sunflow
+deltapath|deltapath|error: unexpected argument|list extra
+deltapath-bench|encoder_hotpath|error: bad value|--smoke --repeat x --out target/bench-smoke
+deltapath-bench|encoder_hotpath|error: bad value|--smoke --repeat 0 --out target/bench-smoke
+deltapath-bench|encoder_hotpath|error: unknown option|--smok --out target/bench-smoke
+CASES
+fi
+
+# Options may come before the benchmark name: both orders print the same.
+if [ "${1:-}" != "fast" ]; then
+    echo
+    echo "==> deltapath inspect --width 32 compress (must print what inspect compress --width 32 does)"
+    cargo run --quiet --release --bin deltapath -- inspect --width 32 compress \
+        > target/options-first.out
+    cargo run --quiet --release --bin deltapath -- inspect compress --width 32 \
+        > target/options-last.out
+    step cmp target/options-first.out target/options-last.out
 fi
 
 # Flamegraph oracle gate: decoded context flamegraphs must agree with the

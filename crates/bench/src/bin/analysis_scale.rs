@@ -29,18 +29,24 @@ use std::time::Instant;
 
 use deltapath_analysis::{audit_plan_full, AuditOptions};
 use deltapath_bench::perf::{PerfRecord, PerfSuite};
+use deltapath_bench::Args;
 use deltapath_callgraph::{skeleton_for_graph, ScopeFilter};
 use deltapath_core::{EncodingPlan, PlanConfig};
 use deltapath_telemetry::NullTelemetry;
 use deltapath_workloads::scale::ScaleConfig;
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let flag = |name: &str| deltapath_bench::flag(&args, name);
-    let out_dir = flag("--out")
+    let args = Args::from_env(&[
+        ("--methods", true),
+        ("--seed", true),
+        ("--budget", true),
+        ("--out", true),
+    ]);
+    let out_dir = args
+        .flag("--out")
         .map(PathBuf::from)
         .unwrap_or_else(|| ".".into());
-    let methods = match flag("--methods") {
+    let methods = match args.flag("--methods") {
         None => 1_000_000,
         Some(m) => match m.parse::<usize>() {
             Ok(n) if n >= 2 => n,
@@ -50,7 +56,7 @@ fn main() -> ExitCode {
             }
         },
     };
-    let seed = match flag("--seed") {
+    let seed = match args.flag("--seed") {
         None => 42,
         Some(s) => match s.parse::<u64>() {
             Ok(v) => v,
@@ -60,7 +66,7 @@ fn main() -> ExitCode {
             }
         },
     };
-    let budget = match flag("--budget") {
+    let budget = match args.flag("--budget") {
         None => 32,
         Some(b) => match b.parse::<u64>() {
             Ok(v) if v >= 1 => v,

@@ -45,7 +45,7 @@ use std::process::ExitCode;
 
 use deltapath_bench::hooks::{harvest, max_entry_depth, measure, replay};
 use deltapath_bench::perf::{PerfRecord, PerfSuite};
-use deltapath_bench::worse_ratio;
+use deltapath_bench::{worse_ratio, Args};
 use deltapath_callgraph::ScopeFilter;
 use deltapath_core::{EncodingPlan, PlanConfig};
 use deltapath_ir::Program;
@@ -121,13 +121,14 @@ fn workloads(smoke: bool) -> Vec<Workload> {
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let flag = |name: &str| deltapath_bench::flag(&args, name);
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let out_dir = flag("--out")
+    let args = Args::from_env(&[("--smoke", false), ("--out", true), ("--repeat", true)]);
+    let smoke = args.has("--smoke");
+    let out_dir = args
+        .flag("--out")
         .map(PathBuf::from)
         .unwrap_or_else(|| ".".into());
-    let repeat = deltapath_bench::parsed_flag(&args, "--repeat")
+    let repeat = args
+        .parsed_flag("--repeat")
         .map_or(if smoke { 2 } else { 12 }, NonZeroUsize::get);
     let passes = if smoke { 2 } else { 3 };
     /// Replayed stream length cap: enough for steady-state measurement,

@@ -14,16 +14,17 @@ use std::process::ExitCode;
 
 use deltapath_bench::harness::run_all_encoders;
 use deltapath_bench::perf::PerfSuite;
+use deltapath_bench::Args;
 use deltapath_runtime::CostModel;
 use deltapath_workloads::specjvm::suite;
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let flag = |name: &str| deltapath_bench::flag(&args, name);
-    let out_dir = flag("--out")
+    let args = Args::from_env(&[("--out", true), ("--bench", true)]);
+    let out_dir = args
+        .flag("--out")
         .map(PathBuf::from)
         .unwrap_or_else(|| ".".into());
-    let only = flag("--bench");
+    let only = args.flag("--bench");
 
     let model = CostModel::default();
     let mut perf = PerfSuite::new("encoders");

@@ -29,35 +29,51 @@ pub mod hooks;
 pub mod perf;
 pub mod table;
 
-/// The value of option `name` in a bench binary's `args`, or `None` when
-/// the option is absent. An option given as the last argument, or followed
-/// by another `--` option, is missing its value: the binary then exits
-/// with status 1 and an `error: missing value for NAME` line instead of
-/// running with its default. An option given twice exits the same way,
-/// with an `error: repeated option NAME` line, instead of taking one of
-/// its values.
-pub fn flag(args: &[String], name: &str) -> Option<String> {
-    option_value(args, name).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(1)
-    })
+/// A bench binary's command line, checked against the binary's options
+/// before it does any work.
+pub struct Args(Vec<String>);
+
+impl Args {
+    /// The process's arguments, checked against `options`, the binary's
+    /// options as (name, takes a value) pairs. An unknown option, an option
+    /// given twice, a value-taking option without its value (last, or
+    /// followed by another `--` option) and any other word exit with status
+    /// 1 and an `error:` line, such as `error: unknown option "--smok"`,
+    /// instead of running with the defaults.
+    pub fn from_env(options: &[(&str, bool)]) -> Self {
+        let args: Vec<String> = std::env::args().skip(1).collect();
+        check_args(&args, options).unwrap_or_else(|e| exit_with(&e));
+        Self(args)
+    }
+
+    /// Whether flag `name` was given.
+    pub fn has(&self, name: &str) -> bool {
+        self.0.iter().any(|a| a == name)
+    }
+
+    /// The value of option `name`, or `None` when the option is absent.
+    pub fn flag(&self, name: &str) -> Option<String> {
+        let at = self.0.iter().position(|a| a == name)?;
+        self.0.get(at + 1).cloned()
+    }
+
+    /// The value of option `name` parsed as a `T`, or `None` when the
+    /// option is absent. A value that does not parse (for a count, `0` is
+    /// one when `T` is a `NonZero` integer) exits with status 1 and an
+    /// `error: bad value for NAME: "VALUE"` line instead of panicking.
+    pub fn parsed_flag<T: FromStr>(&self, name: &str) -> Option<T> {
+        let value = self.flag(name)?;
+        Some(parse_value(name, &value).unwrap_or_else(|e| exit_with(&e)))
+    }
 }
 
-/// The value of option `name` parsed as a `T`, or `None` when the option
-/// is absent. A value that does not parse (for a count, `0` is one when
-/// `T` is a `NonZero` integer) exits with status 1 and an
-/// `error: bad value for NAME: "VALUE"` line, like a missing value,
-/// instead of panicking.
-pub fn parsed_flag<T: FromStr>(args: &[String], name: &str) -> Option<T> {
-    flag(args, name).map(|value| {
-        parse_value(name, &value).unwrap_or_else(|e| {
-            eprintln!("error: {e}");
-            std::process::exit(1)
-        })
-    })
+/// Prints `error` as an `error:` line and exits with status 1.
+fn exit_with(error: &str) -> ! {
+    eprintln!("error: {error}");
+    std::process::exit(1)
 }
 
-/// [`parsed_flag`]'s parse without the exit.
+/// [`Args::parsed_flag`]'s parse without the exit.
 fn parse_value<T: FromStr>(name: &str, value: &str) -> Result<T, String> {
     value
         .parse()
@@ -76,50 +92,68 @@ pub fn worse_ratio(worst: f64, ratio: f64) -> f64 {
     }
 }
 
-/// [`flag`] without the exit: the value, `None` when the option is absent,
-/// or the missing-value or repeated-option error.
-fn option_value(args: &[String], name: &str) -> Result<Option<String>, String> {
-    let mut at = args.iter().enumerate().filter(|&(_, a)| a == name);
-    let Some((i, _)) = at.next() else {
-        return Ok(None);
-    };
-    if at.next().is_some() {
-        return Err(format!("repeated option {name}"));
+/// [`Args::from_env`]'s check without the exit.
+fn check_args(args: &[String], options: &[(&str, bool)]) -> Result<(), String> {
+    let mut seen = Vec::new();
+    let mut words = args.iter();
+    while let Some(word) = words.next() {
+        let Some(&(name, takes_value)) = options.iter().find(|&&(name, _)| name == word) else {
+            return Err(if word.starts_with("--") {
+                format!("unknown option {word:?}")
+            } else {
+                format!("unexpected argument {word:?}")
+            });
+        };
+        if seen.contains(&name) {
+            return Err(format!("repeated option {name}"));
+        }
+        seen.push(name);
+        if takes_value && words.next().is_none_or(|value| value.starts_with("--")) {
+            return Err(format!("missing value for {name}"));
+        }
     }
-    match args.get(i + 1) {
-        Some(value) if !value.starts_with("--") => Ok(Some(value.clone())),
-        _ => Err(format!("missing value for {name}")),
-    }
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use std::num::{NonZeroU32, NonZeroUsize};
 
-    use super::{option_value, parse_value, worse_ratio};
+    use super::{check_args, parse_value, worse_ratio};
+
+    const OPTIONS: &[(&str, bool)] = &[("--smoke", false), ("--out", true), ("--repeat", true)];
+
+    fn check(args: &[&str]) -> Result<(), String> {
+        let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+        check_args(&args, OPTIONS)
+    }
 
     #[test]
     fn options_need_their_values() {
-        let args: Vec<String> = ["--smoke", "--out", "dir", "--repeat"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        assert_eq!(option_value(&args, "--out"), Ok(Some("dir".to_owned())));
-        assert_eq!(option_value(&args, "--seed"), Ok(None));
+        assert_eq!(check(&["--smoke", "--out", "dir", "--repeat", "2"]), Ok(()));
         let missing = Err("missing value for --repeat".to_owned());
-        assert_eq!(option_value(&args, "--repeat"), missing);
-        let followed = ["--out", "--smoke"].map(String::from);
-        assert!(option_value(&followed, "--out").is_err());
+        assert_eq!(check(&["--smoke", "--out", "dir", "--repeat"]), missing);
+        let followed = Err("missing value for --out".to_owned());
+        assert_eq!(check(&["--out", "--smoke"]), followed);
     }
 
     #[test]
     fn options_are_given_once() {
-        let args = ["--repeat", "4", "--out", "dir", "--repeat", "8"].map(String::from);
+        let repeated = Err("repeated option --repeat".to_owned());
         assert_eq!(
-            option_value(&args, "--repeat"),
-            Err("repeated option --repeat".to_owned())
+            check(&["--repeat", "4", "--out", "dir", "--repeat", "8"]),
+            repeated
         );
-        assert_eq!(option_value(&args, "--out"), Ok(Some("dir".to_owned())));
+        let flag = Err("repeated option --smoke".to_owned());
+        assert_eq!(check(&["--smoke", "--smoke"]), flag);
+    }
+
+    #[test]
+    fn only_declared_options_are_accepted() {
+        let unknown = Err(r#"unknown option "--smok""#.to_owned());
+        assert_eq!(check(&["--smok", "--out", "dir"]), unknown);
+        let stray = Err(r#"unexpected argument "dir""#.to_owned());
+        assert_eq!(check(&["--smoke", "dir"]), stray);
     }
 
     #[test]

@@ -13,12 +13,6 @@ pub enum Analysis {
     /// is a possible receiver. Over-approximates like WALA's 0-CFA does on
     /// real bytecode; the paper's experimental setting.
     Cha,
-    /// Rapid type analysis: like CHA, but a subtype is a possible receiver
-    /// only if it is *instantiated* somewhere reachable (in this IR:
-    /// mentioned in the receiver expression of a reachable call site).
-    /// Computed as a reachability/instantiation fixpoint; always between
-    /// `Exact` and `Cha` in precision.
-    Rta,
     /// Use the IR's receiver expressions: the precise dispatch sets.
     Exact,
 }
@@ -87,16 +81,7 @@ impl CallGraph {
     ///    which at runtime manifests as the paper's unexpected call paths).
     pub fn build(program: &Program, config: &GraphConfig) -> CallGraph {
         let hierarchy = Hierarchy::new(program);
-        // RTA: iterate reachability against the instantiated-class set until
-        // both stabilize (receiver expressions are this IR's instantiation
-        // points).
-        let instantiated = match config.analysis {
-            Analysis::Rta => Some(rta_instantiated(program, &hierarchy, config)),
-            _ => None,
-        };
-        let targets_of = |site: SiteId| {
-            dispatch_targets(program, &hierarchy, config, instantiated.as_ref(), site)
-        };
+        let targets_of = |site: SiteId| dispatch_targets(program, &hierarchy, config, site);
 
         // Pass 1: full reachability over visible methods.
         let sites_by_caller = sites_by_caller(program);
@@ -182,62 +167,11 @@ fn visible(program: &Program, config: &GraphConfig, method: MethodId) -> bool {
     config.include_dynamic || program.is_static_origin(method)
 }
 
-/// The reachability/instantiation fixpoint for RTA: alternately grow the
-/// reachable-method set (dispatching only to instantiated receivers) and
-/// the instantiated-class set (receivers mentioned in reachable sites).
-fn rta_instantiated(
-    program: &Program,
-    hierarchy: &Hierarchy,
-    config: &GraphConfig,
-) -> HashSet<deltapath_ir::ClassId> {
-    let sites_by_caller = sites_by_caller(program);
-    // Instantiation points are receiver expressions; the set starts empty
-    // and grows with reachability (static calls need no receiver, so the
-    // fixpoint always makes progress from the entry).
-    let mut instantiated: HashSet<deltapath_ir::ClassId> = HashSet::new();
-    loop {
-        // Reachability under the current instantiated set.
-        let mut reachable: HashSet<MethodId> = HashSet::new();
-        let mut queue = VecDeque::new();
-        if visible(program, config, program.entry()) {
-            reachable.insert(program.entry());
-            queue.push_back(program.entry());
-        }
-        let mut grew = false;
-        while let Some(m) = queue.pop_front() {
-            for &site in sites_by_caller.get(&m).map(Vec::as_slice).unwrap_or(&[]) {
-                let s = program.site(site);
-                // Every receiver mentioned in a reachable site is
-                // instantiated.
-                if let Some(r) = s.receiver() {
-                    for &c in r.possible_classes() {
-                        if !config.include_dynamic && program.class(c).origin() == Origin::Dynamic {
-                            continue;
-                        }
-                        grew |= instantiated.insert(c);
-                    }
-                }
-                for target in
-                    dispatch_targets(program, hierarchy, config, Some(&instantiated), site)
-                {
-                    if reachable.insert(target) {
-                        queue.push_back(target);
-                    }
-                }
-            }
-        }
-        if !grew {
-            return instantiated;
-        }
-    }
-}
-
 /// The dispatch-target methods of `site` under the configured analysis.
 pub(crate) fn dispatch_targets(
     program: &Program,
     hierarchy: &Hierarchy,
     config: &GraphConfig,
-    instantiated: Option<&HashSet<deltapath_ir::ClassId>>,
     site: SiteId,
 ) -> Vec<MethodId> {
     let s = program.site(site);
@@ -249,24 +183,6 @@ pub(crate) fn dispatch_targets(
         CallKind::Virtual => match config.analysis {
             Analysis::Cha => {
                 hierarchy.cha_targets(program, s.declared(), s.method(), config.include_dynamic)
-            }
-            Analysis::Rta => {
-                let inst = instantiated.expect("RTA provides the instantiated set");
-                let mut targets = Vec::new();
-                for &sub in hierarchy.subtypes(s.declared()) {
-                    if !inst.contains(&sub) {
-                        continue;
-                    }
-                    if !config.include_dynamic && program.class(sub).origin() == Origin::Dynamic {
-                        continue;
-                    }
-                    if let Some(m) = program.resolve(sub, s.method()) {
-                        targets.push(m);
-                    }
-                }
-                targets.sort_unstable();
-                targets.dedup();
-                targets
             }
             Analysis::Exact => {
                 let mut targets = Vec::new();
@@ -364,10 +280,10 @@ mod tests {
     }
 
     #[test]
-    fn rta_sits_between_exact_and_cha() {
-        // Four subclasses override f; only two are ever mentioned as
-        // receivers anywhere; one specific site names just one of them.
-        let mut b = ProgramBuilder::new("rta");
+    fn exact_dispatch_ignores_receivers_named_at_other_sites() {
+        // Three subclasses override f; two are ever mentioned as receivers,
+        // each at its own site.
+        let mut b = ProgramBuilder::new("receivers");
         let a = b.add_class("A", None);
         let c1 = b.add_class("C1", Some(a));
         let c2 = b.add_class("C2", Some(a));
@@ -378,8 +294,7 @@ mod tests {
         b.method(c3, "f", MethodKind::Virtual).finish();
         b.method(a, "helper", MethodKind::Static)
             .body(|f| {
-                // C2 is instantiated here, so RTA must consider it at the
-                // site in main too.
+                // C2 is a receiver here only, not at the site in main.
                 f.vcall(a, "f", Receiver::Fixed(c2));
             })
             .finish();
@@ -405,23 +320,7 @@ mod tests {
             g.site_edges(site).len()
         };
         assert_eq!(count(Analysis::Exact), 1); // C1.f only
-        assert_eq!(count(Analysis::Rta), 2); // C1.f + C2.f (instantiated)
         assert_eq!(count(Analysis::Cha), 4); // all overrides + A.f
-    }
-
-    #[test]
-    fn rta_excludes_never_instantiated_dynamic_classes() {
-        let p = layered_program();
-        // The dynamic Plug class never counts as instantiated statically.
-        let g = CallGraph::build(
-            &p,
-            &GraphConfig {
-                analysis: Analysis::Rta,
-                scope: ScopeFilter::All,
-                include_dynamic: false,
-            },
-        );
-        assert!(g.nodes().all(|n| p.is_static_origin(g.method_of(n))));
     }
 
     #[test]

@@ -1,28 +1,14 @@
 //! The `deltapath` command-line tool: explore the bundled workloads, their
 //! call graphs and encoding plans, and run them under any of the encoders.
 //!
-//! ```text
-//! deltapath list
-//! deltapath inspect <benchmark> [--scope app|all] [--width BITS]
-//! deltapath dot <benchmark> [--scope app|all]
-//! deltapath run <benchmark> [--encoder native|pcc|deltapath|deltapath-nocpt|batched|batched-nocpt|stackwalk|cct]
-//! deltapath decode <benchmark>     # run, capture, decode a few contexts
-//! deltapath report <benchmark> [--encoder NAME] [--json]   # run report (summary or JSON)
-//! deltapath report --from FILE [--json]                    # re-read a saved report
-//! deltapath trace <benchmark> [--encoder NAME] [--chrome FILE]  # JSON lines / Chrome trace
-//! deltapath flamegraph <benchmark> [--contexts|--spans] [--out FILE]
-//! deltapath flamegraph --all --check               # validate against the stack-walk oracle
-//! deltapath lint <benchmark>|--all [--json] [--deny-warnings] [--scope app|all] [--width BITS]
-//!     [--workers N] [--plan-out FILE]
-//! deltapath import <file> [--lint] [--dot] [--render] [--width BITS] [--budget N]
-//!     [--workers N] [--plan-out FILE]                                  # deltapath.graph.v1
-//! deltapath diff <old.plan> <new.plan> [--json]    # semantic plan diff (deltapath.diff.v1)
-//! deltapath generate [--methods N] [--seed S] [--out FILE]             # scale graph to file
-//! ```
+//! Run it without arguments for the usage text, which [`usage`] renders
+//! from the [`COMMANDS`] table.
 
 use std::collections::HashMap;
+use std::fmt::Display;
 use std::io::{self, Write as _};
 use std::process::ExitCode;
+use std::str::FromStr;
 use std::sync::Arc;
 
 use deltapath::baselines::{CctEncoder, PccEncoder, PccWidth};
@@ -84,27 +70,130 @@ macro_rules! outln {
     };
 }
 
+/// One option of a subcommand: its name, its value's placeholder in the
+/// usage text (`None` for a flag) and its help, one usage line per `\n`.
+type Opt = (&'static str, Option<&'static str>, &'static str);
+
+/// One subcommand: its usage entry, its options and its handler.
+struct Command {
+    name: &'static str,
+    /// The positional arguments, as the usage text shows them; it takes at
+    /// most one per word.
+    synopsis: &'static str,
+    /// The usage text's summary, one line per `\n`.
+    summary: &'static str,
+    options: &'static [Opt],
+    run: fn(&Args) -> Result<(), String>,
+}
+
+impl Command {
+    /// The most positional arguments it takes.
+    fn max_positionals(&self) -> usize {
+        self.synopsis.split_whitespace().count()
+    }
+}
+
+#[rustfmt::skip]
+const SCOPE: Opt = ("--scope", Some("app|all"), "selective vs full encoding (default: app)");
+#[rustfmt::skip]
+const WIDTH: Opt = ("--width", Some("BITS"), "encoding integer width (default: 64)");
+#[rustfmt::skip]
+const ENCODER: Opt = ("--encoder", Some("NAME"), "as for `run` (default: deltapath)");
+const OUT: Opt = ("--out", Some("FILE"), "write to FILE instead of stdout");
+
+/// Every subcommand. `main` dispatches through it, [`Args::parse`] checks
+/// command lines against it and [`usage`] renders it. `{encoders}` and
+/// `{decodable}` in a help text stand for the [`ENCODERS`] names.
+#[rustfmt::skip]
+const COMMANDS: &[Command] = &[
+    Command { name: "list", synopsis: "", run: cmd_list,
+        summary: "list the bundled SPECjvm2008-like benchmarks",
+        options: &[] },
+    Command { name: "inspect", synopsis: "<bench>", run: cmd_inspect,
+        summary: "static characteristics and encoding plan summary",
+        options: &[SCOPE, WIDTH] },
+    Command { name: "dot", synopsis: "<bench>", run: cmd_dot,
+        summary: "print the encoded call graph in Graphviz format",
+        options: &[SCOPE] },
+    Command { name: "run", synopsis: "<bench>", run: cmd_run,
+        summary: "execute under an encoder and report costs",
+        options: &[("--encoder", Some("NAME"), "{encoders}")] },
+    Command { name: "decode", synopsis: "<bench>", run: cmd_decode,
+        summary: "run, capture, and decode example contexts",
+        options: &[] },
+    Command { name: "report", synopsis: "<bench>", run: cmd_report,
+        summary: "run with telemetry; print a human-readable summary\n\
+                  (histograms as p50/p90/p99 upper bounds)",
+        options: &[
+            ("--json", None, "the full machine-readable report instead"),
+            ENCODER,
+            ("--from", Some("FILE"), "read a saved report (JSON or JSONL) instead of running"),
+        ] },
+    Command { name: "trace", synopsis: "<bench>", run: cmd_trace,
+        summary: "like `report --json`, but printed as JSON lines",
+        options: &[
+            ENCODER,
+            ("--chrome", Some("FILE"), "write a Chrome trace-event file (deltapath.trace.v2)\n\
+                                        of the span tree instead of printing JSONL"),
+        ] },
+    Command { name: "flamegraph", synopsis: "<bench>", run: cmd_flamegraph,
+        summary: "folded flamegraph stacks (inferno-compatible) on stdout",
+        options: &[
+            ("--contexts", None, "decoded calling contexts weighted by entries (default)"),
+            ("--spans", None, "self-time of the analysis/audit/run span tree"),
+            ("--encoder", Some("NAME"), "{decodable}"),
+            SCOPE,
+            OUT,
+            ("--check", None, "validate flamegraphs against the stack-walk oracle"),
+            ("--all", None, "with --check: every bundled benchmark"),
+        ] },
+    Command { name: "lint", synopsis: "<bench>", run: cmd_lint,
+        summary: "statically audit the encoding plan (DP0xx diagnostics)",
+        options: &[
+            ("--all", None, "every bundled benchmark instead of one"),
+            ("--json", None, "machine-readable report (schema deltapath.lint.v1)"),
+            ("--deny-warnings", None, "exit with failure on warnings, not just errors"),
+            SCOPE,
+            WIDTH,
+            ("--workers", Some("N"), "parallel per-anchor audit workers (default: 1)"),
+            ("--plan-out", Some("FILE"), "write the audited plan (deltapath.plan.v1)"),
+        ] },
+    Command { name: "import", synopsis: "<file>", run: cmd_import,
+        summary: "plan an external deltapath.graph.v1 call graph",
+        options: &[
+            ("--lint", None, "audit the resulting plan (DP0xx diagnostics)"),
+            ("--dot", None, "print the imported graph in Graphviz format"),
+            ("--render", None, "re-render the canonical deltapath.graph.v1 form"),
+            WIDTH,
+            ("--budget", Some("N"), "territory budget: bound anchor-free path counts\n\
+                                     (extra anchors, near-linear planning; try 16-64)"),
+            ("--workers", Some("N"), "parallel per-anchor audit workers (with --lint)"),
+            ("--plan-out", Some("FILE"), "write the resulting plan (deltapath.plan.v1)"),
+        ] },
+    Command { name: "diff", synopsis: "<old> <new>", run: cmd_diff,
+        summary: "semantically compare two deltapath.plan.v1 files\n\
+                  (DP05x diagnostics; anchors, tables, territories,\n\
+                  SIDs, instructions)",
+        options: &[("--json", None, "machine-readable report (schema deltapath.diff.v1)")] },
+    Command { name: "generate", synopsis: "", run: cmd_generate,
+        summary: "write a seeded scale graph (deltapath.graph.v1)",
+        options: &[
+            ("--methods", Some("N"), "graph size (default: 10000)"),
+            ("--seed", Some("S"), "generator seed (default: 42)"),
+            OUT,
+        ] },
+];
+
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let result = match args.first().map(String::as_str) {
-        Some("list") => cmd_list(),
-        Some("inspect") => cmd_inspect(&args[1..]),
-        Some("dot") => cmd_dot(&args[1..]),
-        Some("run") => cmd_run(&args[1..]),
-        Some("decode") => cmd_decode(&args[1..]),
-        Some("report") => cmd_report(&args[1..]),
-        Some("trace") => cmd_trace(&args[1..]),
-        Some("flamegraph") => cmd_flamegraph(&args[1..]),
-        Some("lint") => cmd_lint(&args[1..]),
-        Some("import") => cmd_import(&args[1..]),
-        Some("diff") => cmd_diff(&args[1..]),
-        Some("generate") => cmd_generate(&args[1..]),
-        _ => {
-            eprintln!("{}", usage());
-            return ExitCode::FAILURE;
-        }
+    let words: Vec<String> = std::env::args().skip(1).collect();
+    let Some(command) = words
+        .first()
+        .and_then(|word| COMMANDS.iter().find(|c| c.name == word.as_str()))
+    else {
+        eprintln!("{}", usage());
+        return ExitCode::FAILURE;
     };
-    match result {
+    match Args::parse(command, &words[1..]).and_then(|args| (command.run)(&args)) {
         Ok(()) => ExitCode::SUCCESS,
         Err(msg) => {
             eprintln!("error: {msg}");
@@ -115,93 +204,128 @@ fn main() -> ExitCode {
 
 /// The top-level usage text, printed on a missing or unknown subcommand.
 fn usage() -> String {
-    format!(
-        "usage: deltapath <list|inspect|dot|run|decode|report|trace|flamegraph|lint|import|diff|generate> [benchmark] [options]\n\
-         \n\
-         list                      list the bundled SPECjvm2008-like benchmarks\n\
-         inspect <bench>           static characteristics and encoding plan summary\n\
-         \x20   --scope app|all    selective vs full encoding (default: app)\n\
-         \x20   --width BITS       encoding integer width (default: 64)\n\
-         dot <bench>               print the encoded call graph in Graphviz format\n\
-         \x20   --scope app|all    selective vs full encoding (default: app)\n\
-         run <bench>               execute under an encoder and report costs\n\
-         \x20   --encoder NAME     {all}\n\
-         decode <bench>            run, capture, and decode example contexts\n\
-         report <bench>            run with telemetry; print a human-readable summary\n\
-         \x20                      (histograms as p50/p90/p99 upper bounds)\n\
-         \x20   --json             the full machine-readable report instead\n\
-         \x20   --encoder NAME     as for `run` (default: deltapath)\n\
-         \x20   --from FILE        read a saved report (JSON or JSONL) instead of running\n\
-         trace <bench>             like `report --json`, but printed as JSON lines\n\
-         \x20   --encoder NAME     as for `run` (default: deltapath)\n\
-         \x20   --chrome FILE      write a Chrome trace-event file (deltapath.trace.v2)\n\
-         \x20                      of the span tree instead of printing JSONL\n\
-         flamegraph <bench>        folded flamegraph stacks (inferno-compatible) on stdout\n\
-         \x20   --contexts         decoded calling contexts weighted by entries (default)\n\
-         \x20   --spans            self-time of the analysis/audit/run span tree\n\
-         \x20   --encoder NAME     {decodable}\n\
-         \x20   --scope app|all    selective vs full encoding (default: app)\n\
-         \x20   --out FILE         write to FILE instead of stdout\n\
-         \x20   --check [--all]    validate flamegraphs against the stack-walk oracle\n\
-         lint <bench>|--all        statically audit the encoding plan (DP0xx diagnostics)\n\
-         \x20   --json             machine-readable report (schema deltapath.lint.v1)\n\
-         \x20   --deny-warnings    exit with failure on warnings, not just errors\n\
-         \x20   --scope app|all    selective vs full encoding (default: app)\n\
-         \x20   --width BITS       encoding integer width (default: 64)\n\
-         \x20   --workers N        parallel per-anchor audit workers (default: 1)\n\
-         \x20   --plan-out FILE    write the audited plan (deltapath.plan.v1)\n\
-         import <file>             plan an external deltapath.graph.v1 call graph\n\
-         \x20   --lint             audit the resulting plan (DP0xx diagnostics)\n\
-         \x20   --dot              print the imported graph in Graphviz format\n\
-         \x20   --render           re-render the canonical deltapath.graph.v1 form\n\
-         \x20   --width BITS       encoding integer width (default: 64)\n\
-         \x20   --budget N         territory budget: bound anchor-free path counts\n\
-         \x20                      (extra anchors, near-linear planning; try 16-64)\n\
-         \x20   --workers N        parallel per-anchor audit workers (with --lint)\n\
-         \x20   --plan-out FILE    write the resulting plan (deltapath.plan.v1)\n\
-         diff <old> <new>          semantically compare two deltapath.plan.v1 files\n\
-         \x20                      (DP05x diagnostics; anchors, tables, territories,\n\
-         \x20                      SIDs, instructions)\n\
-         \x20   --json             machine-readable report (schema deltapath.diff.v1)\n\
-         generate                  write a seeded scale graph (deltapath.graph.v1)\n\
-         \x20   --methods N        graph size (default: 10000)\n\
-         \x20   --seed S           generator seed (default: 42)\n\
-         \x20   --out FILE         write to FILE instead of stdout",
-        all = encoder_names(|_| true),
-        decodable = encoder_names(EncoderKind::decodable),
-    )
+    let names: Vec<&str> = COMMANDS.iter().map(|c| c.name).collect();
+    let mut text = format!(
+        "usage: deltapath <{}> [arguments] [options]\n\
+         (options may also come before the arguments)\n",
+        names.join("|")
+    );
+    for command in COMMANDS {
+        let head = format!("{} {}", command.name, command.synopsis);
+        text += &usage_entry(0, head.trim_end(), 26, command.summary);
+        for &(name, value, help) in command.options {
+            let head = value.map_or(name.to_owned(), |value| format!("{name} {value}"));
+            text += &usage_entry(4, &head, 19, help);
+        }
+    }
+    text.replace("{encoders}", &encoder_names(|_| true))
+        .replace("{decodable}", &encoder_names(EncoderKind::decodable))
 }
 
-fn load(args: &[String]) -> Result<Program, String> {
-    let name = args.first().ok_or("missing benchmark name")?;
-    program(name).ok_or_else(|| {
-        format!("unknown benchmark {name:?}; run `deltapath list` to see the available ones")
-    })
+/// One line of the usage text and the lines its `help` continues on:
+/// `head` after `indent` spaces, padded to `width` columns, then `help`.
+fn usage_entry(indent: usize, head: &str, width: usize, help: &str) -> String {
+    let help = help.replace('\n', &format!("\n{:1$}", "", indent + width));
+    format!("\n{:indent$}{head:<width$}{help}", "")
 }
 
-/// The value of option `name` in `args`, or `None` when the option is
-/// absent. An option given as the last argument, or followed by another
-/// `--` option, is missing its value: that is an error, not the default.
-fn flag(args: &[String], name: &str) -> Result<Option<String>, String> {
-    let Some(i) = args.iter().position(|a| a == name) else {
-        return Ok(None);
-    };
-    match args.get(i + 1) {
-        Some(value) if !value.starts_with("--") => Ok(Some(value.clone())),
-        _ => Err(format!("missing value for {name}")),
+/// A command line parsed against its [`Command`]: the positional arguments
+/// in order, and each option given with its value.
+struct Args {
+    command: &'static Command,
+    positionals: Vec<String>,
+    options: Vec<(&'static str, Option<String>)>,
+}
+
+impl Args {
+    /// Parses `words`, the arguments after the subcommand's name, in any
+    /// order. A word starting with `--` is an option, and the word after a
+    /// value-taking option is its value unless it is another `--` option.
+    /// An unknown option, an option given twice (`--encoder pcc --encoder
+    /// batched` would otherwise run one of them) and an option without its
+    /// value are errors, and so is one positional too many; the option
+    /// errors are reported first.
+    fn parse(command: &'static Command, words: &[String]) -> Result<Self, String> {
+        let mut args = Self {
+            command,
+            positionals: Vec::new(),
+            options: Vec::new(),
+        };
+        let mut words = words.iter();
+        while let Some(word) = words.next() {
+            if !word.starts_with("--") {
+                args.positionals.push(word.clone());
+                continue;
+            }
+            let &(name, value, _) = command
+                .options
+                .iter()
+                .find(|&&(name, ..)| name == word.as_str())
+                .ok_or_else(|| format!("unknown option {word:?} for {}", command.name))?;
+            if args.options.iter().any(|&(given, _)| given == name) {
+                return Err(format!("repeated option {name} for {}", command.name));
+            }
+            let value = value
+                .map(|_| {
+                    let value = words.next().filter(|value| !value.starts_with("--"));
+                    value.cloned().ok_or(format!("missing value for {name}"))
+                })
+                .transpose()?;
+            args.options.push((name, value));
+        }
+        args.at_most(command.max_positionals(), command.name)?;
+        Ok(args)
+    }
+
+    /// Whether option `name` was given.
+    fn has(&self, name: &str) -> bool {
+        self.options.iter().any(|&(given, _)| given == name)
+    }
+
+    /// The value of option `name`, if it was given.
+    fn value(&self, name: &str) -> Option<&str> {
+        let (_, value) = self.options.iter().find(|&&(given, _)| given == name)?;
+        value.as_deref()
+    }
+
+    /// The bundled benchmark the first positional names.
+    fn benchmark(&self) -> Result<Program, String> {
+        let name = self.positionals.first().ok_or("missing benchmark name")?;
+        program(name).ok_or_else(|| {
+            format!("unknown benchmark {name:?}; run `deltapath list` to see the available ones")
+        })
+    }
+
+    /// Every bundled benchmark under `--all`, else the named one.
+    fn benchmarks(&self) -> Result<Vec<Program>, String> {
+        if !self.has("--all") {
+            return Ok(vec![self.benchmark()?]);
+        }
+        self.at_most(0, &format!("{} --all", self.command.name))?;
+        Ok(suite().iter().map(|b| b.program()).collect())
+    }
+
+    /// Fails on a positional past the first `most`, which `what`, the
+    /// subcommand or an option that takes the positional's place, does
+    /// not take.
+    fn at_most(&self, most: usize, what: &str) -> Result<(), String> {
+        match self.positionals.get(most) {
+            Some(extra) => Err(format!("unexpected argument {extra:?} for {what}")),
+            None => Ok(()),
+        }
     }
 }
 
-fn scope_of(args: &[String]) -> Result<ScopeFilter, String> {
-    match flag(args, "--scope")?.as_deref() {
+fn scope_of(args: &Args) -> Result<ScopeFilter, String> {
+    match args.value("--scope") {
         None | Some("app") => Ok(ScopeFilter::ApplicationOnly),
         Some("all") => Ok(ScopeFilter::All),
         Some(other) => Err(format!("unknown scope {other:?} (use app|all)")),
     }
 }
 
-fn width_of(args: &[String]) -> Result<EncodingWidth, String> {
-    match flag(args, "--width")? {
+fn width_of(args: &Args) -> Result<EncodingWidth, String> {
+    match args.value("--width") {
         None => Ok(EncodingWidth::U64),
         Some(w) => match w.parse::<u8>() {
             Ok(bits @ 1..=127) => Ok(EncodingWidth::new(bits)),
@@ -210,7 +334,23 @@ fn width_of(args: &[String]) -> Result<EncodingWidth, String> {
     }
 }
 
-fn cmd_list() -> Result<(), String> {
+/// The value of option `name` as an integer of at least `min`, or `None`
+/// when the option is absent.
+fn at_least<T: FromStr + PartialOrd + Display>(
+    args: &Args,
+    name: &str,
+    min: T,
+) -> Result<Option<T>, String> {
+    let parse = |value: &str| match value.parse() {
+        Ok(n) if n >= min => Ok(n),
+        _ => Err(format!(
+            "bad {name} value {value:?} (use an integer >= {min})"
+        )),
+    };
+    args.value(name).map(parse).transpose()
+}
+
+fn cmd_list(_: &Args) -> Result<(), String> {
     outln!("bundled benchmarks (seeded synthetic stand-ins for SPECjvm2008):");
     for bench in suite() {
         let p = bench.program();
@@ -225,21 +365,13 @@ fn cmd_list() -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_inspect(args: &[String]) -> Result<(), String> {
-    reject_unknown_options("inspect", args, INSPECT_OPTIONS)?;
-    let p = load(args)?;
+fn cmd_inspect(args: &Args) -> Result<(), String> {
+    let p = args.benchmark()?;
     let scope = scope_of(args)?;
     let config = PlanConfig::default()
         .with_scope(scope)
         .with_width(width_of(args)?);
-    let graph = CallGraph::build(
-        &p,
-        &GraphConfig {
-            analysis: Analysis::Cha,
-            scope,
-            include_dynamic: false,
-        },
-    );
+    let graph = CallGraph::build(&p, &GraphConfig::new(Analysis::Cha).with_scope(scope));
     let stats = GraphStats::compute(&p, &graph);
     outln!("{}:", p.name());
     outln!(
@@ -251,10 +383,18 @@ fn cmd_inspect(args: &[String]) -> Result<(), String> {
         graph.roots().len()
     );
     let plan = EncodingPlan::analyze(&p, &config).map_err(|e| e.to_string())?;
+    print_plan_summary(&plan);
+    outln!("  SID sets: {}", plan.sids().set_count());
+    Ok(())
+}
+
+/// The plan lines `inspect` and `import` print: instrumentation, anchors
+/// and encoding space.
+fn print_plan_summary(plan: &EncodingPlan) {
     let enc = plan.encoding();
     outln!(
         "  plan ({} encoding): {} instrumented methods, {} sites with ID arithmetic",
-        config.width,
+        plan.config().width,
         plan.instrumented_method_count(),
         plan.instrumented_site_count()
     );
@@ -269,23 +409,12 @@ fn cmd_inspect(args: &[String]) -> Result<(), String> {
         enc.max_icc,
         enc.required_max_id()
     );
-    outln!("  SID sets: {}", plan.sids().set_count());
-    Ok(())
 }
 
-fn cmd_dot(args: &[String]) -> Result<(), String> {
-    reject_unknown_options("dot", args, DOT_OPTIONS)?;
-    let p = load(args)?;
-    let scope = scope_of(args)?;
-    let graph = CallGraph::build(
-        &p,
-        &GraphConfig {
-            analysis: Analysis::Cha,
-            scope,
-            include_dynamic: false,
-        },
-    );
-    out!("{}", graph.to_dot(&p));
+fn cmd_dot(args: &Args) -> Result<(), String> {
+    let p = args.benchmark()?;
+    let config = GraphConfig::new(Analysis::Cha).with_scope(scope_of(args)?);
+    out!("{}", CallGraph::build(&p, &config).to_dot(&p));
     Ok(())
 }
 
@@ -360,13 +489,26 @@ impl Encoder {
     }
 
     /// The `--encoder` of `args` (default: `deltapath`), resolved.
-    fn of_args(args: &[String]) -> Result<Self, String> {
-        Self::parse(flag(args, "--encoder")?.as_deref().unwrap_or("deltapath"))
+    fn of(args: &Args) -> Result<Self, String> {
+        Self::parse(args.value("--encoder").unwrap_or("deltapath"))
     }
 
     /// `base` with call-path tracking as the name asks for.
     fn plan_config(self, base: PlanConfig) -> PlanConfig {
         base.with_cpt(!self.name.ends_with("-nocpt"))
+    }
+
+    /// The application-scope plan this encoder runs `p` over, analysed
+    /// into `sink`, or `None` if the encoder needs no plan.
+    fn app_plan(self, p: &Program, sink: &dyn Telemetry) -> Result<Option<EncodingPlan>, String> {
+        if !self.kind.needs_plan() {
+            return Ok(None);
+        }
+        let config =
+            self.plan_config(PlanConfig::default().with_scope(ScopeFilter::ApplicationOnly));
+        EncodingPlan::analyze_with(p, &config, sink)
+            .map(Some)
+            .map_err(|e| e.to_string())
     }
 
     /// Runs `p` under this encoder, recording into `collector`. `plan` is
@@ -413,16 +555,10 @@ impl Encoder {
     }
 }
 
-fn cmd_run(args: &[String]) -> Result<(), String> {
-    reject_unknown_options("run", args, RUN_OPTIONS)?;
-    let p = load(args)?;
-    let encoder = Encoder::of_args(args)?;
-    let plan = if encoder.kind.needs_plan() {
-        let config = PlanConfig::default().with_scope(ScopeFilter::ApplicationOnly);
-        Some(EncodingPlan::analyze(&p, &encoder.plan_config(config)).map_err(|e| e.to_string())?)
-    } else {
-        None
-    };
+fn cmd_run(args: &Args) -> Result<(), String> {
+    let p = args.benchmark()?;
+    let encoder = Encoder::of(args)?;
+    let plan = encoder.app_plan(&p, &NullTelemetry)?;
     let vm_config = VmConfig::default().with_collect(CollectMode::Entries);
 
     let started = std::time::Instant::now();
@@ -459,9 +595,8 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_decode(args: &[String]) -> Result<(), String> {
-    reject_unknown_options("decode", args, DECODE_OPTIONS)?;
-    let p = load(args)?;
+fn cmd_decode(args: &Args) -> Result<(), String> {
+    let p = args.benchmark()?;
     let plan = EncodingPlan::analyze(
         &p,
         &PlanConfig::default().with_scope(ScopeFilter::ApplicationOnly),
@@ -513,39 +648,30 @@ fn cmd_decode(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Runs `bench` under `--encoder` with a hierarchical [`SpanProfiler`]
-/// attached end to end — plan analysis, the static plan audit, and the VM
-/// run all record their nested spans (and every metric) into it.
-fn profiled_run(args: &[String]) -> Result<(Program, &'static str, Arc<SpanProfiler>), String> {
-    let p = load(args)?;
-    let encoder = Encoder::of_args(args)?;
+/// Runs `p` under `encoder` with a hierarchical [`SpanProfiler`] attached
+/// end to end — plan analysis, the static plan audit, and the VM run all
+/// record their nested spans (and every metric) into it.
+fn profiled_run(p: &Program, encoder: Encoder) -> Result<Arc<SpanProfiler>, String> {
     let profiler = Arc::new(SpanProfiler::new());
-    let sink: &dyn Telemetry = profiler.as_ref();
+    let plan = encoder.app_plan(p, profiler.as_ref())?;
+    if let Some(plan) = &plan {
+        audit_plan_with(p, plan, profiler.as_ref());
+    }
     let vm_config = VmConfig::default()
         .with_collect(CollectMode::Entries)
         .with_telemetry(profiler.clone());
-    let plan = if encoder.kind.needs_plan() {
-        let config = PlanConfig::default().with_scope(ScopeFilter::ApplicationOnly);
-        let plan = EncodingPlan::analyze_with(&p, &encoder.plan_config(config), sink)
-            .map_err(|e| e.to_string())?;
-        audit_plan_with(&p, &plan, sink);
-        Some(plan)
-    } else {
-        None
-    };
-    encoder.run(&p, plan.as_ref(), vm_config, &mut ContextStats::new())?;
-    Ok((p, encoder.name, profiler))
+    encoder.run(p, plan.as_ref(), vm_config, &mut ContextStats::new())?;
+    Ok(profiler)
 }
 
-/// Runs `bench` instrumented (see [`profiled_run`]) and freezes the result
-/// into a [`RunReport`].
-fn telemetry_report(args: &[String]) -> Result<RunReport, String> {
-    let (p, encoder_name, profiler) = profiled_run(args)?;
-    Ok(profiler
+/// The [`RunReport`] of a [`profiled_run`] of `p` under `encoder`, with the
+/// run's settings as metadata.
+fn run_report(p: &Program, encoder: Encoder, profiler: &SpanProfiler) -> RunReport {
+    profiler
         .report(p.name())
         .with_meta("benchmark", p.name())
-        .with_meta("encoder", encoder_name)
-        .with_meta("scope", "app"))
+        .with_meta("encoder", encoder.name)
+        .with_meta("scope", "app")
 }
 
 /// Parses a saved report in either serialization: a single JSON document
@@ -556,17 +682,19 @@ fn parse_report(text: &str) -> Result<RunReport, String> {
         .map_err(|e| format!("not a run report in JSON or JSONL form: {e}"))
 }
 
-fn cmd_report(args: &[String]) -> Result<(), String> {
-    reject_unknown_options("report", args, REPORT_OPTIONS)?;
-    let json = args.iter().any(|a| a == "--json");
-    let report = if let Some(path) = flag(args, "--from")? {
+fn cmd_report(args: &Args) -> Result<(), String> {
+    let report = if let Some(path) = args.value("--from") {
+        args.at_most(0, "report --from")?;
         let text =
-            std::fs::read_to_string(&path).map_err(|e| format!("cannot read {path:?}: {e}"))?;
+            std::fs::read_to_string(path).map_err(|e| format!("cannot read {path:?}: {e}"))?;
         parse_report(&text)?
     } else {
-        telemetry_report(args)?
+        let p = args.benchmark()?;
+        let encoder = Encoder::of(args)?;
+        let profiler = profiled_run(&p, encoder)?;
+        run_report(&p, encoder, &profiler)
     };
-    if json {
+    if args.has("--json") {
         outln!("{}", report.to_json());
     } else {
         print_report_summary(&report);
@@ -581,16 +709,12 @@ fn cmd_report(args: &[String]) -> Result<(), String> {
 fn print_report_summary(r: &RunReport) {
     let meta: Vec<String> = r.meta.iter().map(|(k, v)| format!("{k}={v}")).collect();
     outln!("{} ({})", r.name, meta.join(", "));
-    if !r.counters.is_empty() {
-        outln!("counters:");
-        for (name, value) in &r.counters {
-            outln!("  {name:<44} {value}");
-        }
-    }
-    if !r.gauges.is_empty() {
-        outln!("gauges:");
-        for (name, value) in &r.gauges {
-            outln!("  {name:<44} {value}");
+    for (title, values) in [("counters", &r.counters), ("gauges", &r.gauges)] {
+        if !values.is_empty() {
+            outln!("{title}:");
+            for (name, value) in values {
+                outln!("  {name:<44} {value}");
+            }
         }
     }
     if !r.histograms.is_empty() {
@@ -613,29 +737,25 @@ fn print_report_summary(r: &RunReport) {
     );
 }
 
-fn cmd_trace(args: &[String]) -> Result<(), String> {
-    reject_unknown_options("trace", args, TRACE_OPTIONS)?;
-    let chrome = flag(args, "--chrome")?;
-    let (p, encoder_name, profiler) = profiled_run(args)?;
-    if let Some(path) = chrome {
-        let snapshot = profiler.snapshot();
-        let trace = snapshot.chrome_trace(p.name());
-        std::fs::write(&path, &trace).map_err(|e| format!("cannot write {path:?}: {e}"))?;
-        outln!(
-            "wrote Chrome trace for {} under {encoder_name} to {path} \
-             ({} lanes, {} span nodes; load in chrome://tracing or Perfetto)",
-            p.name(),
-            snapshot.lanes.len(),
-            snapshot.tree.len()
-        );
+fn cmd_trace(args: &Args) -> Result<(), String> {
+    let p = args.benchmark()?;
+    let encoder = Encoder::of(args)?;
+    let profiler = profiled_run(&p, encoder)?;
+    let Some(path) = args.value("--chrome") else {
+        out!("{}", run_report(&p, encoder, &profiler).to_jsonl());
         return Ok(());
-    }
-    let report = profiler
-        .report(p.name())
-        .with_meta("benchmark", p.name())
-        .with_meta("encoder", encoder_name)
-        .with_meta("scope", "app");
-    out!("{}", report.to_jsonl());
+    };
+    let snapshot = profiler.snapshot();
+    let trace = snapshot.chrome_trace(p.name());
+    std::fs::write(path, &trace).map_err(|e| format!("cannot write {path:?}: {e}"))?;
+    outln!(
+        "wrote Chrome trace for {} under {} to {path} \
+         ({} lanes, {} span nodes; load in chrome://tracing or Perfetto)",
+        p.name(),
+        encoder.name,
+        snapshot.lanes.len(),
+        snapshot.tree.len()
+    );
     Ok(())
 }
 
@@ -763,8 +883,7 @@ fn check_flamegraph(p: &Program) -> Result<(), String> {
 
     // Span side: an instrumented run must produce a non-empty span tree
     // whose Chrome trace export is well-formed.
-    let run_args = vec![name.clone()];
-    let (_, _, profiler) = profiled_run(&run_args)?;
+    let profiler = profiled_run(p, Encoder::parse("deltapath")?)?;
     let snapshot = profiler.snapshot();
     if snapshot.tree.total_at(&["vm.run"]).is_none() {
         return Err(format!("{name}: span tree is missing the vm.run root span"));
@@ -801,39 +920,34 @@ fn check_flamegraph(p: &Program) -> Result<(), String> {
 /// captured calling contexts, `--spans` reports span-tree self time), or
 /// `--check` validation of the whole pipeline against the stack-walk
 /// oracle (the CI gate, usually with `--all`).
-fn cmd_flamegraph(args: &[String]) -> Result<(), String> {
-    reject_unknown_options("flamegraph", args, FLAMEGRAPH_OPTIONS)?;
-    let spans_mode = args.iter().any(|a| a == "--spans");
-    let contexts_mode = args.iter().any(|a| a == "--contexts");
-    if spans_mode && contexts_mode {
+fn cmd_flamegraph(args: &Args) -> Result<(), String> {
+    let spans_mode = args.has("--spans");
+    if spans_mode && args.has("--contexts") {
         return Err("--contexts and --spans are mutually exclusive".to_owned());
     }
-    if args.iter().any(|a| a == "--check") {
-        let programs: Vec<Program> = if args.iter().any(|a| a == "--all") {
-            suite().iter().map(|b| b.program()).collect()
-        } else {
-            vec![load(args)?]
-        };
-        for p in &programs {
+    if args.has("--check") {
+        for p in &args.benchmarks()? {
             check_flamegraph(p)?;
         }
         return Ok(());
     }
-    let out = flag(args, "--out")?;
+    if args.has("--all") {
+        return Err("--all needs --check".to_owned());
+    }
+    let p = args.benchmark()?;
     let text = if spans_mode {
-        let (_, _, profiler) = profiled_run(args)?;
+        let profiler = profiled_run(&p, Encoder::of(args)?)?;
         profiler.snapshot().folded().render()
     } else {
-        let p = load(args)?;
-        let (stacks, skipped) = context_folded(&p, Encoder::of_args(args)?, scope_of(args)?)?;
+        let (stacks, skipped) = context_folded(&p, Encoder::of(args)?, scope_of(args)?)?;
         if skipped > 0 {
             eprintln!("note: {skipped} entries had undecodable captures and were skipped");
         }
         stacks.render()
     };
-    match out {
+    match args.value("--out") {
         Some(path) => {
-            std::fs::write(&path, &text).map_err(|e| format!("cannot write {path:?}: {e}"))?;
+            std::fs::write(path, &text).map_err(|e| format!("cannot write {path:?}: {e}"))?;
             outln!(
                 "wrote {} folded stack lines to {path} (render with inferno/flamegraph.pl)",
                 text.lines().count()
@@ -871,114 +985,23 @@ fn write_plan(plan: &EncodingPlan, name: &str, path: &str) -> Result<(), String>
 
 /// Audits `plan` with [`audit_plan_full`] on `--workers N` per-anchor
 /// workers (default: 1).
-fn audit_report(p: &Program, plan: &EncodingPlan, args: &[String]) -> Result<AuditReport, String> {
-    let workers = match flag(args, "--workers")? {
-        None => 1,
-        Some(w) => w
-            .parse::<usize>()
-            .ok()
-            .filter(|&w| w >= 1)
-            .ok_or_else(|| format!("bad --workers value {w:?} (use an integer >= 1)"))?,
-    };
+fn audit_report(p: &Program, plan: &EncodingPlan, args: &Args) -> Result<AuditReport, String> {
+    let workers = at_least(args, "--workers", 1)?.unwrap_or(1);
     let opts = AuditOptions::default().with_workers(workers);
     Ok(audit_plan_full(p, plan, &opts, &NullTelemetry))
-}
-
-/// The options `inspect` accepts (see [`usage`]).
-const INSPECT_OPTIONS: &[&str] = &["--scope", "--width"];
-
-/// The options `dot` accepts (see [`usage`]).
-const DOT_OPTIONS: &[&str] = &["--scope"];
-
-/// The options `run` accepts (see [`usage`]).
-const RUN_OPTIONS: &[&str] = &["--encoder"];
-
-/// The options `decode` accepts (see [`usage`]): none.
-const DECODE_OPTIONS: &[&str] = &[];
-
-/// The options `report` accepts (see [`usage`]).
-const REPORT_OPTIONS: &[&str] = &["--json", "--encoder", "--from"];
-
-/// The options `trace` accepts (see [`usage`]).
-const TRACE_OPTIONS: &[&str] = &["--encoder", "--chrome"];
-
-/// The options `flamegraph` accepts (see [`usage`]).
-const FLAMEGRAPH_OPTIONS: &[&str] = &[
-    "--contexts",
-    "--spans",
-    "--encoder",
-    "--scope",
-    "--out",
-    "--check",
-    "--all",
-];
-
-/// The options `lint` accepts (see [`usage`]).
-const LINT_OPTIONS: &[&str] = &[
-    "--all",
-    "--json",
-    "--deny-warnings",
-    "--scope",
-    "--width",
-    "--workers",
-    "--plan-out",
-];
-
-/// The options `import` accepts (see [`usage`]).
-const IMPORT_OPTIONS: &[&str] = &[
-    "--lint",
-    "--dot",
-    "--render",
-    "--width",
-    "--budget",
-    "--workers",
-    "--plan-out",
-];
-
-/// The options `diff` accepts (see [`usage`]).
-const DIFF_OPTIONS: &[&str] = &["--json"];
-
-/// The options `generate` accepts (see [`usage`]).
-const GENERATE_OPTIONS: &[&str] = &["--methods", "--seed", "--out"];
-
-/// Rejects any `--` argument outside `known`, so a mistyped gate flag
-/// (`--deny-warnigns`) fails instead of silently weakening the command,
-/// and any option given twice, which [`flag`] would read only once
-/// (`--encoder pcc --encoder batched` would run `pcc`).
-fn reject_unknown_options(command: &str, args: &[String], known: &[&str]) -> Result<(), String> {
-    let options: Vec<&String> = args.iter().filter(|a| a.starts_with("--")).collect();
-    for (i, a) in options.iter().enumerate() {
-        if !known.contains(&a.as_str()) {
-            return Err(format!("unknown option {a:?} for {command}"));
-        }
-        if options[..i].contains(a) {
-            return Err(format!("repeated option {a} for {command}"));
-        }
-    }
-    Ok(())
 }
 
 /// Statically audits one benchmark's (or every benchmark's) encoding plan
 /// with [`deltapath::audit_plan`] and reports the `DP0xx` diagnostics.
 /// Exits with failure on any error-severity finding, or on any finding at
 /// all under `--deny-warnings`.
-fn cmd_lint(args: &[String]) -> Result<(), String> {
-    reject_unknown_options("lint", args, LINT_OPTIONS)?;
-    let json = args.iter().any(|a| a == "--json");
-    let deny_warnings = args.iter().any(|a| a == "--deny-warnings");
-    let scope = scope_of(args)?;
+fn cmd_lint(args: &Args) -> Result<(), String> {
     let config = PlanConfig::default()
-        .with_scope(scope)
+        .with_scope(scope_of(args)?)
         .with_width(width_of(args)?);
-
-    let all = args.iter().any(|a| a == "--all");
-    let programs: Vec<Program> = if all {
-        suite().iter().map(|b| b.program()).collect()
-    } else {
-        vec![load(args)?]
-    };
-    let plan_out = flag(args, "--plan-out")?;
-    if plan_out.is_some() && all {
+    let programs = args.benchmarks()?;
+    let plan_out = args.value("--plan-out");
+    if plan_out.is_some() && args.has("--all") {
         return Err("--plan-out needs a single benchmark, not --all".to_owned());
     }
 
@@ -990,7 +1013,7 @@ fn cmd_lint(args: &[String]) -> Result<(), String> {
         let report = audit_report(p, &plan, args)?;
         errors += report.errors();
         warnings += report.warnings();
-        if json {
+        if args.has("--json") {
             outln!("{}", report.to_json(p.name()));
         } else {
             for d in &report.diagnostics {
@@ -1006,11 +1029,11 @@ fn cmd_lint(args: &[String]) -> Result<(), String> {
                 report.warnings()
             );
         }
-        if let Some(path) = &plan_out {
+        if let Some(path) = plan_out {
             write_plan(&plan, p.name(), path)?;
         }
     }
-    if errors > 0 || (deny_warnings && warnings > 0) {
+    if errors > 0 || (args.has("--deny-warnings") && warnings > 0) {
         Err(format!(
             "lint failed: {errors} errors, {warnings} warnings across {} plans",
             programs.len()
@@ -1024,17 +1047,14 @@ fn cmd_lint(args: &[String]) -> Result<(), String> {
 /// files layer by layer and report classified `DP05x` differences.
 /// Differences are informational — the exit status only reflects whether
 /// the files could be read and compared.
-fn cmd_diff(args: &[String]) -> Result<(), String> {
-    reject_unknown_options("diff", args, DIFF_OPTIONS)?;
-    let json = args.iter().any(|a| a == "--json");
-    let files: Vec<&String> = args.iter().filter(|a| !a.starts_with("--")).collect();
-    let [old_path, new_path] = files[..] else {
-        return Err("usage: deltapath diff <old.plan> <new.plan> [--json]".to_owned());
+fn cmd_diff(args: &Args) -> Result<(), String> {
+    let [old_path, new_path] = &args.positionals[..] else {
+        return Err("missing plan file: diff compares <old> <new>".to_owned());
     };
     let old = load_plan(old_path)?;
     let new = load_plan(new_path)?;
     let diff = diff_plans(&old.plan, &new.plan);
-    if json {
+    if args.has("--json") {
         outln!("{}", diff.to_json(&old.name, &new.name));
         return Ok(());
     }
@@ -1063,11 +1083,10 @@ fn cmd_diff(args: &[String]) -> Result<(), String> {
 /// `deltapath import <file>`: parse an external `deltapath.graph.v1` call
 /// graph, plan it end to end against a skeleton program, and summarize (or
 /// `--lint` / `--dot` / `--render` it).
-fn cmd_import(args: &[String]) -> Result<(), String> {
-    reject_unknown_options("import", args, IMPORT_OPTIONS)?;
+fn cmd_import(args: &Args) -> Result<(), String> {
     let path = args
+        .positionals
         .first()
-        .filter(|a| !a.starts_with("--"))
         .ok_or("missing graph file (deltapath.graph.v1 format)")?;
     let file = std::fs::File::open(path).map_err(|e| format!("cannot open {path:?}: {e}"))?;
     let imported = match parse_graph(std::io::BufReader::new(file)) {
@@ -1089,30 +1108,19 @@ fn cmd_import(args: &[String]) -> Result<(), String> {
     }
     let graph = imported.graph;
     let p = skeleton_for_graph(&imported.name, &graph);
-    if args.iter().any(|a| a == "--render") {
-        let mut out = Out;
-        render_graph(&graph, &imported.name, &mut out)
-            .map_err(|e| format!("cannot write to stdout: {e}"))?;
-        return Ok(());
+    if args.has("--render") || args.has("--dot") {
+        let written = if args.has("--render") {
+            render_graph(&graph, &imported.name, &mut Out)
+        } else {
+            graph.write_dot(&p, &mut Out)
+        };
+        return written.map_err(|e| format!("cannot write to stdout: {e}"));
     }
-    if args.iter().any(|a| a == "--dot") {
-        let mut out = Out;
-        graph
-            .write_dot(&p, &mut out)
-            .map_err(|e| format!("cannot write to stdout: {e}"))?;
-        return Ok(());
-    }
-    let plan_out = flag(args, "--plan-out")?;
     let mut config = PlanConfig::default()
         .with_scope(ScopeFilter::All)
         .with_width(width_of(args)?)
         .with_batch_overflow();
-    if let Some(b) = flag(args, "--budget")? {
-        let budget = b
-            .parse::<u64>()
-            .ok()
-            .filter(|&b| b >= 1)
-            .ok_or_else(|| format!("bad --budget value {b:?} (use an integer >= 1)"))?;
+    if let Some(budget) = at_least(args, "--budget", 1)? {
         config = config.with_territory_budget(budget);
     }
     let nodes = graph.node_count();
@@ -1122,35 +1130,17 @@ fn cmd_import(args: &[String]) -> Result<(), String> {
         .iter()
         .filter(|&&s| graph.site_edges(s).len() > 1)
         .count();
-    let lint = args.iter().any(|a| a == "--lint");
     let plan = EncodingPlan::from_graph(&p, graph, &config).map_err(|e| e.to_string())?;
     outln!(
         "{} ({path}): {nodes} nodes, {edges} edges, {poly_sites} polymorphic sites",
         imported.name
     );
-    let enc = plan.encoding();
-    outln!(
-        "  plan ({} encoding): {} instrumented methods, {} sites with ID arithmetic",
-        config.width,
-        plan.instrumented_method_count(),
-        plan.instrumented_site_count()
-    );
-    outln!(
-        "  anchors: {} total ({} from overflow, {} analysis restarts)",
-        enc.anchors.len(),
-        enc.overflow_anchor_count(),
-        enc.restarts
-    );
-    outln!(
-        "  encoding space: max ICC {} (max ID {})",
-        enc.max_icc,
-        enc.required_max_id()
-    );
-    if let Some(path) = plan_out {
-        write_plan(&plan, &imported.name, &path)?;
+    print_plan_summary(&plan);
+    if let Some(path) = args.value("--plan-out") {
+        write_plan(&plan, &imported.name, path)?;
         outln!("  wrote plan ({}) to {path}", deltapath::PLAN_SCHEMA);
     }
-    if lint {
+    if args.has("--lint") {
         let report = audit_report(&p, &plan, args)?;
         for d in &report.diagnostics {
             outln!("{}: {d}", imported.name);
@@ -1172,17 +1162,9 @@ fn cmd_import(args: &[String]) -> Result<(), String> {
 
 /// `deltapath generate`: write a seeded scale call graph in
 /// `deltapath.graph.v1` form, ready for `deltapath import`.
-fn cmd_generate(args: &[String]) -> Result<(), String> {
-    reject_unknown_options("generate", args, GENERATE_OPTIONS)?;
-    let methods = match flag(args, "--methods")? {
-        None => 10_000,
-        Some(m) => m
-            .parse::<usize>()
-            .ok()
-            .filter(|&m| m >= 2)
-            .ok_or_else(|| format!("bad --methods value {m:?} (use an integer >= 2)"))?,
-    };
-    let seed = match flag(args, "--seed")? {
+fn cmd_generate(args: &Args) -> Result<(), String> {
+    let methods = at_least(args, "--methods", 2)?.unwrap_or(10_000);
+    let seed = match args.value("--seed") {
         None => 42,
         Some(s) => s
             .parse::<u64>()
@@ -1191,10 +1173,10 @@ fn cmd_generate(args: &[String]) -> Result<(), String> {
     let cfg = ScaleConfig::default().with_methods(methods).with_seed(seed);
     let graph = cfg.build_graph();
     let name = format!("scale-{methods}-{seed}");
-    match flag(args, "--out")? {
+    match args.value("--out") {
         Some(path) => {
             let file =
-                std::fs::File::create(&path).map_err(|e| format!("cannot create {path:?}: {e}"))?;
+                std::fs::File::create(path).map_err(|e| format!("cannot create {path:?}: {e}"))?;
             let mut out = std::io::BufWriter::new(file);
             render_graph(&graph, &name, &mut out)
                 .map_err(|e| format!("cannot write {path:?}: {e}"))?;
@@ -1205,11 +1187,8 @@ fn cmd_generate(args: &[String]) -> Result<(), String> {
                 graph.edge_count()
             );
         }
-        None => {
-            let mut out = Out;
-            render_graph(&graph, &name, &mut out)
-                .map_err(|e| format!("cannot write to stdout: {e}"))?;
-        }
+        None => render_graph(&graph, &name, &mut Out)
+            .map_err(|e| format!("cannot write to stdout: {e}"))?,
     }
     Ok(())
 }
@@ -1218,82 +1197,184 @@ fn cmd_generate(args: &[String]) -> Result<(), String> {
 mod tests {
     use super::*;
 
-    fn args(list: &[&str]) -> Vec<String> {
-        list.iter().map(|s| s.to_string()).collect()
+    /// `line`, a subcommand's name and its arguments, parsed.
+    fn parse(line: &str) -> Result<Args, String> {
+        let mut words = line.split_whitespace().map(str::to_owned);
+        let name = words.next().expect("a subcommand name");
+        let command = COMMANDS
+            .iter()
+            .find(|c| c.name == name)
+            .expect("a subcommand");
+        Args::parse(command, &words.collect::<Vec<_>>())
+    }
+
+    /// Checks that each command line fails with its error.
+    fn rejects(cases: &[(&str, &str)]) {
+        for (line, error) in cases {
+            assert_eq!(parse(line).err().as_deref(), Some(*error), "{line}");
+        }
+    }
+
+    /// Every subcommand with as many positionals as it takes, and each of
+    /// its options as given on a command line, with `1` for a value.
+    fn examples() -> impl Iterator<Item = (&'static Command, String, Vec<String>)> {
+        COMMANDS.iter().map(|command| {
+            let positionals = ["compress", "sunflow"][..command.max_positionals()].join(" ");
+            let given =
+                |&(name, value, _): &Opt| value.map_or(name.into(), |_| format!("{name} 1"));
+            let options = command.options.iter().map(given).collect();
+            (command, positionals, options)
+        })
     }
 
     #[test]
-    fn flag_parsing() {
-        let a = args(&["compress", "--scope", "all", "--width", "32"]);
-        assert_eq!(flag(&a, "--scope"), Ok(Some("all".to_owned())));
-        assert_eq!(flag(&a, "--width"), Ok(Some("32".to_owned())));
-        assert_eq!(flag(&a, "--missing"), Ok(None));
-        let missing = Err("missing value for --scope".to_owned());
-        // Flag at the end without a value.
-        let b = args(&["x", "--scope"]);
-        assert_eq!(flag(&b, "--scope"), missing);
-        // Flag followed by another option instead of its value.
-        let c = args(&["x", "--scope", "--width", "32"]);
-        assert_eq!(flag(&c, "--scope"), missing);
-        assert_eq!(flag(&c, "--width"), Ok(Some("32".to_owned())));
+    fn every_option_parses_before_and_after_the_positional() {
+        for (command, positionals, options) in examples() {
+            let name = command.name;
+            for (&(opt, value, _), option) in command.options.iter().zip(&options) {
+                for line in [
+                    format!("{name} {positionals} {option}"),
+                    format!("{name} {option} {positionals}"),
+                ] {
+                    let args = parse(&line).expect("a declared option");
+                    assert_eq!(args.positionals.join(" "), positionals, "{line}");
+                    assert!(args.has(opt), "{line}");
+                    assert_eq!(args.value(opt), value.map(|_| "1"), "{line}");
+                }
+            }
+            // Every option at once, around the positionals.
+            let mut words = options.clone();
+            words.insert(options.len() / 2, positionals.clone());
+            let line = format!("{name} {}", words.join(" "));
+            let args = parse(&line).expect("every declared option, once");
+            assert_eq!(args.options.len(), options.len(), "{line}");
+            assert_eq!(args.positionals.join(" "), positionals, "{line}");
+        }
+    }
+
+    #[test]
+    fn usage_names_each_option_once_under_its_command() {
+        let text = usage();
+        assert!(!text.contains('{'), "a placeholder is left in:\n{text}");
+        for command in COMMANDS {
+            let header = format!("{} {}", command.name, command.synopsis);
+            let mut block = text.lines().skip_while(|l| !l.starts_with(&header));
+            assert!(block.next().is_some(), "{header} is not in:\n{text}");
+            let named: Vec<&str> = block
+                .take_while(|l| l.starts_with(' '))
+                .filter_map(|l| l.strip_prefix("    "))
+                .filter(|l| l.starts_with("--"))
+                .collect();
+            assert_eq!(named.len(), command.options.len(), "{header}:\n{text}");
+            for (line, (name, value, _)) in named.iter().zip(command.options) {
+                let head = format!("{name} {}", value.unwrap_or_default());
+                assert!(line.starts_with(&head), "{line}");
+            }
+        }
+    }
+
+    #[test]
+    fn every_subcommand_rejects_an_unknown_option() {
+        for (command, _, options) in examples() {
+            let name = command.name;
+            let unknown = format!(r#"unknown option "--encodr" for {name}"#);
+            rejects(&[(&format!("{name} compress --encodr pcc"), &unknown)]);
+            for (option, (opt, ..)) in options.iter().zip(command.options) {
+                let twice = format!("{name} compress {option} {option}");
+                rejects(&[(&twice, &format!("repeated option {opt} for {name}"))]);
+            }
+        }
+    }
+
+    #[test]
+    fn every_subcommand_rejects_a_missing_value_and_a_surplus_positional() {
+        for (command, positionals, _) in examples() {
+            let name = command.name;
+            for (opt, ..) in command.options.iter().filter(|o| o.1.is_some()) {
+                let missing = format!("missing value for {opt}");
+                rejects(&[
+                    (&format!("{name} {opt}"), &missing),
+                    (&format!("{name} {opt} --encodr"), &missing),
+                ]);
+            }
+            let unexpected = format!(r#"unexpected argument "extra" for {name}"#);
+            rejects(&[(&format!("{name} {positionals} extra"), &unexpected)]);
+        }
+        let sunflow = r#"unexpected argument "sunflow" for inspect"#;
+        rejects(&[
+            ("inspect x --scope --width 32", "missing value for --scope"),
+            ("inspect compress sunflow", sunflow),
+            // An option error is reported before a surplus positional.
+            (
+                "lint compress --json 1 --json 2",
+                "repeated option --json for lint",
+            ),
+        ]);
+        // `--all` and `--from` take the benchmark's place.
+        let all = parse("lint --all compress").unwrap().benchmarks().err();
+        let unexpected = r#"unexpected argument "compress" for lint --all"#;
+        assert_eq!(all.as_deref(), Some(unexpected));
+        let from = cmd_report(&parse("report --from saved.json compress").unwrap()).err();
+        let unexpected = r#"unexpected argument "compress" for report --from"#;
+        assert_eq!(from.as_deref(), Some(unexpected));
     }
 
     #[test]
     fn repeated_options_are_rejected() {
-        let run = args(&["compress", "--encoder", "pcc", "--encoder", "batched"]);
-        assert_eq!(
-            reject_unknown_options("run", &run, RUN_OPTIONS),
-            Err("repeated option --encoder for run".to_owned())
-        );
-        let inspect = args(&[
-            "compress", "--width", "8", "--scope", "all", "--width", "64",
+        let run = "run compress --encoder pcc --encoder batched";
+        let inspect = "inspect compress --width 8 --scope all --width 64";
+        rejects(&[
+            (run, "repeated option --encoder for run"),
+            (inspect, "repeated option --width for inspect"),
+            // A repeated flag that takes no value is rejected too.
+            (
+                "lint compress --json --json",
+                "repeated option --json for lint",
+            ),
         ]);
-        assert_eq!(
-            reject_unknown_options("inspect", &inspect, INSPECT_OPTIONS),
-            Err("repeated option --width for inspect".to_owned())
-        );
-        // A repeated flag that takes no value is rejected too.
-        let lint = args(&["compress", "--json", "--json"]);
-        assert_eq!(
-            reject_unknown_options("lint", &lint, LINT_OPTIONS),
-            Err("repeated option --json for lint".to_owned())
-        );
         // Distinct options, each given once, pass.
-        let once = args(&["compress", "--width", "8", "--scope", "all"]);
-        assert_eq!(
-            reject_unknown_options("inspect", &once, INSPECT_OPTIONS),
-            Ok(())
-        );
+        assert!(parse("inspect compress --width 8 --scope all").is_ok());
+    }
+
+    #[test]
+    fn lint_and_import_reject_a_mistyped_option() {
+        let lint = "lint compress --deny-warnigns --bogus-flag";
+        let import = "import g.graph --lint --budgte 32";
+        rejects(&[
+            (lint, r#"unknown option "--deny-warnigns" for lint"#),
+            (import, r#"unknown option "--budgte" for import"#),
+        ]);
+    }
+
+    #[test]
+    fn lint_and_import_reject_the_baseline_option() {
+        let lint = "lint compress --baseline old.plan";
+        let import = "import g.graph --lint --baseline old.plan";
+        rejects(&[
+            (lint, r#"unknown option "--baseline" for lint"#),
+            (import, r#"unknown option "--baseline" for import"#),
+        ]);
     }
 
     #[test]
     fn scope_parsing() {
-        assert_eq!(
-            scope_of(&args(&["x"])).unwrap(),
-            ScopeFilter::ApplicationOnly
-        );
-        assert_eq!(
-            scope_of(&args(&["x", "--scope", "app"])).unwrap(),
-            ScopeFilter::ApplicationOnly
-        );
-        assert_eq!(
-            scope_of(&args(&["x", "--scope", "all"])).unwrap(),
-            ScopeFilter::All
-        );
-        assert!(scope_of(&args(&["x", "--scope", "bogus"])).is_err());
+        let scope = |line| scope_of(&parse(line).unwrap());
+        assert_eq!(scope("inspect x"), Ok(ScopeFilter::ApplicationOnly));
+        let app = scope("inspect x --scope app");
+        assert_eq!(app, Ok(ScopeFilter::ApplicationOnly));
+        assert_eq!(scope("inspect x --scope all"), Ok(ScopeFilter::All));
+        assert!(scope("inspect x --scope bogus").is_err());
     }
 
     #[test]
     fn width_parsing() {
-        assert_eq!(width_of(&args(&["x"])).unwrap(), EncodingWidth::U64);
-        assert_eq!(
-            width_of(&args(&["x", "--width", "32"])).unwrap(),
-            EncodingWidth::U32
-        );
+        let width = |line| width_of(&parse(line).unwrap());
+        assert_eq!(width("inspect x"), Ok(EncodingWidth::U64));
+        assert_eq!(width("inspect x --width 32"), Ok(EncodingWidth::U32));
         // Out-of-range or garbage widths are errors, not panics.
-        assert!(width_of(&args(&["x", "--width", "0"])).is_err());
-        assert!(width_of(&args(&["x", "--width", "200"])).is_err());
-        assert!(width_of(&args(&["x", "--width", "wide"])).is_err());
+        assert!(width("inspect x --width 0").is_err());
+        assert!(width("inspect x --width 200").is_err());
+        assert!(width("inspect x --width wide").is_err());
     }
 
     #[test]
@@ -1312,11 +1393,8 @@ mod tests {
         for name in ["native", "stackwalk", "cct"] {
             assert!(!Encoder::parse(name).unwrap().kind.needs_plan(), "{name}");
         }
-        assert_eq!(
-            Encoder::of_args(&args(&["x"])).unwrap().name,
-            "deltapath",
-            "default encoder"
-        );
+        let default = Encoder::of(&parse("run x").unwrap()).unwrap();
+        assert_eq!(default.name, "deltapath", "default encoder");
         for bad in ["compiled", "compiled-nocpt", "not-an-encoder"] {
             let err = Encoder::parse(bad).unwrap_err();
             assert!(err.contains(&format!("{bad:?}")), "{err}");
@@ -1328,89 +1406,7 @@ mod tests {
 
     #[test]
     fn load_rejects_unknown_benchmarks() {
-        assert!(load(&args(&["not-a-benchmark"])).is_err());
-        assert!(load(&[]).is_err());
-    }
-
-    /// The `--` options the usage text documents for `command`: its header
-    /// line and the indented option lines below it. An option is a whole
-    /// word, or one `|` alternative of a word, with `[`/`]` stripped; an
-    /// option quoted in prose (`` `report --json`, ``) is not one.
-    fn documented_options(command: &str) -> std::collections::BTreeSet<String> {
-        let text = usage();
-        let mut lines = text.lines().skip_while(|l| !l.starts_with(command));
-        let header = lines.next().expect("command is in the usage text");
-        std::iter::once(header)
-            .chain(lines.take_while(|l| l.starts_with(' ')))
-            .flat_map(str::split_whitespace)
-            .flat_map(|w| w.trim_matches(|c| c == '[' || c == ']').split('|'))
-            .filter(|w| {
-                w.starts_with("--") && w.chars().all(|c| c.is_ascii_lowercase() || c == '-')
-            })
-            .map(str::to_owned)
-            .collect()
-    }
-
-    #[test]
-    fn lint_and_import_reject_a_mistyped_option() {
-        let err = cmd_lint(&args(&["compress", "--deny-warnigns", "--bogus-flag"])).unwrap_err();
-        assert_eq!(err, r#"unknown option "--deny-warnigns" for lint"#);
-        let err = cmd_import(&args(&["g.graph", "--lint", "--budgte", "32"])).unwrap_err();
-        assert_eq!(err, r#"unknown option "--budgte" for import"#);
-    }
-
-    #[test]
-    fn lint_and_import_reject_the_baseline_option() {
-        let err = cmd_lint(&args(&["compress", "--baseline", "old.plan"])).unwrap_err();
-        assert_eq!(err, r#"unknown option "--baseline" for lint"#);
-        let err = cmd_import(&args(&["g.graph", "--lint", "--baseline", "old.plan"])).unwrap_err();
-        assert_eq!(err, r#"unknown option "--baseline" for import"#);
-    }
-
-    /// A subcommand's handler.
-    type Handler = fn(&[String]) -> Result<(), String>;
-
-    /// Every subcommand that takes arguments, with its option list and its
-    /// handler.
-    const COMMANDS: [(&str, &[&str], Handler); 11] = [
-        ("inspect", INSPECT_OPTIONS, cmd_inspect),
-        ("dot", DOT_OPTIONS, cmd_dot),
-        ("run", RUN_OPTIONS, cmd_run),
-        ("decode", DECODE_OPTIONS, cmd_decode),
-        ("report", REPORT_OPTIONS, cmd_report),
-        ("trace", TRACE_OPTIONS, cmd_trace),
-        ("flamegraph", FLAMEGRAPH_OPTIONS, cmd_flamegraph),
-        ("lint", LINT_OPTIONS, cmd_lint),
-        ("import", IMPORT_OPTIONS, cmd_import),
-        ("diff", DIFF_OPTIONS, cmd_diff),
-        ("generate", GENERATE_OPTIONS, cmd_generate),
-    ];
-
-    #[test]
-    fn lint_and_import_accept_every_documented_option() {
-        for (command, known, _) in COMMANDS {
-            let documented = documented_options(&format!("{command} "));
-            let accepted = known.iter().map(|o| o.to_string()).collect();
-            assert_eq!(documented, accepted, "{command} options");
-            let all: Vec<String> = documented.into_iter().collect();
-            assert_eq!(reject_unknown_options(command, &all, known), Ok(()));
-        }
-    }
-
-    #[test]
-    fn every_subcommand_rejects_an_unknown_option() {
-        // The check runs before anything else, so no benchmark runs here.
-        for (command, _, handler) in COMMANDS {
-            let err = handler(&args(&["compress", "--encodr", "pcc"])).unwrap_err();
-            assert_eq!(err, format!(r#"unknown option "--encodr" for {command}"#));
-        }
-        // So does the repeated-option check.
-        for (command, known, handler) in COMMANDS {
-            let Some(option) = known.first() else {
-                continue;
-            };
-            let err = handler(&args(&["compress", option, "1", option, "2"])).unwrap_err();
-            assert_eq!(err, format!("repeated option {option} for {command}"));
-        }
+        assert!(parse("run not-a-benchmark").unwrap().benchmark().is_err());
+        assert!(parse("run").unwrap().benchmark().is_err());
     }
 }

@@ -25,7 +25,7 @@
 //! | Crate | Contents |
 //! |---|---|
 //! | [`ir`] | the object-oriented program representation and builder |
-//! | [`callgraph`] | CHA/RTA/exact call-graph construction, SCCs, reachability |
+//! | [`callgraph`] | CHA/exact call-graph construction, SCCs, reachability |
 //! | [`core`] | the encoding algorithms, plans, runtime state machine, decoder |
 //! | [`analysis`] | the static plan auditor: symbolic soundness checks, `DP0xx` lints |
 //! | [`runtime`] | the instrumented interpreter, encoder hooks, cost metering |

@@ -280,7 +280,7 @@ fn decode_cache_hits_equal_uncached_decode() {
 }
 
 /// Analysis precision ordering on random programs: every Exact dispatch
-/// edge is an RTA edge, and every RTA edge is a CHA edge.
+/// edge is a CHA edge.
 #[test]
 fn analysis_precision_is_ordered() {
     use deltapath::{CallGraph, GraphConfig};
@@ -300,10 +300,8 @@ fn analysis_precision_is_ordered() {
                 .collect()
         };
         let exact = edges(Analysis::Exact);
-        let rta = edges(Analysis::Rta);
         let cha = edges(Analysis::Cha);
-        assert!(exact.is_subset(&rta), "Exact ⊆ RTA violated");
-        assert!(rta.is_subset(&cha), "RTA ⊆ CHA violated");
+        assert!(exact.is_subset(&cha), "Exact ⊆ CHA violated");
     });
 }
 
