@@ -79,7 +79,10 @@ fi
 # them), a positional the subcommand does not take (`inspect compress
 # sunflow` would drop `sunflow`), and a bench bin's malformed or zero
 # numeric value (`--repeat 0` would time nothing and pass its gate) or
-# mistyped option (`--smok` would run the full sweep). Each line is
+# mistyped option (`--smok` would run the full sweep), and an option the
+# chosen mode ignores (`report --from` runs no encoder, `flamegraph
+# --check` runs its own encoders and writes no file, `flamegraph --spans`
+# profiles the application-scope plan only). Each line is
 # package|binary|expected error prefix|arguments.
 if [ "${1:-}" != "fast" ]; then
     while IFS='|' read -r package bin expected args; do
@@ -99,6 +102,9 @@ deltapath|deltapath|error: missing value|run compress --encoder
 deltapath|deltapath|error: repeated option|run compress --encoder pcc --encoder batched
 deltapath|deltapath|error: unexpected argument|inspect compress sunflow
 deltapath|deltapath|error: unexpected argument|list extra
+deltapath|deltapath|error: unused option|report --from target/saved-report.json --encoder pcc
+deltapath|deltapath|error: unused option|flamegraph --check compress --out target/unused.folded --encoder pcc --scope all
+deltapath|deltapath|error: unused option|flamegraph --spans --scope all compress
 deltapath-bench|encoder_hotpath|error: bad value|--smoke --repeat x --out target/bench-smoke
 deltapath-bench|encoder_hotpath|error: bad value|--smoke --repeat 0 --out target/bench-smoke
 deltapath-bench|encoder_hotpath|error: unknown option|--smok --out target/bench-smoke

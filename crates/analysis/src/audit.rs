@@ -39,7 +39,7 @@ use std::collections::{BTreeSet, HashMap, HashSet};
 use deltapath_callgraph::{
     reachable_from, topological_order, CallGraph, EdgeIx, NodeIx, StronglyConnectedComponents,
 };
-use deltapath_core::{CompiledPlan, EncodingPlan, Sid};
+use deltapath_core::{CompiledPlan, Encoding, EncodingPlan, Sid};
 use deltapath_ir::Program;
 use deltapath_telemetry::{names, NullTelemetry, ScopedSpan, Telemetry};
 
@@ -153,8 +153,8 @@ pub fn audit_plan_full(
     let mut icc_max = 0u128;
     for node in graph.nodes() {
         table_diags.extend(node_pass(program, plan, node));
-        let node_max = enc.icc[node.index()].values().copied().max().unwrap_or(0);
-        icc_max = icc_max.max(node_max);
+        let values = enc.icc.values(node.index());
+        icc_max = values.iter().fold(icc_max, |max, &v| max.max(v));
     }
     for e in 0..m {
         table_diags.extend(edge_pass(plan, EdgeIx::from_index(e)));
@@ -682,7 +682,7 @@ fn anchor_pass(
             ));
         }
         if !enc.is_anchor[node.index()] {
-            match enc.icc[node.index()].get(&r) {
+            match enc.icc.get(node.index(), &r) {
                 None => diags.push(Diagnostic::error(
                     LintCode::CavIccInconsistent,
                     format!(
@@ -776,9 +776,10 @@ fn run_anchor_passes(
 }
 
 /// Node-local table checks: stored-territory duplicates (DP002) and the
-/// node's ICC row discipline (DP001) — an anchor stores exactly
-/// `ICC[self] = 1`; a non-anchor's ICC keys must all be justified by its
-/// stored territory row.
+/// node's ICC row discipline (DP001) — the row lists its anchors ascending,
+/// each once (the anchor walk looks them up by binary search); an anchor
+/// stores exactly `ICC[self] = 1`; a non-anchor's ICC keys must all be
+/// justified by its stored territory row.
 fn node_pass(program: &Program, plan: &EncodingPlan, node: NodeIx) -> Vec<Diagnostic> {
     let graph = plan.graph();
     let enc = plan.encoding();
@@ -795,20 +796,31 @@ fn node_pass(program: &Program, plan: &EncodingPlan, node: NodeIx) -> Vec<Diagno
             ),
         ));
     }
+    let keys = enc.icc.row(node.index());
+    if keys.windows(2).any(|pair| pair[0] >= pair[1]) {
+        diags.push(Diagnostic::error(
+            LintCode::CavIccInconsistent,
+            format!(
+                "the ICC row of {} ({node}) does not list its anchors ascending and \
+                 once each: {:?}",
+                name_of(node),
+                icc_pairs(enc, node)
+            ),
+        ));
+    }
     if enc.is_anchor[node.index()] {
-        let expected: HashMap<NodeIx, u128> = std::iter::once((node, 1)).collect();
-        if enc.icc[node.index()] != expected {
+        if keys != [node] || enc.icc.values(node.index()) != [1] {
             diags.push(Diagnostic::error(
                 LintCode::CavIccInconsistent,
                 format!(
                     "anchor {} ({node}) must store exactly ICC[self] = 1, found {:?}",
                     name_of(node),
-                    sorted_icc(&enc.icc[node.index()])
+                    icc_pairs(enc, node)
                 ),
             ));
         }
     } else {
-        for &r in enc.icc[node.index()].keys() {
+        for &r in keys {
             if !stored_set.contains(&r) {
                 diags.push(Diagnostic::error(
                     LintCode::CavIccInconsistent,
@@ -918,10 +930,10 @@ fn width_pass(plan: &EncodingPlan, stored_max: u128) -> Vec<Diagnostic> {
     diags
 }
 
-fn sorted_icc(table: &HashMap<NodeIx, u128>) -> Vec<(usize, u128)> {
-    let mut rows: Vec<(usize, u128)> = table.iter().map(|(r, &v)| (r.index(), v)).collect();
-    rows.sort_unstable();
-    rows
+/// `node`'s ICC row as `(anchor, value)` pairs, in stored order.
+fn icc_pairs(enc: &Encoding, node: NodeIx) -> Vec<(usize, u128)> {
+    let pairs = enc.icc.pairs(node.index());
+    pairs.map(|(r, &v)| (r.index(), v)).collect()
 }
 
 /// The site-local slice of the instruction-drift audit: instruction
@@ -1513,7 +1525,8 @@ mod tests {
     fn shape_corruption_is_reported_not_a_panic() {
         let p = diamond_program();
         let mut plan = EncodingPlan::analyze(&p, &PlanConfig::default()).unwrap();
-        plan.encoding_mut().icc.pop();
+        let rows = plan.encoding().icc.len();
+        plan.encoding_mut().icc.truncate(rows - 1);
         let report = audit_plan(&p, &plan);
         assert!(report.has_errors());
         assert_eq!(

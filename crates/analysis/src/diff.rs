@@ -30,6 +30,7 @@
 //! `deltapath diff` CLI subcommand is the user-facing front end.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::io;
 
 use deltapath_callgraph::{CallGraph, GraphChangeSet, NodeIx};
 use deltapath_core::EncodingPlan;
@@ -419,8 +420,9 @@ pub fn diff_plans(old: &EncodingPlan, new: &EncodingPlan) -> PlanDiff {
         .filter_map(|o| ng.node_of(og.method_of(o)).map(|n| (o, n)))
         .collect();
 
-    let icc_row = |g: &CallGraph, row: &HashMap<NodeIx, u128>| {
-        row.iter()
+    let icc_row = |g: &CallGraph, enc: &deltapath_core::Encoding, node: NodeIx| {
+        enc.icc
+            .pairs(node.index())
             .map(|(&r, &v)| (anchor_key(g, r), v))
             .collect::<BTreeMap<AnchorKey, u128>>()
     };
@@ -431,7 +433,7 @@ pub fn diff_plans(old: &EncodingPlan, new: &EncodingPlan) -> PlanDiff {
     };
     for &(o, n) in &common {
         let method = og.method_of(o).index();
-        if icc_row(og, &oe.icc[o.index()]) != icc_row(ng, &ne.icc[n.index()]) {
+        if icc_row(og, oe, o) != icc_row(ng, ne, n) {
             sink.push(
                 LintCode::EncodingTableDelta,
                 format!("encoding table delta: ICC row of method {method} differs"),
@@ -447,29 +449,31 @@ pub fn diff_plans(old: &EncodingPlan, new: &EncodingPlan) -> PlanDiff {
     }
 
     // ---- DP054: edge territory membership, keyed by call triple ----
-    let edge_rows = |g: &CallGraph, enc: &deltapath_core::Encoding| {
-        let mut rows: HashMap<(usize, usize, usize), BTreeSet<AnchorKey>> = HashMap::new();
-        for (i, edge) in g.edges().iter().enumerate() {
-            rows.insert(
-                (
+    // Each side maps a triple to its edge (a repeated triple keeps its last
+    // edge); a row is turned into a set only to compare it.
+    let edges_by_triple = |g: &CallGraph| -> HashMap<(usize, usize, usize), usize> {
+        g.edges()
+            .iter()
+            .enumerate()
+            .map(|(i, edge)| {
+                let triple = (
                     g.method_of(edge.caller).index(),
                     g.method_of(edge.callee).index(),
                     edge.site.index(),
-                ),
-                owner_row(g, &enc.eanchors[i]),
-            );
-        }
-        rows
+                );
+                (triple, i)
+            })
+            .collect()
     };
-    let old_rows = edge_rows(og, oe);
-    let new_rows = edge_rows(ng, ne);
-    let mut common_triples: Vec<&(usize, usize, usize)> = old_rows
-        .keys()
-        .filter(|t| new_rows.contains_key(*t))
+    let old_edges = edges_by_triple(og);
+    let new_edges = edges_by_triple(ng);
+    let mut common_triples: Vec<(&(usize, usize, usize), usize, usize)> = old_edges
+        .iter()
+        .filter_map(|(triple, &o)| new_edges.get(triple).map(|&n| (triple, o, n)))
         .collect();
     common_triples.sort_unstable();
-    for triple in common_triples {
-        if old_rows[triple] != new_rows[triple] {
+    for (triple, o, n) in common_triples {
+        if owner_row(og, &oe.eanchors[o]) != owner_row(ng, &ne.eanchors[n]) {
             sink.push(
                 LintCode::TerritoryDelta,
                 format!(
@@ -586,7 +590,7 @@ pub fn diff_plans(old: &EncodingPlan, new: &EncodingPlan) -> PlanDiff {
     }
 
     // ---- Catch-all: fingerprints disagree but nothing was itemized ----
-    if sink.counts.is_empty() && old.fingerprint() != new.fingerprint() {
+    if sink.counts.is_empty() && !same_fingerprint(old, new) {
         sink.push(
             LintCode::PlanConfigDivergence,
             "plans differ (fingerprints diverge) but no structural difference was itemized \
@@ -610,6 +614,26 @@ pub fn diff_plans(old: &EncodingPlan, new: &EncodingPlan) -> PlanDiff {
         removed_edges: cs.removed_edges,
         counts,
     }
+}
+
+/// Whether `old` and `new` have equal fingerprints. `new`'s is streamed
+/// against `old`'s text and stops at the first difference, so only one
+/// fingerprint is ever held.
+fn same_fingerprint(old: &EncodingPlan, new: &EncodingPlan) -> bool {
+    /// The part of the expected text not yet matched.
+    struct Rest<'a>(&'a [u8]);
+    impl io::Write for Rest<'_> {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.0 = self.0.strip_prefix(buf).ok_or(io::ErrorKind::InvalidData)?;
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+    let old = old.fingerprint();
+    let mut rest = Rest(old.as_bytes());
+    new.write_fingerprint(&mut rest).is_ok() && rest.0.is_empty()
 }
 
 #[cfg(test)]
@@ -652,6 +676,30 @@ mod tests {
         let json = diff.to_json("a", "b");
         assert!(json.contains("\"identical\":true"), "{json}");
         assert!(json.contains(DIFF_REPORT_SCHEMA), "{json}");
+    }
+
+    #[test]
+    fn streamed_fingerprint_comparison_matches_string_equality() {
+        let program = sample_program();
+        let plans: Vec<EncodingPlan> = [
+            PlanConfig::default(),
+            PlanConfig::default().with_territory_budget(2),
+            PlanConfig::default().with_cpt(false),
+        ]
+        .iter()
+        .map(|config| EncodingPlan::analyze(&program, config).unwrap())
+        .collect();
+        for a in &plans {
+            for b in &plans {
+                let equal = a.fingerprint() == b.fingerprint();
+                assert_eq!(same_fingerprint(a, b), equal);
+            }
+        }
+        // One more anchor: the texts part in the middle, either way round.
+        let mut longer = plans[0].clone();
+        longer.encoding_mut().anchors.push(NodeIx::from_index(0));
+        assert!(!same_fingerprint(&plans[0], &longer));
+        assert!(!same_fingerprint(&longer, &plans[0]));
     }
 
     #[test]

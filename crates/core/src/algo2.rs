@@ -27,6 +27,7 @@ use deltapath_ir::SiteId;
 use deltapath_telemetry::{names, NullTelemetry, ScopedSpan, Telemetry};
 
 use crate::error::EncodeError;
+use crate::rows::Rows;
 use crate::width::EncodingWidth;
 
 /// Configuration for [`Encoding::analyze`].
@@ -104,14 +105,16 @@ pub struct Encoding {
     pub budget_anchors: Vec<NodeIx>,
     /// The single addition value of each call site.
     pub site_av: HashMap<SiteId, u128>,
-    /// `icc[n][r]`: inflated calling-context count of node `n` relative to
+    /// `ICC[n][r]`: inflated calling-context count of node `n` relative to
     /// anchor `r`; pieces starting at `r` and ending at `n` are encoded in
-    /// `[0, icc[n][r])`.
-    pub icc: Vec<HashMap<NodeIx, u128>>,
-    /// Anchors whose territory contains each node.
-    pub nanchors: Vec<Vec<NodeIx>>,
-    /// Anchors whose territory contains each edge.
-    pub eanchors: Vec<Vec<NodeIx>>,
+    /// `[0, ICC[n][r])`. Row `n` holds its anchors ascending, each with
+    /// its count (read one with [`Encoding::icc_of`]); an anchor's row is
+    /// `[(self, 1)]`.
+    pub icc: Rows<NodeIx, u128>,
+    /// Anchors whose territory contains each node, one row per node.
+    pub nanchors: Rows<NodeIx>,
+    /// Anchors whose territory contains each edge, one row per edge.
+    pub eanchors: Rows<NodeIx>,
     /// Excluded (back) edges, invisible to the encoding.
     pub excluded: HashSet<EdgeIx>,
     /// The largest ICC value: the per-piece encoding space actually needed.
@@ -229,11 +232,10 @@ impl Encoding {
             // territory pair: node `i`'s values relative to the anchors of
             // its row sit at `territories.row_slots[i]`, in row order. The
             // hot loop indexes them through the stored callee positions and
-            // never searches or hashes; the public HashMap form is
-            // materialized once on success.
+            // never searches or hashes.
             for table in [&mut cav, &mut icc_v] {
                 table.clear();
-                table.resize(territories.slot_count, 0);
+                table.resize(territories.anchors.len(), 0);
             }
             let mut site_av: HashMap<SiteId, u128> = HashMap::new();
             let mut batch_pending: Vec<NodeIx> = Vec::new();
@@ -324,37 +326,8 @@ impl Encoding {
                 continue 'again;
             }
 
-            // An anchor's ICC map is `{self: 1}` only — relative values to
-            // other anchors are undefined there, so its positional row
-            // contributes exactly the 1 at its own slot.
-            let mut max_icc = 0u128;
-            for i in 0..n {
-                if is_anchor[i] {
-                    if !territories.rows[i].is_empty() {
-                        max_icc = max_icc.max(1);
-                    }
-                } else {
-                    for &v in &icc_v[territories.row_slots[i].clone()] {
-                        max_icc = max_icc.max(v);
-                    }
-                }
-            }
-            let icc: Vec<HashMap<NodeIx, u128>> = (0..n)
-                .map(|i| {
-                    if is_anchor[i] {
-                        let mut m = HashMap::with_capacity(1);
-                        m.insert(NodeIx::from_index(i), 1u128);
-                        m
-                    } else {
-                        territories.rows[i]
-                            .iter()
-                            .copied()
-                            .zip(icc_v[territories.row_slots[i].clone()].iter().copied())
-                            .collect()
-                    }
-                })
-                .collect();
-            let eanchors = territories.eanchors(graph, &mask, &is_anchor);
+            let (icc, nanchors, max_icc) = territories.node_rows(&icc_v, &is_anchor);
+            let eanchors = territories.edge_rows(graph, &mask, &is_anchor);
             let mut anchors: Vec<NodeIx> = (0..n)
                 .filter(|&i| is_anchor[i])
                 .map(NodeIx::from_index)
@@ -377,7 +350,7 @@ impl Encoding {
                 budget_anchors,
                 site_av,
                 icc,
-                nanchors: territories.rows,
+                nanchors,
                 eanchors,
                 excluded: excluded.clone(),
                 max_icc,
@@ -393,7 +366,7 @@ impl Encoding {
 
     /// ICC of `node` relative to `anchor`, if `node` is in its territory.
     pub fn icc_of(&self, node: NodeIx, anchor: NodeIx) -> Option<u128> {
-        self.icc[node.index()].get(&anchor).copied()
+        self.icc.get(node.index(), &anchor).copied()
     }
 
     /// The largest encoding ID value that can occur (`max_icc - 1`); the
@@ -423,19 +396,19 @@ impl Encoding {
 /// One restart-loop iteration's territories, in the positional form the
 /// interval walk indexes.
 ///
-/// The CAV/ICC tables are flat, one slot per (node, anchor) territory pair:
-/// node `i`'s slots, `row_slots[i]`, run parallel to its anchor row
-/// `rows[i]`. An edge's anchors are fixed by its caller. An anchor caller
-/// passes on only itself, since every other anchor's territory stops
-/// there; a non-anchor caller passes on its whole row. So the caller side
-/// of an edge's (edge, anchor) pairs is a slot range of the caller,
-/// `passed[caller]`, and only the callee side is stored: each anchor's
-/// position in the callee's row.
+/// Every node's anchor row sits in one flat column, `anchors`, in the
+/// order the sweep finishes the rows: node `i`'s row, ascending, is
+/// `anchors[row_slots[i]]`. The walk's CAV/ICC tables run parallel to that
+/// column, one slot per (node, anchor) territory pair. An edge's anchors
+/// are fixed by its caller. An anchor caller passes on only itself, since
+/// every other anchor's territory stops there; a non-anchor caller passes
+/// on its whole row. So the caller side of an edge's (edge, anchor) pairs
+/// is a slot range of the caller, `passed[caller]`, and only the callee
+/// side is stored: each anchor's position in the callee's row.
 struct Territories {
-    /// `rows[i]`: the anchors whose territory contains node `i`, ascending
-    /// (the public `nanchors`).
-    rows: Vec<Vec<NodeIx>>,
-    /// Node `i`'s slots in the flat tables, parallel to `rows[i]`.
+    /// Every node's territory anchors, row after row in sweep order.
+    anchors: Vec<NodeIx>,
+    /// Node `i`'s row: its slots in `anchors` and in the walk's tables.
     row_slots: Vec<Range<usize>>,
     /// The slots node `i` passes on along its out-edges: its own slot when
     /// it is an anchor, its whole row otherwise.
@@ -444,21 +417,23 @@ struct Territories {
     /// its caller passes on, from `callee_pos[edge_start[e]]`.
     edge_start: Vec<usize>,
     callee_pos: Vec<u32>,
-    /// Number of (node, anchor) pairs: the flat tables' length.
-    slot_count: usize,
 }
 
 impl Territories {
     /// Empty tables for a graph of `n` nodes and `m` edges.
     fn new(n: usize, m: usize) -> Self {
         Self {
-            rows: vec![Vec::new(); n],
+            anchors: Vec::new(),
             row_slots: vec![0..0; n],
             passed: vec![0..0; n],
             edge_start: vec![0; m],
             callee_pos: Vec::new(),
-            slot_count: 0,
         }
+    }
+
+    /// Node `i`'s territory row.
+    fn row(&self, i: usize) -> &[NodeIx] {
+        &self.anchors[self.row_slots[i].clone()]
     }
 
     /// The paper's `IdentifyTerritories`, as one sweep over the topological
@@ -466,7 +441,7 @@ impl Territories {
     /// what its callers pass on (an anchor caller itself, a non-anchor
     /// caller its row), plus the node itself when it is an anchor — exactly
     /// the anchors whose DFS, retreating at other anchors, would reach it.
-    /// Each row is laid out in the flat tables as it is finished, and its
+    /// Each row is appended to the flat column as it is finished, and its
     /// in-edges' anchors are resolved to positions in it then, so the
     /// interval walk indexes instead of searching. The tables are refilled
     /// in place: the restart loop reuses their allocations.
@@ -478,8 +453,8 @@ impl Territories {
         is_anchor: &[bool],
     ) {
         let n = graph.node_count();
+        self.anchors.clear();
         self.callee_pos.clear();
-        self.slot_count = 0;
         // `seen[r] == v` once anchor `r` is in the row being built for `v`;
         // `pos[r]` is then its position there.
         let mut seen = vec![u32::MAX; n];
@@ -505,7 +480,7 @@ impl Territories {
                 if is_anchor[caller.index()] {
                     add(caller);
                 } else {
-                    self.rows[caller.index()].iter().for_each(|&r| add(r));
+                    self.row(caller.index()).iter().for_each(|&r| add(r));
                 }
             }
             row.sort_unstable();
@@ -513,8 +488,8 @@ impl Territories {
                 pos[r.index()] = p as u32;
             }
 
-            let slots = self.slot_count..self.slot_count + row.len();
-            self.slot_count = slots.end;
+            let slots = self.anchors.len()..self.anchors.len() + row.len();
+            self.anchors.extend_from_slice(&row);
             self.passed[i] = if is_anchor[i] {
                 let own = slots.start + pos[i] as usize;
                 own..own + 1
@@ -531,12 +506,10 @@ impl Territories {
                 if is_anchor[caller.index()] {
                     self.callee_pos.push(pos[caller.index()]);
                 } else {
-                    let row = &self.rows[caller.index()];
+                    let row = &self.anchors[self.row_slots[caller.index()].clone()];
                     self.callee_pos.extend(row.iter().map(|r| pos[r.index()]));
                 }
             }
-            self.rows[i].clear();
-            self.rows[i].extend_from_slice(&row);
         }
     }
 
@@ -549,28 +522,51 @@ impl Territories {
         (slots, positions)
     }
 
-    /// The public per-edge anchor lists (`eanchors`), copied from the
-    /// finished node rows; excluded edges have none.
-    fn eanchors(
+    /// The finished per-node tables in node order, copied from the walk's
+    /// column and `icc` slots in one pass: each node's ICC row and
+    /// territory row, and the largest ICC. An anchor's ICC row is
+    /// `[(self, 1)]` only — values relative to other anchors are undefined
+    /// there — so its slots contribute exactly that 1.
+    fn node_rows(
         &self,
-        graph: &CallGraph,
-        excluded: &[bool],
+        icc: &[u128],
         is_anchor: &[bool],
-    ) -> Vec<Vec<NodeIx>> {
-        graph
-            .edges()
-            .iter()
-            .enumerate()
-            .map(|(e, edge)| {
-                if excluded[e] {
-                    Vec::new()
-                } else if is_anchor[edge.caller.index()] {
-                    vec![edge.caller]
-                } else {
-                    self.rows[edge.caller.index()].clone()
-                }
-            })
-            .collect()
+    ) -> (Rows<NodeIx, u128>, Rows<NodeIx>, u128) {
+        let n = self.row_slots.len();
+        // Every anchor's row holds the anchor itself, so no ICC row is
+        // longer than its territory row.
+        let mut icc_rows = Rows::with_capacity(n, self.anchors.len());
+        let mut nanchors = Rows::with_capacity(n, self.anchors.len());
+        let mut max_icc = 0u128;
+        for i in 0..n {
+            let row = self.row(i);
+            nanchors.push(row);
+            if is_anchor[i] {
+                icc_rows.push_row(&[NodeIx::from_index(i)], &[1]);
+                max_icc = max_icc.max(1);
+            } else {
+                let values = &icc[self.row_slots[i].clone()];
+                icc_rows.push_row(row, values);
+                max_icc = values.iter().copied().fold(max_icc, u128::max);
+            }
+        }
+        (icc_rows, nanchors, max_icc)
+    }
+
+    /// The finished per-edge table: what each edge's caller passes on, its
+    /// own anchor or its territory row; excluded edges have none.
+    fn edge_rows(&self, graph: &CallGraph, excluded: &[bool], is_anchor: &[bool]) -> Rows<NodeIx> {
+        let mut rows = Rows::with_capacity(graph.edge_count(), self.callee_pos.len());
+        for (e, edge) in graph.edges().iter().enumerate() {
+            if excluded[e] {
+                rows.push(&[]);
+            } else if is_anchor[edge.caller.index()] {
+                rows.push(&[edge.caller]);
+            } else {
+                rows.push(self.row(edge.caller.index()));
+            }
+        }
+        rows
     }
 }
 
@@ -684,10 +680,10 @@ mod tests {
         // E is only in D's territory.
         assert_eq!(enc.nanchors[nodes[4].index()], vec![d]);
         // F and G are in both C's and D's territories.
-        let mut f_anchors = enc.nanchors[nodes[5].index()].clone();
+        let mut f_anchors = enc.nanchors[nodes[5].index()].to_vec();
         f_anchors.sort_unstable();
         assert_eq!(f_anchors, vec![c, d]);
-        let mut g_anchors = enc.nanchors[nodes[6].index()].clone();
+        let mut g_anchors = enc.nanchors[nodes[6].index()].to_vec();
         g_anchors.sort_unstable();
         assert_eq!(g_anchors, vec![c, d]);
     }

@@ -77,6 +77,7 @@ mod plan_compiled;
 mod plan_io;
 mod pruned;
 mod relative;
+mod rows;
 mod sid;
 mod state;
 pub mod verify;
@@ -95,6 +96,7 @@ pub use plan_io::{
 };
 pub use pruned::prune_to_targets;
 pub use relative::{RelativeEntry, RelativeLog};
+pub use rows::Rows;
 pub use sid::{Sid, SidTable};
 pub use state::{DeltaState, StateCounts};
 pub use width::EncodingWidth;

@@ -9,6 +9,8 @@
 //! Javassist at class-load time.
 
 use std::collections::{HashMap, HashSet};
+use std::fmt;
+use std::io::{self, Write};
 
 use deltapath_callgraph::{back_edges, Analysis, CallGraph, GraphConfig, ScopeFilter};
 use deltapath_ir::{MethodId, Program, SiteId};
@@ -556,19 +558,36 @@ impl EncodingPlan {
     /// unordered container sorted. Two plans with equal fingerprints are
     /// operationally identical.
     pub fn fingerprint(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
+        text(|out| self.write_fingerprint(out))
+    }
+
+    /// Writes [`EncodingPlan::fingerprint`] to `out` line by line, never
+    /// holding the whole text: the one writer behind the fingerprint and
+    /// the body of a `deltapath.plan.v1` file (`render_plan`).
+    ///
+    /// # Errors
+    ///
+    /// Only I/O errors from `out`.
+    pub fn write_fingerprint<W: Write + ?Sized>(&self, out: &mut W) -> io::Result<()> {
         let g = &self.graph;
-        out.push_str(&self.config_line());
-        out.push('\n');
+        writeln!(
+            out,
+            "width={:?} cpt={} cpt_minimal={} anchor_ucp={} batch={} budget={:?} entry={}",
+            self.config.width,
+            self.config.cpt,
+            self.config.cpt_minimal,
+            self.config.anchor_ucp_entries,
+            self.config.batch_overflow,
+            self.config.territory_budget,
+            self.entry_method.index(),
+        )?;
         for node in g.nodes() {
             writeln!(
                 out,
                 "node {} method={}",
                 node.index(),
                 g.method_of(node).index()
-            )
-            .unwrap();
+            )?;
         }
         for (i, edge) in g.edges().iter().enumerate() {
             writeln!(
@@ -578,61 +597,51 @@ impl EncodingPlan {
                 edge.caller.index(),
                 edge.callee.index(),
                 edge.site.index(),
-            )
-            .unwrap();
+            )?;
         }
         let enc = &self.encoding;
         let anchors: Vec<usize> = enc.anchors.iter().map(|a| a.index()).collect();
         let overflow: Vec<usize> = enc.overflow_anchors.iter().map(|a| a.index()).collect();
-        writeln!(out, "anchors={anchors:?} overflow={overflow:?}").unwrap();
-        writeln!(out, "max_icc={} restarts={}", enc.max_icc, enc.restarts).unwrap();
+        writeln!(out, "anchors={anchors:?} overflow={overflow:?}")?;
+        writeln!(out, "max_icc={} restarts={}", enc.max_icc, enc.restarts)?;
         let mut site_av: Vec<(usize, u128)> =
             enc.site_av.iter().map(|(s, &v)| (s.index(), v)).collect();
         site_av.sort_unstable();
         for (site, av) in site_av {
-            writeln!(out, "av site={site} {av}").unwrap();
+            writeln!(out, "av site={site} {av}")?;
         }
-        for (n, icc) in enc.icc.iter().enumerate() {
-            let mut rows: Vec<(usize, u128)> = icc.iter().map(|(r, &v)| (r.index(), v)).collect();
-            rows.sort_unstable();
-            writeln!(out, "icc node={n} {rows:?}").unwrap();
+        // ICC rows are stored in anchor order, the order the text lists.
+        for n in 0..enc.icc.len() {
+            write!(out, "icc node={n} ")?;
+            write_list(out, enc.icc.pairs(n).map(|(r, &v)| (r.index(), v)))?;
+            writeln!(out)?;
         }
         for (n, owners) in enc.nanchors.iter().enumerate() {
-            let owners: Vec<usize> = owners.iter().map(|r| r.index()).collect();
-            writeln!(out, "nanchors node={n} {owners:?}").unwrap();
+            write!(out, "nanchors node={n} ")?;
+            write_list(out, owners.iter().map(|r| r.index()))?;
+            writeln!(out)?;
         }
         for (e, owners) in enc.eanchors.iter().enumerate() {
-            let owners: Vec<usize> = owners.iter().map(|r| r.index()).collect();
-            writeln!(out, "eanchors edge={e} {owners:?}").unwrap();
+            write!(out, "eanchors edge={e} ")?;
+            write_list(out, owners.iter().map(|r| r.index()))?;
+            writeln!(out)?;
         }
         let mut excluded: Vec<usize> = enc.excluded.iter().map(|e| e.index()).collect();
         excluded.sort_unstable();
-        writeln!(out, "excluded={excluded:?}").unwrap();
+        writeln!(out, "excluded={excluded:?}")?;
         for node in g.nodes() {
             writeln!(
                 out,
                 "sid node={} {:?}",
                 node.index(),
                 self.sids.sid_of_node_index(node.index()),
-            )
-            .unwrap();
+            )?;
         }
-        out.push_str(&self.instruction_fingerprint());
-        out
-    }
-
-    /// The configuration line of [`EncodingPlan::fingerprint`] alone: the
-    /// semantically relevant knobs plus the entry method.
-    fn config_line(&self) -> String {
-        format!(
-            "width={:?} cpt={} cpt_minimal={} anchor_ucp={} batch={} budget={:?} entry={}",
-            self.config.width,
-            self.config.cpt,
-            self.config.cpt_minimal,
-            self.config.anchor_ucp_entries,
-            self.config.batch_overflow,
-            self.config.territory_budget,
-            self.entry_method.index(),
+        write_instructions(
+            out,
+            self.sites.iter().map(|(&s, &i)| (s, i)),
+            self.entries.iter().map(|(&m, &i)| (m, i)),
+            self.back_edge_calls.iter().copied(),
         )
     }
 
@@ -650,6 +659,28 @@ impl EncodingPlan {
     }
 }
 
+/// The text `write` produces.
+pub(crate) fn text(write: impl FnOnce(&mut Vec<u8>) -> io::Result<()>) -> String {
+    let mut out = Vec::new();
+    write(&mut out).expect("writing to a Vec cannot fail");
+    String::from_utf8(out).expect("plan text is UTF-8")
+}
+
+/// Writes `items` as `{:?}` renders a `Vec` of them: `[a, b, c]`.
+fn write_list<W: Write + ?Sized, T: fmt::Debug>(
+    out: &mut W,
+    items: impl Iterator<Item = T>,
+) -> io::Result<()> {
+    out.write_all(b"[")?;
+    for (k, item) in items.enumerate() {
+        if k > 0 {
+            out.write_all(b", ")?;
+        }
+        write!(out, "{item:?}")?;
+    }
+    out.write_all(b"]")
+}
+
 /// Renders the canonical instruction dump shared by
 /// [`EncodingPlan::instruction_fingerprint`] and
 /// [`CompiledPlan::instruction_fingerprint`]. Inputs may arrive unordered;
@@ -659,8 +690,16 @@ pub(crate) fn render_instructions(
     entries: impl Iterator<Item = (MethodId, EntryInstr)>,
     backs: impl Iterator<Item = (SiteId, MethodId)>,
 ) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
+    text(|out| write_instructions(out, sites, entries, backs))
+}
+
+/// Writes the instruction dump of [`render_instructions`] to `out`.
+fn write_instructions<W: Write + ?Sized>(
+    out: &mut W,
+    sites: impl Iterator<Item = (SiteId, SiteInstr)>,
+    entries: impl Iterator<Item = (MethodId, EntryInstr)>,
+    backs: impl Iterator<Item = (SiteId, MethodId)>,
+) -> io::Result<()> {
     let mut sites: Vec<(usize, SiteInstr)> = sites.map(|(s, i)| (s.index(), i)).collect();
     sites.sort_unstable_by_key(|&(s, _)| s);
     for (site, instr) in sites {
@@ -672,8 +711,7 @@ pub(crate) fn render_instructions(
             instr.expected_sid,
             instr.caller.index(),
             instr.tracked,
-        )
-        .unwrap();
+        )?;
     }
     let mut entries: Vec<(usize, EntryInstr)> = entries.map(|(m, i)| (m.index(), i)).collect();
     entries.sort_unstable_by_key(|&(m, _)| m);
@@ -682,13 +720,11 @@ pub(crate) fn render_instructions(
             out,
             "entry {method} sid={:?} anchor={} check={}",
             instr.sid, instr.is_anchor, instr.check_sid,
-        )
-        .unwrap();
+        )?;
     }
     let mut backs: Vec<(usize, usize)> = backs.map(|(s, m)| (s.index(), m.index())).collect();
     backs.sort_unstable();
-    writeln!(out, "back_edge_calls={backs:?}").unwrap();
-    out
+    writeln!(out, "back_edge_calls={backs:?}")
 }
 
 #[cfg(test)]

@@ -37,7 +37,12 @@
 //!
 //! Like the graph importer, the parser never panics on malformed input: it
 //! collects every problem as a `line N: message` diagnostic and fails with
-//! all of them at once.
+//! all of them at once. The tables are read straight into their flat rows.
+//! An `icc` row may list its pairs in any order, since it is stored sorted
+//! by anchor, but a row that names an anchor twice fails with `line N: icc
+//! node=X names anchor R more than once`: keeping either value would be a
+//! guess. Territory rows (`nanchors`, `eanchors`) are kept as written;
+//! their duplicates are the auditor's to report.
 
 use std::collections::{HashMap, HashSet};
 use std::error::Error;
@@ -49,6 +54,7 @@ use deltapath_ir::{MethodId, SiteId};
 
 use crate::algo2::Encoding;
 use crate::plan::{EncodingPlan, EntryInstr, PlanConfig, SiteInstr};
+use crate::rows::Rows;
 use crate::sid::{Sid, SidTable};
 use crate::width::EncodingWidth;
 
@@ -120,14 +126,12 @@ pub fn render_plan<W: Write>(plan: &EncodingPlan, name: &str, out: &mut W) -> io
         .max()
         .unwrap_or(0);
     writeln!(out, "site_cap={site_cap}")?;
-    out.write_all(plan.fingerprint().as_bytes())
+    plan.write_fingerprint(out)
 }
 
 /// As [`render_plan`], into a `String`.
 pub fn render_plan_string(plan: &EncodingPlan, name: &str) -> String {
-    let mut out = Vec::new();
-    render_plan(plan, name, &mut out).expect("writing to a Vec cannot fail");
-    String::from_utf8(out).expect("plan renders are UTF-8")
+    crate::plan::text(|out| render_plan(plan, name, out))
 }
 
 /// Reads a `deltapath.plan.v1` file back into an [`EncodingPlan`].
@@ -208,9 +212,15 @@ struct Parser {
     anchors: Option<(Vec<usize>, Vec<usize>)>,
     totals: Option<(u128, usize)>,
     site_av: Vec<(usize, u128)>,
-    icc: Vec<Vec<(usize, u128)>>,
-    nanchors: Vec<Vec<usize>>,
-    eanchors: Vec<Vec<usize>>,
+    icc: Rows<NodeIx, u128>,
+    nanchors: Rows<NodeIx>,
+    eanchors: Rows<NodeIx>,
+    /// One ICC row as read, before it is sorted into `icc`.
+    pairs: Vec<(NodeIx, u128)>,
+    /// One row's anchors (and, for ICC rows, their values) on its way
+    /// into a table.
+    keys: Vec<NodeIx>,
+    values: Vec<u128>,
     excluded: Option<Vec<usize>>,
     sids: Vec<Sid>,
     sites: Vec<SiteLine>,
@@ -253,11 +263,11 @@ impl Parser {
         } else if let Some(rest) = text.strip_prefix("av site=") {
             self.av_line(rest)
         } else if let Some(rest) = text.strip_prefix("icc node=") {
-            self.row_line(rest, RowKind::Icc)
+            self.icc_line(lineno, rest)
         } else if let Some(rest) = text.strip_prefix("nanchors node=") {
-            self.row_line(rest, RowKind::NodeOwners)
+            owners_line(rest, &mut self.nanchors, &mut self.keys)
         } else if let Some(rest) = text.strip_prefix("eanchors edge=") {
-            self.row_line(rest, RowKind::EdgeOwners)
+            owners_line(rest, &mut self.eanchors, &mut self.keys)
         } else if let Some(rest) = text.strip_prefix("excluded=") {
             set_once(&mut self.excluded, parse_list(rest))
         } else if let Some(rest) = text.strip_prefix("sid node=") {
@@ -419,42 +429,34 @@ impl Parser {
         true
     }
 
-    /// `N [..]` — one per-node/per-edge table row, dense and in order.
-    fn row_line(&mut self, rest: &str, kind: RowKind) -> bool {
+    /// `N [(r, v), ..]` — node `N`'s ICC row, dense and in order. The row
+    /// is stored sorted by anchor, so it may list its pairs in any order,
+    /// but an anchor it repeats is reported: its ICC would be ambiguous.
+    fn icc_line(&mut self, lineno: usize, rest: &str) -> bool {
         let Some((ix, row)) = rest.split_once(' ') else {
             return false;
         };
         let Ok(ix) = ix.parse::<usize>() else {
             return false;
         };
-        match kind {
-            RowKind::Icc => {
-                let Some(pairs) = parse_icc_pairs(row) else {
-                    return false;
-                };
-                if ix != self.icc.len() {
-                    return false;
-                }
-                self.icc.push(pairs);
-            }
-            RowKind::NodeOwners => {
-                let Some(owners) = parse_list(row) else {
-                    return false;
-                };
-                if ix != self.nanchors.len() {
-                    return false;
-                }
-                self.nanchors.push(owners);
-            }
-            RowKind::EdgeOwners => {
-                let Some(owners) = parse_list(row) else {
-                    return false;
-                };
-                if ix != self.eanchors.len() {
-                    return false;
-                }
-                self.eanchors.push(owners);
-            }
+        let pairs = &mut self.pairs;
+        if parse_icc_pairs(row, pairs).is_none() || ix != self.icc.len() {
+            return false;
+        }
+        pairs.sort_unstable_by_key(|&(r, _)| r);
+        let repeated = pairs.windows(2).find(|pair| pair[0].0 == pair[1].0);
+        let repeated = repeated.map(|pair| pair[0].0.index());
+        pairs.dedup_by_key(|&mut (r, _)| r);
+        self.keys.clear();
+        self.values.clear();
+        for &(r, v) in pairs.iter() {
+            self.keys.push(r);
+            self.values.push(v);
+        }
+        self.icc.push_row(&self.keys, &self.values);
+        if let Some(anchor) = repeated {
+            let message = format!("icc node={ix} names anchor {anchor} more than once");
+            self.err(lineno, message);
         }
         true
     }
@@ -629,24 +631,14 @@ impl Parser {
                 check_node("anchor list", a, &mut diags);
             }
         }
-        for (rows, what) in [(&self.icc, "icc")] {
-            for row in rows.iter() {
-                for &(r, _) in row {
-                    check_node(what, r, &mut diags);
-                }
-            }
+        for &r in self.icc.iter().flatten() {
+            check_node("icc", r.index(), &mut diags);
         }
-        for (rows, what) in [(&self.nanchors, "nanchors")] {
-            for row in rows.iter() {
-                for &r in row {
-                    check_node(what, r, &mut diags);
-                }
-            }
+        for &r in self.nanchors.iter().flatten() {
+            check_node("nanchors", r.index(), &mut diags);
         }
-        for row in &self.eanchors {
-            for &r in row {
-                check_node("eanchors", r, &mut diags);
-            }
+        for &r in self.eanchors.iter().flatten() {
+            check_node("eanchors", r.index(), &mut diags);
         }
         for &e in self.excluded.iter().flatten() {
             if e >= m {
@@ -721,25 +713,9 @@ impl Parser {
                 .iter()
                 .map(|&(s, v)| (SiteId::from_index(s), v))
                 .collect(),
-            icc: self
-                .icc
-                .iter()
-                .map(|row| {
-                    row.iter()
-                        .map(|&(r, v)| (NodeIx::from_index(r), v))
-                        .collect()
-                })
-                .collect(),
-            nanchors: self
-                .nanchors
-                .iter()
-                .map(|row| row.iter().map(|&r| NodeIx::from_index(r)).collect())
-                .collect(),
-            eanchors: self
-                .eanchors
-                .iter()
-                .map(|row| row.iter().map(|&r| NodeIx::from_index(r)).collect())
-                .collect(),
+            icc: std::mem::take(&mut self.icc),
+            nanchors: std::mem::take(&mut self.nanchors),
+            eanchors: std::mem::take(&mut self.eanchors),
             excluded: self
                 .excluded
                 .iter()
@@ -805,10 +781,20 @@ impl Parser {
     }
 }
 
-enum RowKind {
-    Icc,
-    NodeOwners,
-    EdgeOwners,
+/// `N [..]` — row `N` of a territory table (`nanchors`, `eanchors`), dense
+/// and in order, stored as written; `buffer` holds it on its way in.
+fn owners_line(rest: &str, table: &mut Rows<NodeIx>, buffer: &mut Vec<NodeIx>) -> bool {
+    let Some((ix, row)) = rest.split_once(' ') else {
+        return false;
+    };
+    let Ok(ix) = ix.parse::<usize>() else {
+        return false;
+    };
+    if parse_nodes(row, buffer).is_none() || ix != table.len() {
+        return false;
+    }
+    table.push(buffer);
+    true
 }
 
 fn set_once<T>(slot: &mut Option<T>, value: Option<T>) -> bool {
@@ -854,20 +840,40 @@ fn parse_pair_list(s: &str) -> Option<Vec<(usize, usize)>> {
         .collect()
 }
 
-/// `[(r, v), ..]` with `v` up to `u128` (Rust `{:?}` of ICC rows).
-fn parse_icc_pairs(s: &str) -> Option<Vec<(usize, u128)>> {
+/// A node index of a table row. An index past `u32` names no node of any
+/// graph, so the row it is in is malformed.
+fn parse_node(s: &str) -> Option<NodeIx> {
+    s.parse::<u32>()
+        .ok()
+        .map(|r| NodeIx::from_index(r as usize))
+}
+
+/// `[a, b, c]` of node indices, into `into` (cleared first).
+fn parse_nodes(s: &str, into: &mut Vec<NodeIx>) -> Option<()> {
+    into.clear();
     let body = s.strip_prefix('[')?.strip_suffix(']')?;
-    if body.is_empty() {
-        return Some(Vec::new());
+    if !body.is_empty() {
+        for t in body.split(", ") {
+            into.push(parse_node(t)?);
+        }
     }
-    body.split("), (")
-        .map(|t| {
+    Some(())
+}
+
+/// `[(r, v), ..]` with `v` up to `u128` (Rust `{:?}` of ICC rows), into
+/// `into` (cleared first).
+fn parse_icc_pairs(s: &str, into: &mut Vec<(NodeIx, u128)>) -> Option<()> {
+    into.clear();
+    let body = s.strip_prefix('[')?.strip_suffix(']')?;
+    if !body.is_empty() {
+        for t in body.split("), (") {
             let t = t.strip_prefix('(').unwrap_or(t);
             let t = t.strip_suffix(')').unwrap_or(t);
             let (r, v) = t.split_once(", ")?;
-            Some((r.parse().ok()?, v.parse().ok()?))
-        })
-        .collect()
+            into.push((parse_node(r)?, v.parse().ok()?));
+        }
+    }
+    Some(())
 }
 
 /// `sid#K` or `sid#?`.
@@ -940,6 +946,72 @@ mod tests {
         assert!(
             diags.iter().any(|d| d.contains("references node 999")),
             "{diags:?}"
+        );
+    }
+
+    /// A plan with an ICC row of two anchors: `leaf` is called from the
+    /// root `main` and from the recursion header `rec`, an anchor too.
+    fn two_anchor_plan() -> EncodingPlan {
+        let mut b = ProgramBuilder::new("two-anchors");
+        let c = b.add_class("C", None);
+        b.method(c, "leaf", MethodKind::Static).finish();
+        b.method(c, "rec", MethodKind::Static)
+            .body(|f| {
+                f.call(c, "leaf");
+                f.if_mod(
+                    3,
+                    0,
+                    |_| {},
+                    |f| {
+                        f.call_arg(c, "rec", deltapath_ir::ArgExpr::ParamPlus(1));
+                    },
+                );
+            })
+            .finish();
+        let main = b
+            .method(c, "main", MethodKind::Static)
+            .body(|f| {
+                f.call(c, "leaf");
+                f.call(c, "rec");
+            })
+            .finish();
+        b.entry(main);
+        let p = b.finish().unwrap();
+        EncodingPlan::analyze(&p, &PlanConfig::default()).unwrap()
+    }
+
+    #[test]
+    fn icc_rows_parse_in_any_order_but_not_with_a_repeated_anchor() {
+        let plan = two_anchor_plan();
+        let text = render_plan_string(&plan, "two");
+        let icc = &plan.encoding().icc;
+        let node = (0..icc.len())
+            .find(|&n| icc.row(n).len() == 2)
+            .expect("an ICC row of two anchors");
+        let pairs: Vec<(usize, u128)> = icc.pairs(node).map(|(r, &v)| (r.index(), v)).collect();
+        let line = format!("icc node={node} {pairs:?}");
+        let lineno = 1 + text.lines().position(|l| l == line).expect("the row");
+
+        let reversed: Vec<_> = pairs.iter().rev().collect();
+        let text_reversed = text.replace(&line, &format!("icc node={node} {reversed:?}"));
+        let parsed = parse_plan(text_reversed.as_bytes()).expect("any order parses");
+        assert_eq!(parsed.plan.fingerprint(), plan.fingerprint());
+
+        // The anchor repeated with another value first: keeping either
+        // value would be a guess.
+        let (r, _) = pairs[0];
+        let mut repeated = vec![(r, 9)];
+        repeated.extend(&pairs);
+        let text_repeated = text.replace(&line, &format!("icc node={node} {repeated:?}"));
+        let PlanParseError::Invalid(diags) = parse_plan(text_repeated.as_bytes()).unwrap_err()
+        else {
+            panic!("expected Invalid");
+        };
+        assert_eq!(
+            diags,
+            vec![format!(
+                "line {lineno}: icc node={node} names anchor {r} more than once"
+            )]
         );
     }
 }

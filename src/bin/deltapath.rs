@@ -314,6 +314,15 @@ impl Args {
             None => Ok(()),
         }
     }
+
+    /// Fails on the first of `options` that was given: `mode`, a
+    /// subcommand run in one of its modes, would ignore it.
+    fn unused(&self, options: &[&str], mode: &str) -> Result<(), String> {
+        match options.iter().find(|&&name| self.has(name)) {
+            Some(name) => Err(format!("unused option {name} for {mode}")),
+            None => Ok(()),
+        }
+    }
 }
 
 fn scope_of(args: &Args) -> Result<ScopeFilter, String> {
@@ -685,6 +694,7 @@ fn parse_report(text: &str) -> Result<RunReport, String> {
 fn cmd_report(args: &Args) -> Result<(), String> {
     let report = if let Some(path) = args.value("--from") {
         args.at_most(0, "report --from")?;
+        args.unused(&["--encoder"], "report --from")?;
         let text =
             std::fs::read_to_string(path).map_err(|e| format!("cannot read {path:?}: {e}"))?;
         parse_report(&text)?
@@ -926,6 +936,8 @@ fn cmd_flamegraph(args: &Args) -> Result<(), String> {
         return Err("--contexts and --spans are mutually exclusive".to_owned());
     }
     if args.has("--check") {
+        let ignored = ["--contexts", "--spans", "--encoder", "--scope", "--out"];
+        args.unused(&ignored, "flamegraph --check")?;
         for p in &args.benchmarks()? {
             check_flamegraph(p)?;
         }
@@ -936,6 +948,8 @@ fn cmd_flamegraph(args: &Args) -> Result<(), String> {
     }
     let p = args.benchmark()?;
     let text = if spans_mode {
+        // The span tree profiles the application-scope plan only.
+        args.unused(&["--scope"], "flamegraph --spans")?;
         let profiler = profiled_run(&p, Encoder::of(args)?)?;
         profiler.snapshot().folded().render()
     } else {
@@ -980,7 +994,10 @@ fn load_plan(path: &str) -> Result<ImportedPlan, String> {
 fn write_plan(plan: &EncodingPlan, name: &str, path: &str) -> Result<(), String> {
     let file = std::fs::File::create(path).map_err(|e| format!("cannot create {path:?}: {e}"))?;
     let mut out = std::io::BufWriter::new(file);
-    render_plan(plan, name, &mut out).map_err(|e| format!("cannot write {path:?}: {e}"))
+    // Dropping the writer would discard an error of its last flush.
+    render_plan(plan, name, &mut out)
+        .and_then(|()| out.flush())
+        .map_err(|e| format!("cannot write {path:?}: {e}"))
 }
 
 /// Audits `plan` with [`audit_plan_full`] on `--workers N` per-anchor
@@ -1088,6 +1105,15 @@ fn cmd_import(args: &Args) -> Result<(), String> {
         .positionals
         .first()
         .ok_or("missing graph file (deltapath.graph.v1 format)")?;
+    let planning = ["--lint", "--width", "--budget", "--workers", "--plan-out"];
+    if args.has("--render") {
+        args.unused(&["--dot"], "import --render")?;
+        args.unused(&planning, "import --render")?;
+    } else if args.has("--dot") {
+        args.unused(&planning, "import --dot")?;
+    } else if !args.has("--lint") {
+        args.unused(&["--workers"], "import without --lint")?;
+    }
     let file = std::fs::File::open(path).map_err(|e| format!("cannot open {path:?}: {e}"))?;
     let imported = match parse_graph(std::io::BufReader::new(file)) {
         Ok(g) => g,
@@ -1317,6 +1343,53 @@ mod tests {
         let from = cmd_report(&parse("report --from saved.json compress").unwrap()).err();
         let unexpected = r#"unexpected argument "compress" for report --from"#;
         assert_eq!(from.as_deref(), Some(unexpected));
+    }
+
+    #[test]
+    fn options_a_mode_ignores_are_rejected() {
+        type Handler = fn(&Args) -> Result<(), String>;
+        let cases: [(Handler, &str, &str); 7] = [
+            (
+                cmd_report,
+                "report --from saved.json --encoder pcc",
+                "unused option --encoder for report --from",
+            ),
+            (
+                cmd_flamegraph,
+                "flamegraph --check compress --out f --encoder pcc --scope all",
+                "unused option --encoder for flamegraph --check",
+            ),
+            (
+                cmd_flamegraph,
+                "flamegraph --check --all --out f",
+                "unused option --out for flamegraph --check",
+            ),
+            (
+                cmd_flamegraph,
+                "flamegraph --spans --scope all compress",
+                "unused option --scope for flamegraph --spans",
+            ),
+            (
+                cmd_import,
+                "import g.graph --render --dot",
+                "unused option --dot for import --render",
+            ),
+            (
+                cmd_import,
+                "import g.graph --dot --budget 32",
+                "unused option --budget for import --dot",
+            ),
+            (
+                cmd_import,
+                "import g.graph --workers 2",
+                "unused option --workers for import without --lint",
+            ),
+        ];
+        // Each fails before it reads a file or runs anything.
+        for (handler, line, error) in cases {
+            let args = parse(line).expect("declared options");
+            assert_eq!(handler(&args).err().as_deref(), Some(error), "{line}");
+        }
     }
 
     #[test]

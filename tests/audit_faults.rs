@@ -178,15 +178,16 @@ fn shrunken_icc_raises_dp001() {
         .nodes()
         .find(|&n| {
             !plan.encoding().is_anchor[n.index()]
-                && plan.encoding().icc[n.index()]
-                    .get(&root)
-                    .copied()
-                    .unwrap_or(0)
-                    > 1
+                && plan.encoding().icc_of(n, root).unwrap_or(0) > 1
         })
         .expect("a non-anchor with a nontrivial ICC");
-    let old = plan.encoding().icc[victim.index()][&root];
-    plan.encoding_mut().icc[victim.index()].insert(root, old - 1);
+    let icc = &plan.encoding().icc;
+    let anchors = icc.row(victim.index()).to_vec();
+    let mut values = icc.values(victim.index()).to_vec();
+    values[anchors.binary_search(&root).unwrap()] -= 1;
+    plan.encoding_mut()
+        .icc
+        .replace_row(victim.index(), &anchors, &values);
 
     let report = audit_plan(&p, &plan);
     assert!(report.has_errors());
@@ -194,6 +195,70 @@ fn shrunken_icc_raises_dp001() {
         report.codes().contains("DP001"),
         "a shrunken ICC must surface as DP001, got {:?}",
         report.codes()
+    );
+}
+
+/// `leaf` is called from the root `main` and from the recursion header
+/// `rec`, an anchor too, so its ICC row holds two anchors.
+fn shared_leaf_program() -> Program {
+    let mut b = ProgramBuilder::new("shared-leaf");
+    let c = b.add_class("C", None);
+    b.method(c, "leaf", MethodKind::Static).finish();
+    b.method(c, "rec", MethodKind::Static)
+        .body(|f| {
+            f.call(c, "leaf");
+            f.if_mod(
+                3,
+                0,
+                |_| {},
+                |f| {
+                    f.call_arg(c, "rec", deltapath::ArgExpr::ParamPlus(1));
+                },
+            );
+        })
+        .finish();
+    let main = b
+        .method(c, "main", MethodKind::Static)
+        .body(|f| {
+            f.call(c, "leaf");
+            f.call(c, "rec");
+        })
+        .finish();
+    b.entry(main);
+    b.finish().unwrap()
+}
+
+#[test]
+fn unsorted_icc_row_raises_dp001() {
+    let p = shared_leaf_program();
+    let mut plan = analyze(&p);
+    let leaf = plan
+        .graph()
+        .node_of(method_named(&p, "C.leaf"))
+        .unwrap()
+        .index();
+    let icc = &plan.encoding().icc;
+    let mut anchors = icc.row(leaf).to_vec();
+    let mut values = icc.values(leaf).to_vec();
+    assert_eq!(anchors.len(), 2, "precondition: two anchors reach leaf");
+    // The same pairs, anchors descending: the row can no longer be
+    // searched, which the auditor must say rather than miss a pair.
+    anchors.reverse();
+    values.reverse();
+    plan.encoding_mut().icc.replace_row(leaf, &anchors, &values);
+
+    let report = audit_plan(&p, &plan);
+    assert_eq!(
+        report.codes().into_iter().collect::<Vec<_>>(),
+        vec!["DP001"]
+    );
+    assert!(
+        report
+            .diagnostics
+            .iter()
+            .any(|d| d.message.contains("does not list its anchors ascending")),
+        "{:?}",
+        report.diagnostics
     );
 }
 

@@ -9,7 +9,7 @@
 use std::collections::{HashMap, HashSet};
 
 use deltapath::callgraph::{excluded_mask, topological_order_masked, CallGraph, EdgeIx, NodeIx};
-use deltapath::core::{Algo2Config, EncodeError, Encoding};
+use deltapath::core::{Algo2Config, EncodeError, Encoding, Rows};
 use deltapath::SiteId;
 
 /// Algorithm 2 over `graph`, ignoring `excluded` (back) edges: the same
@@ -123,23 +123,19 @@ pub fn analyze(
             continue 'again;
         }
 
+        // Each node's ICC row, anchors ascending as its territory row lists
+        // them; an anchor's is `[(self, 1)]`.
         let mut max_icc = 0u128;
-        let mut icc: Vec<HashMap<NodeIx, u128>> = Vec::with_capacity(n);
+        let mut icc: Rows<NodeIx, u128> = Rows::new();
         for i in 0..n {
             if is_anchor[i] {
                 if !nanchors[i].is_empty() {
                     max_icc = max_icc.max(1);
                 }
-                icc.push(HashMap::from([(NodeIx::from_index(i), 1)]));
+                icc.push_row(&[NodeIx::from_index(i)], &[1]);
             } else {
                 max_icc = icc_v[i].iter().copied().fold(max_icc, u128::max);
-                icc.push(
-                    nanchors[i]
-                        .iter()
-                        .copied()
-                        .zip(icc_v[i].iter().copied())
-                        .collect(),
-                );
+                icc.push_row(&nanchors[i], &icc_v[i]);
             }
         }
         let anchors: Vec<NodeIx> = (0..n)
@@ -154,8 +150,8 @@ pub fn analyze(
             budget_anchors,
             site_av,
             icc,
-            nanchors,
-            eanchors,
+            nanchors: rows_of(&nanchors),
+            eanchors: rows_of(&eanchors),
             excluded: excluded.clone(),
             max_icc,
             restarts,
@@ -198,6 +194,15 @@ fn identify_territories(
         }
     }
     (nanchors, eanchors)
+}
+
+/// The per-node or per-edge lists as one row table.
+fn rows_of(lists: &[Vec<NodeIx>]) -> Rows<NodeIx> {
+    let mut rows = Rows::new();
+    for list in lists {
+        rows.push(list);
+    }
+    rows
 }
 
 /// Position of anchor `r` in an ascending anchor list.

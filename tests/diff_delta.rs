@@ -115,7 +115,7 @@ fn parallel_audits_match_the_serial_report_on_corrupt_plans() {
             .collect();
         let cleared = [owned[0], owned[owned.len() / 2], owned[owned.len() - 1]];
         for &v in &cleared {
-            plan.encoding_mut().nanchors[v].clear();
+            plan.encoding_mut().nanchors.replace(v, &[]);
         }
 
         let serial = audit_plan_full(&p, &plan, &AuditOptions::default(), &NullTelemetry);
